@@ -187,7 +187,7 @@ class SimulationSession:
         """Prime the session's cheap deterministic entries.
 
         Called once per persistent GA worker at pool start (see
-        :mod:`repro.ga.workers`) so the first dispatched shard runs
+        :mod:`repro.ga.parallel`) so the first dispatched shard runs
         against warm caches: with a ``cluster`` the operating-state
         snapshot is memoized immediately.  Only pure, RNG-free
         derivations may run here -- warming must never perturb a
@@ -338,7 +338,7 @@ class SimulationSession:
                     "tf_grids",
                     key,
                     transfer,
-                    lambda: solver.transfer_functions(
+                    lambda: solver.compute_transfer_functions(
                         load_current.size, sample_rate_hz
                     ),
                 )

@@ -58,6 +58,20 @@ CHECKPOINT_FILENAME = "checkpoint.json"
 #: Default checkpoint directory for island campaigns (``--islands``).
 ISLAND_CHECKPOINT_DIRNAME = "island-checkpoints"
 
+#: The flag that sets each field whose bound ``GAConfig``,
+#: ``IslandConfig``, ``RetryPolicy`` or the GA engine checks.
+_FIELD_FLAGS = {
+    "population_size": "--population",
+    "generations": "--generations",
+    "loop_length": "--loop-length",
+    "mutation_rate": "--mutation-rate",
+    "workers": "--workers",
+    "islands": "--islands",
+    "migration_interval": "--migration-interval",
+    "max_retries": "--max-retries",
+    "checkpoint_every": "--checkpoint-every",
+}
+
 
 def resolve_cluster(name: str) -> Cluster:
     """Build the named platform's cluster at its nominal state."""
@@ -116,6 +130,53 @@ def _open_event_log(args) -> tuple:
     elif getattr(args, "events", None):
         sinks.append(JsonlFileSink(args.events))
     return EventLog(sinks), log_name
+
+
+def _flag_error(args, exc: ValueError) -> int:
+    """Report a violated config bound as one ``error:`` line naming
+    its flag, and return exit status 2.
+
+    The bound checks raise ``"<field> must ..."``; a message naming no
+    flag is a bug, not bad input, and is re-raised.
+    """
+    flag = _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
+    if flag is None:
+        raise exc
+    value = getattr(args, flag[2:].replace("-", "_"))
+    print(f"error: bad {flag} {value}: {exc}", file=sys.stderr)
+    return 2
+
+
+def _virus_settings(args) -> tuple:
+    """(GAConfig, IslandConfig or None, RetryPolicy) from the ``virus``
+    flags; raises ``ValueError`` on the first out-of-bounds value."""
+    from repro.ga.engine import check_checkpoint_every
+    from repro.ga.islands import IslandConfig
+
+    config = GAConfig(
+        population_size=args.population,
+        generations=args.generations,
+        loop_length=args.loop_length,
+        mutation_rate=args.mutation_rate,
+        seed=args.seed,
+        workers=args.workers,
+    )
+    island_config = IslandConfig(
+        islands=args.islands,
+        topology=args.topology,
+        migration_interval=(
+            None if args.migration_interval == 0 else args.migration_interval
+        ),
+    )
+    check_checkpoint_every(args.checkpoint_every)
+    retry_policy = RetryPolicy(
+        max_retries=args.max_retries,
+        base_delay_s=0.05,
+        seed=args.seed,
+    )
+    if island_config.islands == 1:
+        island_config = None
+    return config, island_config, retry_policy
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +266,10 @@ def cmd_virus(args) -> int:
     )
 
     cluster = resolve_cluster(args.platform)
-    config = GAConfig(
-        population_size=args.population,
-        generations=args.generations,
-        loop_length=args.loop_length,
-        mutation_rate=args.mutation_rate,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    island_config = None
-    if args.islands > 1:
-        from repro.ga.islands import IslandConfig
-
-        island_config = IslandConfig(
-            islands=args.islands,
-            topology=args.topology,
-            migration_interval=(
-                None
-                if args.migration_interval == 0
-                else args.migration_interval
-            ),
-        )
+    try:
+        config, island_config, retry_policy = _virus_settings(args)
+    except ValueError as exc:
+        return _flag_error(args, exc)
     out_dir = Path(args.out) if args.out else None
     log, log_name = _open_event_log(args)
     manifest = RunManifest.create(
@@ -256,11 +300,6 @@ def cmd_virus(args) -> int:
             print(f"error: bad fault plan: {exc}", file=sys.stderr)
             return 2
         manifest.extra["fault_plan"] = str(args.fault_plan)
-    retry_policy = RetryPolicy(
-        max_retries=args.max_retries,
-        base_delay_s=0.05,
-        seed=args.seed,
-    )
     manifest.extra["max_retries"] = args.max_retries
     resume = None
     if args.resume:
@@ -399,13 +438,16 @@ def cmd_report(args) -> int:
     from repro.analysis.report import characterize
 
     cluster = resolve_cluster(args.platform)
-    config = GAConfig(
-        population_size=args.population,
-        generations=args.generations,
-        loop_length=50,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    try:
+        config = GAConfig(
+            population_size=args.population,
+            generations=args.generations,
+            loop_length=50,
+            seed=args.seed,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        return _flag_error(args, exc)
     log, log_name = _open_event_log(args)
     from dataclasses import asdict
 

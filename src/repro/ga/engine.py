@@ -72,6 +72,12 @@ class GAConfig:
             raise ValueError("workers must be >= 1")
 
 
+def check_checkpoint_every(checkpoint_every: int) -> None:
+    """Reject a checkpoint interval below one generation."""
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be >= 1")
+
+
 @dataclass
 class GenerationRecord:
     """Best-individual summary of one generation (the Fig. 7 series)."""
@@ -476,8 +482,7 @@ class GAEngine:
         """
         cfg = self.config
         log = event_log if event_log is not None else NULL_LOG
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+        check_checkpoint_every(checkpoint_every)
         rng = np.random.default_rng(cfg.seed)
         population, history, evaluations, start_gen = (
             self._prepare_population(isa, rng, initial_population, resume)
@@ -563,8 +568,7 @@ class GAEngine:
         """
         cfg = self.config
         log = event_log if event_log is not None else NULL_LOG
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+        check_checkpoint_every(checkpoint_every)
         if not 1 <= until_generation <= cfg.generations:
             raise ValueError(
                 "until_generation must be in [1, config.generations], "

@@ -95,7 +95,7 @@ class ClusterFitness:
         if restore is not None:
             restore(state)
 
-    # Warm-cache protocol: persistent GA workers (repro.ga.workers)
+    # Warm-cache protocol: persistent GA workers (repro.ga.parallel)
     # call warm_up() once at pool start and session_stats() after each
     # shard; delegate both, binding this fitness's cluster so the
     # session can prime its operating-state snapshot.

@@ -27,7 +27,7 @@ the penalty fitness) and ``checkpoint_recovered`` (a corrupt
 checkpoint was skipped in favor of an older rotation).  See
 ``docs/testing.md`` for the full recovery-path map.
 
-The persistent GA worker pool (:mod:`repro.ga.workers`) emits one
+The persistent GA worker pool (:mod:`repro.ga.parallel`) emits one
 ``worker_warmup`` event per worker (re)spawn -- worker id, pid,
 warm-up wall time, whether it replaced a crashed worker
 (``respawned``), and the session cache stats its warm-up primed --

@@ -135,6 +135,19 @@ class SteadyStateSolver:
         if cached is not None:
             return cached
         self.tf_analyses += 1
+        transfer = self.compute_transfer_functions(n_samples, sample_rate_hz)
+        self._tf_cache[key] = transfer
+        return transfer
+
+    def compute_transfer_functions(
+        self, n_samples: int, sample_rate_hz: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The AC analysis behind :meth:`transfer_functions`, uncached.
+
+        The determinism audit recomputes cached grids through this
+        method, so a corrupted cache entry is never compared with
+        itself.
+        """
         freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
         # Skip DC here; the IR drop is handled separately via Z(0+).
         analysis = analyze_ac(self._circuit, self._die_node, freqs[1:])
@@ -154,11 +167,7 @@ class SteadyStateSolver:
         if h_i[0] < 0.0:
             h_i = -h_i
             h_i[0] = abs(h_i[0])
-        self._tf_cache[key] = (z, h_i)
         return z, h_i
-
-    # Backwards-compatible private alias (pre-chain name).
-    _transfer_functions = transfer_functions
 
     @timed_kernel("pdn.steady_state.solve")
     def solve(

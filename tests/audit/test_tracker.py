@@ -111,6 +111,23 @@ class TestShadowRecompute:
         with pytest.raises(CacheShadowMismatch):
             session.cluster_state(a53)
 
+    def test_corrupted_tf_grid_caught(self, a53):
+        tracker = paranoid_tracker()
+        session = SimulationSession(audit=tracker)
+        solve = dict(
+            powered_cores=a53.powered_cores,
+            voltage=a53.voltage,
+            load_current=np.linspace(1.0, 2.0, 64),
+            sample_rate_hz=a53.clock_hz,
+        )
+        session.pdn_solve(a53, **solve)
+        ((z, _h_i),) = session._tf_grids.values()
+        # In place, so the solver's own cache holds the corrupted
+        # array too and only a fresh AC analysis can tell.
+        z[3] *= 2.0
+        with pytest.raises(CacheShadowMismatch):
+            session.pdn_solve(a53, **solve)
+
     def test_sampling_respects_rate_zero(self, a53):
         tracker = paranoid_tracker(sample_rate=0.0)
         session = SimulationSession(audit=tracker)

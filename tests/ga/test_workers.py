@@ -1,16 +1,18 @@
 """Persistent warm-cache GA workers: determinism, transport, recovery.
 
 The contract pinned here is that moving dispatch onto long-lived
-warm-cache worker processes (``repro.ga.workers``) changes *nothing*
+warm-cache worker processes (``repro.ga.parallel``) changes *nothing*
 observable but wall-clock: ``workers=4`` histories stay byte-identical
 to ``workers=1`` across multi-generation runs, through mid-run
-checkpoint/resume, under injected worker crashes with respawn, and
-with the shared-memory transport disabled (inline pickle fallback).
+checkpoint/resume and under injected worker crashes with respawn, and
+results cross the process boundary unchanged in type and value.
 """
 
 import json
 import multiprocessing
 import os
+import pickle
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -24,19 +26,10 @@ from repro.faults import (
     FaultSpec,
     RetryPolicy,
 )
+from repro.faults.plan import NULL_INJECTOR
 from repro.ga.engine import GAConfig, GAEngine
 from repro.ga.fitness import FitnessEvaluation
-from repro.ga.parallel import ParallelEvaluator
-from repro.ga.shm import (
-    ProgramDecoder,
-    ProgramEncoder,
-    decode_evaluations,
-    encode_evaluations,
-    pack_arrays,
-    release_block,
-    unpack_arrays,
-)
-from repro.ga.workers import PersistentWorkerPool
+from repro.ga.parallel import ParallelEvaluator, PersistentWorkerPool
 from repro.io.serialization import load_checkpoint
 from repro.obs.events import EventLog, MemorySink
 
@@ -68,6 +61,51 @@ def _evaluation(score):
     )
 
 
+class IntScoreFitness:
+    """Scores with an ``int``, so a lossy result transport would show
+    up as a changed type."""
+
+    def __call__(self, program):
+        evaluation = _evaluation(0.0)
+        evaluation.score = len(program.body)
+        return evaluation
+
+
+class _ProcessLocalScore(float):
+    """A score that refuses to be pickled."""
+
+    def __reduce__(self):
+        raise pickle.PicklingError("score cannot leave its process")
+
+
+class UnpicklableResultFitness:
+    """A picklable fitness whose results cannot be pickled."""
+
+    def __call__(self, program):
+        return _evaluation(_ProcessLocalScore(len(program.body)))
+
+
+def _within(timeout_s, fn):
+    """Return ``fn()`` run on a thread, failing instead of hanging when
+    it takes longer than ``timeout_s``."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # re-raised on the test thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    if thread.is_alive():
+        pytest.fail(f"no result after {timeout_s}s")
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
 def history_bytes(result) -> bytes:
     """A ``GAResult``'s history as canonical bytes (config excluded,
     so runs that differ only in ``workers`` can be compared)."""
@@ -91,72 +129,10 @@ def _assert_byte_identical(a, b):
 
 
 # ---------------------------------------------------------------------------
-# ndarray transport (repro.ga.shm)
-# ---------------------------------------------------------------------------
-class TestTransportCodecs:
-    def test_program_codec_roundtrips_genomes(self):
-        programs = _programs(count=5, length=17)
-        header, arrays = ProgramEncoder().encode(programs)
-        assert header["kind"] == "arrays"
-        decoded = ProgramDecoder().decode(header, arrays)
-        assert [p.genome() for p in decoded] == [
-            p.genome() for p in programs
-        ]
-        assert [p.name for p in decoded] == [p.name for p in programs]
-
-    def test_program_encoder_pickles_each_isa_once(self):
-        encoder = ProgramEncoder()
-        encoder.encode(_programs(count=3))
-        header, _ = encoder.encode(_programs(count=4, seed=8))
-        assert set(header["isa_tokens"]) == {0}
-
-    def test_eval_codec_is_bit_identical(self):
-        evals = [_evaluation(0.1 + i * 1e-9) for i in range(7)]
-        header, arrays = encode_evaluations(evals)
-        assert header["kind"] == "arrays"
-        assert decode_evaluations(header, arrays) == evals
-
-    def test_eval_codec_falls_back_for_exotic_results(self):
-        # An int score must survive with its type, not become float64.
-        exotic = _evaluation(1.0)
-        exotic.score = 3
-        header, arrays = encode_evaluations([exotic])
-        assert header["kind"] == "pickle"
-        (back,) = decode_evaluations(header, arrays)
-        assert back.score == 3 and type(back.score) is int
-
-    def test_shm_roundtrip_and_release(self):
-        arrays = [
-            np.arange(2048, dtype=np.int64).reshape(64, 32),
-            np.linspace(0.0, 1.0, 900),
-        ]
-        bundle, owner = pack_arrays(arrays, use_shm=True, min_bytes=0)
-        assert bundle.via == "shm" and owner is not None
-        back = unpack_arrays(bundle)
-        release_block(owner)
-        for sent, got in zip(arrays, back):
-            np.testing.assert_array_equal(sent, got)
-            assert got.dtype == sent.dtype
-
-    def test_small_or_disabled_payloads_go_inline(self):
-        arrays = [np.arange(4)]
-        for use_shm in (True, False):
-            bundle, owner = pack_arrays(arrays, use_shm=use_shm)
-            assert bundle.via == "inline" and owner is None
-            np.testing.assert_array_equal(
-                unpack_arrays(bundle)[0], arrays[0]
-            )
-
-
-# ---------------------------------------------------------------------------
 # the pool itself
 # ---------------------------------------------------------------------------
 class TestPersistentPool:
     def test_dispatch_matches_serial_and_emits_warmup(self):
-        import pickle
-
-        from repro.faults.plan import NULL_INJECTOR
-
         programs = _programs(count=8)
         fitness = PureFitness()
         expected = [fitness(p).score for p in programs]
@@ -185,10 +161,6 @@ class TestPersistentPool:
             assert w["pid"]
 
     def test_pool_survives_many_generations_of_dispatch(self):
-        import pickle
-
-        from repro.faults.plan import NULL_INJECTOR
-
         fitness = PureFitness()
         payload = pickle.dumps((PureFitness(), NULL_INJECTOR, None))
         with PersistentWorkerPool(payload, workers=2) as pool:
@@ -204,6 +176,49 @@ class TestPersistentPool:
                 ]
                 assert got == [fitness(p).score for p in programs]
             assert pool.respawns == 0
+
+    def test_exotic_results_keep_their_type_and_value(self):
+        programs = _programs(count=4)
+        payload = pickle.dumps((IntScoreFitness(), NULL_INJECTOR, None))
+        with PersistentWorkerPool(payload, workers=2) as pool:
+            outcomes = pool.dispatch({0: programs[:2], 1: programs[2:]})
+        got = [e for i in (0, 1) for e in outcomes[i].results]
+        assert got == [IntScoreFitness()(p) for p in programs]
+        assert all(type(e) is FitnessEvaluation for e in got)
+        assert all(type(e.score) is int for e in got)
+
+    def test_unpicklable_results_crash_until_serial(self):
+        """A worker that cannot pickle its results exits, so every
+        shard takes the crash path until the evaluator degrades to
+        serial.  Results handed to the queue unpickled would instead be
+        dropped by its feeder thread and leave the parent waiting, hence
+        the timeout."""
+        programs = _programs(count=4)
+        restarts = 1
+        sink = MemorySink()
+
+        def run():
+            with ParallelEvaluator(
+                UnpicklableResultFitness(),
+                workers=2,
+                event_log=EventLog([sink]),
+                max_pool_restarts=restarts,
+            ) as evaluator:
+                return evaluator.evaluate(programs), evaluator.degraded
+
+        results, degraded = _within(60.0, run)
+        assert degraded
+        assert [e.score for e in results] == [
+            float(len(p.body)) for p in programs
+        ]
+        recovery = [
+            r["event"]
+            for r in sink.records
+            if r["event"] in ("worker_crash", "degraded_to_serial")
+        ]
+        assert recovery == (
+            ["worker_crash"] * (restarts + 1) + ["degraded_to_serial"]
+        )
 
 
 class DieOnceFitness:
@@ -297,27 +312,6 @@ class TestDeterminism:
             ARM_ISA, resume=load_checkpoint(ckpt)
         )
         _assert_byte_identical(serial, resumed)
-
-    def test_shm_disabled_fallback_matches_workers_1(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GA_SHM", "0")
-        serial = GAEngine(PureFitness(), CONFIG).run(ARM_ISA)
-        parallel = GAEngine(
-            PureFitness(), replace(CONFIG, workers=4)
-        ).run(ARM_ISA)
-        _assert_byte_identical(serial, parallel)
-
-    def test_explicit_use_shm_flag_matches_serial(self):
-        programs = _programs(count=8)
-        fitness = PureFitness()
-        expected = [fitness(p).score for p in programs]
-        for use_shm in (True, False):
-            with ParallelEvaluator(
-                PureFitness(), workers=2, use_shm=use_shm
-            ) as evaluator:
-                got = [
-                    e.score for e in evaluator.evaluate(programs)
-                ]
-            assert got == expected
 
 
 # ---------------------------------------------------------------------------

@@ -387,3 +387,42 @@ class TestFaultPlanFlow:
         path.write_text('{"kind": "not-a-plan"}', encoding="utf-8")
         assert main(VIRUS_ARGS + ["--fault-plan", str(path)]) == 2
         assert "bad fault plan" in capsys.readouterr().err
+
+
+
+#: (command, flags) pairs whose last flag carries a value out of the
+#: bounds GAConfig, IslandConfig, RetryPolicy or the engine check.
+BAD_NUMBERS = [
+    ("virus", ["--workers", "0"]),
+    ("virus", ["--population", "1"]),
+    ("virus", ["--generations", "0"]),
+    ("virus", ["--loop-length", "0"]),
+    ("virus", ["--mutation-rate", "2"]),
+    ("virus", ["--checkpoint-every", "0"]),
+    ("virus", ["--max-retries", "-1"]),
+    ("virus", ["--islands", "2", "--migration-interval", "-1"]),
+    ("virus", ["--islands", "0"]),
+    ("virus", ["--islands", "-3"]),
+    ("report", ["--population", "1"]),
+]
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "command, flags",
+        BAD_NUMBERS,
+        ids=[" ".join([c, *f]) for c, f in BAD_NUMBERS],
+    )
+    def test_one_line_error_naming_the_flag(
+        self, capsys, tmp_path, command, flags
+    ):
+        base = (
+            VIRUS_ARGS if command == "virus"
+            else ["report", "--platform", "a53"]
+        )
+        assert main(base + flags + ["--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: bad {flags[-2]} {flags[-1]}")
+        assert not any(tmp_path.iterdir())
