@@ -5,6 +5,8 @@ implementations and the parallel GA against its serial baseline, then
 writes the results to ``BENCH_eval_engine.json``:
 
 * ``schedule`` -- :meth:`Pipeline.execute` vs ``execute_reference``
+  (not like-for-like: ``execute`` stops simulating once the machine
+  state repeats, the reference simulates every iteration)
 * ``trace`` -- :meth:`CurrentModel.trace` vs ``trace_reference``
 * ``combined`` -- the full schedule+trace evaluation path (the GA's
   per-individual hot loop); target >= 5x

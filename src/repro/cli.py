@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.core.characterizer import EMCharacterizer
-from repro.core.resonance import ResonanceSweep
+from repro.core.resonance import ResonanceSweep, check_samples_per_point
 from repro.core.virusgen import VirusGenerator
 from repro.faults.retry import RetryPolicy
 from repro.ga.engine import GAConfig
@@ -44,6 +44,7 @@ from repro.instruments.spectrum_analyzer import (
 from repro.obs.context import RunContext
 from repro.obs.events import EventLog, JsonlFileSink, StderrSink
 from repro.obs.manifest import RunManifest
+from repro.pdn.impedance import points_in_band
 from repro.platforms import registry
 from repro.platforms.base import Cluster
 
@@ -59,7 +60,8 @@ CHECKPOINT_FILENAME = "checkpoint.json"
 ISLAND_CHECKPOINT_DIRNAME = "island-checkpoints"
 
 #: The flag that sets each field whose bound ``GAConfig``,
-#: ``IslandConfig``, ``RetryPolicy`` or the GA engine checks.
+#: ``IslandConfig``, ``RetryPolicy``, the GA engine, ``VminTester`` or
+#: ``ResonanceSweep`` checks.
 _FIELD_FLAGS = {
     "population_size": "--population",
     "generations": "--generations",
@@ -70,7 +72,14 @@ _FIELD_FLAGS = {
     "migration_interval": "--migration-interval",
     "max_retries": "--max-retries",
     "checkpoint_every": "--checkpoint-every",
+    "step_v": "--step",
+    "virus_repeats": "--virus-repeats",
+    "benchmark_repeats": "--repeats",
+    "samples_per_point": "--samples",
 }
+
+#: The band the ``impedance`` command reads the first-order resonance in.
+FIRST_ORDER_BAND_HZ = (50e6, 200e6)
 
 
 def resolve_cluster(name: str) -> Cluster:
@@ -132,16 +141,18 @@ def _open_event_log(args) -> tuple:
     return EventLog(sinks), log_name
 
 
-def _flag_error(args, exc: ValueError) -> int:
-    """Report a violated config bound as one ``error:`` line naming
-    its flag, and return exit status 2.
+def _flag_error(args, exc: Exception, flag: Optional[str] = None) -> int:
+    """Report a bad flag value as one ``error:`` line naming its flag,
+    and return exit status 2.
 
-    The bound checks raise ``"<field> must ..."``; a message naming no
-    flag is a bug, not bad input, and is re-raised.
+    Without ``flag`` the flag comes from the message: the bound checks
+    raise ``"<field> must ..."``, and a message naming no flag is a
+    bug, not bad input, and is re-raised.
     """
-    flag = _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
     if flag is None:
-        raise exc
+        flag = _FIELD_FLAGS.get(str(exc).split(" ", 1)[0])
+        if flag is None:
+            raise exc
     value = getattr(args, flag[2:].replace("-", "_"))
     print(f"error: bad {flag} {value}: {exc}", file=sys.stderr)
     return 2
@@ -192,26 +203,49 @@ def cmd_platforms(args) -> int:
     return 0
 
 
+def _power_gate(args, cluster: Cluster) -> Optional[int]:
+    """Apply ``--cores`` to ``cluster``; exit status 2 if out of range."""
+    if args.cores is None:
+        return None
+    try:
+        cluster.power_gate(args.cores)
+    except ValueError as exc:
+        return _flag_error(args, exc, "--cores")
+    return None
+
+
 def cmd_impedance(args) -> int:
     cluster = resolve_cluster(args.platform)
-    cores = args.cores or cluster.spec.num_cores
-    model = cluster.pdn
-    freqs = np.logspace(4, 8.7, args.points)
-    analysis = model.impedance_analysis(freqs, cores)
+    status = _power_gate(args, cluster)
+    if status is not None:
+        return status
+    cores = cluster.powered_cores
+    # A grid of fewer than one point is an empty grid.
+    freqs = np.logspace(4, 8.7, max(args.points, 0))
+    try:
+        points_in_band(freqs, FIRST_ORDER_BAND_HZ)
+    except ValueError as exc:
+        return _flag_error(args, exc, "--points")
+    analysis = cluster.pdn.impedance_analysis(freqs, cores)
     mag = analysis.impedance_magnitude("die")
     print(f"# {cluster.name}, {cores} powered cores")
     print(f"# {'frequency_hz':>14} {'z_mohm':>10}")
     for f, z in zip(freqs, mag):
         print(f"{f:>16.1f} {z * 1e3:>10.4f}")
-    peak = analysis.peak_frequency_hz("die", (50e6, 200e6))
+    peak = analysis.peak_frequency_hz("die", FIRST_ORDER_BAND_HZ)
     print(f"# first-order resonance: {peak / 1e6:.1f} MHz")
     return 0
 
 
 def cmd_sweep(args) -> int:
     cluster = resolve_cluster(args.platform)
-    if args.cores:
-        cluster.power_gate(args.cores)
+    try:
+        check_samples_per_point(args.samples)
+    except ValueError as exc:
+        return _flag_error(args, exc)
+    status = _power_gate(args, cluster)
+    if status is not None:
+        return status
     log, log_name = _open_event_log(args)
     manifest = RunManifest.create(
         "sweep",
@@ -223,7 +257,7 @@ def cmd_sweep(args) -> int:
         cluster=cluster,
         seed=args.seed,
         event_log=log,
-        active_cores=1 if args.cores else None,
+        active_cores=None if args.cores is None else 1,
     )
     characterizer, tracker = _audited_characterizer(args, log)
     if tracker is not None:
@@ -382,18 +416,22 @@ def cmd_virus(args) -> int:
 
 def cmd_vmin(args) -> int:
     from repro.stability.failure import failure_model_for
-    from repro.stability.vmin import VminTester
+    from repro.stability.vmin import VminTester, check_repeat_counts
     from repro.workloads.base import ProgramWorkload
     from repro.workloads.spec import SPEC_PROFILES, spec_workload
     from repro.workloads.stress import idle_workload
 
     cluster = resolve_cluster(args.platform)
-    tester = VminTester(
-        cluster,
-        failure_model_for(cluster.name),
-        step_v=args.step,
-        seed=args.seed,
-    )
+    try:
+        tester = VminTester(
+            cluster,
+            failure_model_for(cluster.name),
+            step_v=args.step,
+            seed=args.seed,
+        )
+        check_repeat_counts(args.virus_repeats, args.repeats)
+    except ValueError as exc:
+        return _flag_error(args, exc)
     workloads = []
     spec_names = {p.name for p in SPEC_PROFILES}
     for name in args.workloads.split(","):
@@ -409,9 +447,15 @@ def cmd_vmin(args) -> int:
             return 2
     virus_names = ()
     if args.virus:
-        from repro.io.serialization import load_virus_archive
+        from repro.io.serialization import (
+            SerializationError,
+            load_virus_archive,
+        )
 
-        program, metadata = load_virus_archive(args.virus)
+        try:
+            program, metadata = load_virus_archive(args.virus)
+        except (OSError, SerializationError) as exc:
+            return _flag_error(args, exc, "--virus")
         workloads.append(
             ProgramWorkload("virus", program, jitter_seed=None)
         )

@@ -86,6 +86,13 @@ class SweepResult(JsonResultMixin):
         )
 
 
+def check_samples_per_point(samples_per_point: int) -> None:
+    """Raise ``ValueError`` unless each sweep point averages at least one
+    analyzer sample."""
+    if samples_per_point < 1:
+        raise ValueError("samples_per_point must be >= 1")
+
+
 class ResonanceSweep:
     """Drives the fast sweep against a cluster through an EM receive chain."""
 
@@ -94,6 +101,7 @@ class ResonanceSweep:
         characterizer: EMCharacterizer,
         samples_per_point: int = 5,
     ):
+        check_samples_per_point(samples_per_point)
         self.characterizer = characterizer
         self.samples_per_point = samples_per_point
 

@@ -14,6 +14,22 @@ The scheduler runs the loop for a number of iterations and extracts the
 steady-state iteration (machine state becomes periodic after a few
 iterations because the hardware is deterministic); the steady schedule
 is what the current model converts into a waveform.
+
+Without a cache model the machine is deterministic, so
+:meth:`Pipeline.execute` stops simulating as soon as the machine state
+at an iteration boundary repeats an earlier boundary's state up to a
+time shift, and fills the remaining iterations by shifting the rows
+already simulated.  The state is measured relative to a *floor*: a
+cycle before which no later instruction can issue (the last issue cycle
+in order; the oldest issue cycle of the window look-back out of order).
+Every time that feeds a later issue decision enters it through a
+``max`` with a bound of at least the floor, so register, memory, unit
+and ROB times below the floor are equivalent to the floor itself and
+are clamped to it; unit instances are interchangeable, so their free
+times are compared as a sorted multiset.  Two boundaries with equal
+clamped, floor-relative states therefore produce the same future issue
+cycles up to the floor difference, and the early exit returns exactly
+the array full simulation would.
 """
 
 from __future__ import annotations
@@ -80,6 +96,28 @@ class Schedule:
 
     def loop_frequency_hz(self, clock_hz: float) -> float:
         return clock_hz / self.cycles
+
+
+def _extend_periodic(
+    issue_flat: List[int],
+    n_body: int,
+    iterations: int,
+    repeat_of: int,
+    shift: int,
+) -> np.ndarray:
+    """The ``(iterations, n_body)`` issue array from the rows simulated
+    so far, given that the boundary after them repeats boundary
+    ``repeat_of`` ``shift`` cycles later: every later row is the row one
+    repeat period earlier plus ``shift``."""
+    done = len(issue_flat) // n_body
+    issue = np.empty((iterations, n_body), dtype=np.int64)
+    issue[:done] = np.array(issue_flat, dtype=np.int64).reshape(
+        done, n_body
+    )
+    period = done - repeat_of
+    for row in range(done, iterations):
+        issue[row] = issue[row - period] + shift
+    return issue
 
 
 class _UnitPool:
@@ -156,7 +194,29 @@ class Pipeline:
         attribute or ``(regfile, reg)``-dict lookups.  It is
         cycle-exact against :meth:`execute_reference` (the readable
         event-driven formulation), which the golden-equivalence tests
-        enforce.
+        and a hypothesis property enforce.
+
+        Without ``cache`` the run exits early: at each iteration
+        boundary the machine state, taken relative to the floor ``f``
+        below which no later instruction can issue and clamped at it,
+        is looked up among the states of earlier boundaries.  The state
+        is the ready times of the registers the loop reads and of the
+        addresses it touches, each used unit's instance free times
+        (sorted: the first-minimum pick decides which instance is
+        reserved, never the issue cycle), the issue-slot counts from
+        ``f`` to the largest issue cycle so far and, out of order, the
+        window's issue cycles and the ROB's completion cycles.  ``f``
+        is the last issue cycle in order.  Out of order it is the
+        smallest issue cycle among the last ``window`` instructions,
+        and the check waits until ``window`` and ``rob_size``
+        instructions have issued, so both look-backs always apply.
+        Clamping is exact because every clamped time is only ever
+        combined by ``max`` with a bound of at least ``f``.  When
+        boundary ``i`` repeats boundary ``j`` shifted by
+        ``f_i - f_j``, row ``i + m`` is row ``j + m`` plus that shift
+        for every ``m``, so the remaining rows are filled without
+        simulating them.  With a cache model every iteration is
+        simulated, so the memory RNG sees the same draws.
         """
         if iterations < 2:
             raise ValueError("need >= 2 iterations to find a steady state")
@@ -198,9 +258,45 @@ class Pipeline:
         window = cfg.window
         rob = cfg.rob_size
 
+        # Early-exit bookkeeping: the parts of the state later issue
+        # decisions can read, and the boundary each state was seen at.
+        track = cache is None
+        first_check = max(window, rob) if ooo else 1
+        read_regs = sorted({s for srcs in st.sources for s in srcs})
+        addresses = sorted({a for a in st.address if a >= 0})
+        used_units = [free[u] for u in dict.fromkeys(st.units)]
+        seen: Dict[tuple, Tuple[int, int]] = {}
+
         last_issue = -1  # most recent issue cycle (in-order constraint)
         k = 0
-        for _ in range(iterations):
+        for it in range(iterations):
+            if track and k >= first_check:
+                if ooo:
+                    look = issue_flat[k - window:k]
+                    f = min(look)
+                    # An instruction issues no earlier than the one
+                    # `window` older, so the look-back holds the latest
+                    # issue cycle so far.
+                    hi = max(look)
+                else:
+                    f = hi = last_issue
+                state = [reg_ready[r] - f if reg_ready[r] > f else 0
+                         for r in read_regs]
+                state += [mem_ready[a] - f if mem_ready[a] > f else 0
+                          for a in addresses]
+                state += [v - f if v > f else 0
+                          for times in used_units for v in sorted(times)]
+                if ooo:
+                    state += [v - f for v in look]
+                    state += [c - f if c > f else 0
+                              for c in complete[k - rob:k]]
+                state += counts[f:hi + 1]
+                earlier = seen.setdefault(tuple(state), (it, f))
+                if earlier[0] != it:
+                    return _extend_periodic(
+                        issue_flat[:k], n_body, iterations,
+                        earlier[0], f - earlier[1],
+                    )
             for srcs, lat, rt, tch, adr, dst, times in rows:
                 t = 0
                 for s in srcs:
@@ -230,13 +326,18 @@ class Pipeline:
                 elif last_issue > t:
                     t = last_issue
 
-                # Find a cycle with a free unit instance and issue slot.
+                # Find a cycle with a free unit instance and issue slot;
+                # the first instance with the smallest free time wins.
                 if len(times) == 1:
                     idx = 0
-                    unit_free = times[0]
+                elif len(times) == 2:
+                    idx = 0 if times[0] <= times[1] else 1
                 else:
-                    idx = min(range(len(times)), key=times.__getitem__)
-                    unit_free = times[idx]
+                    idx = 0
+                    for i in range(1, len(times)):
+                        if times[i] < times[idx]:
+                            idx = i
+                unit_free = times[idx]
                 if unit_free > t:
                     t = unit_free
                 if t >= n_counts:
@@ -344,6 +445,12 @@ class Pipeline:
         super-period of iteration lengths is detected and the schedule
         covers one full super-period, so the rendered current waveform
         is exactly the electrical period.
+
+        Only the last ``period + 1`` rows are read.  :meth:`execute`
+        usually stops simulating after a few iterations, once the
+        machine state repeats, and fills the later rows by shifting
+        earlier ones; those rows are exactly what full simulation gives,
+        so the extracted schedule is unchanged.
         """
         issue = self.execute(program, iterations)
         starts = issue[:, 0]

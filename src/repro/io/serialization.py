@@ -212,7 +212,11 @@ def load_virus_archive(meta_path: Union[str, Path]):
         metadata = json.loads(meta_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SerializationError(f"invalid JSON: {exc}") from exc
-    program = load_program(meta_path.parent / metadata["program_file"])
+    try:
+        program_file = metadata["program_file"]
+    except (KeyError, TypeError) as exc:
+        raise SerializationError(f"missing field: {exc}") from exc
+    program = load_program(meta_path.parent / program_file)
     return program, metadata
 
 

@@ -60,13 +60,22 @@ class ACAnalysis:
         mag = self.impedance_magnitude(node)
         freqs = self.frequencies_hz
         if band is not None:
-            low, high = band
-            mask = (freqs >= low) & (freqs <= high)
-            if not mask.any():
-                raise ValueError(f"no analysis points inside band {band}")
+            mask = points_in_band(freqs, band)
             mag = mag[mask]
             freqs = freqs[mask]
         return float(freqs[int(np.argmax(mag))])
+
+
+def points_in_band(
+    frequencies_hz: np.ndarray, band: Sequence[float]
+) -> np.ndarray:
+    """Mask of the grid points inside the inclusive ``(low_hz, high_hz)``
+    band; raises ``ValueError`` when none is."""
+    low, high = band
+    mask = (frequencies_hz >= low) & (frequencies_hz <= high)
+    if not mask.any():
+        raise ValueError(f"no analysis points inside band {band}")
+    return mask
 
 
 def analyze_ac(

@@ -42,6 +42,17 @@ class VminResult:
         return nominal_voltage - self.vmin
 
 
+def check_repeat_counts(virus_repeats: int, benchmark_repeats: int) -> None:
+    """Raise ``ValueError`` if either repeat count of
+    :meth:`VminTester.compare` is below 1."""
+    for name, repeats in (
+        ("virus_repeats", virus_repeats),
+        ("benchmark_repeats", benchmark_repeats),
+    ):
+        if repeats < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 class VminTester:
     """Runs V_MIN experiments on a cluster with a failure model."""
 
@@ -52,8 +63,8 @@ class VminTester:
         step_v: float = 0.010,
         seed: int = 0,
     ):
-        if step_v <= 0.0:
-            raise ValueError("voltage step must be positive")
+        if not step_v > 0.0:
+            raise ValueError("step_v must be positive")
         self.cluster = cluster
         self.failure_model = failure_model
         self.step_v = step_v
@@ -145,8 +156,10 @@ class VminTester:
         """V_MIN for a workload set (the Fig. 10/14/18 experiments).
 
         Viruses get more repeats than benchmarks, mirroring the paper's
-        30-vs-2 protocol.
+        30-vs-2 protocol.  Both counts are checked before any ladder
+        runs.
         """
+        check_repeat_counts(virus_repeats, benchmark_repeats)
         results: Dict[str, VminResult] = {}
         for workload in workloads:
             repeats = (

@@ -1,5 +1,7 @@
 """Property-based tests on the CPU pipeline and current models."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,91 @@ from repro.cpu.arm import ARM_ISA
 from repro.cpu.current import CurrentModel
 from repro.cpu.pipeline import InOrderPipeline, OutOfOrderPipeline
 from repro.cpu.program import random_program
+from repro.platforms import registry
 
 program_seeds = st.integers(min_value=0, max_value=10_000)
 lengths = st.integers(min_value=2, max_value=60)
+
+PLATFORMS = ("a72", "a53", "amd")
+
+
+@lru_cache(maxsize=None)
+def platform_core(key):
+    """(pipeline, ISA) of a platform's cluster."""
+    cluster = registry.make_cluster(key)
+    return cluster.pipeline, cluster.spec.isa
+
+
+@st.composite
+def cores(draw):
+    """A platform's own pipeline and ISA, or a stress configuration:
+    in-order width 1 or 3, or out of order with a tiny window and a
+    ROB either larger or smaller than it."""
+    kind = draw(st.sampled_from(("platform", "in-order", "out-of-order")))
+    if kind == "platform":
+        return platform_core(draw(st.sampled_from(PLATFORMS)))
+    if kind == "in-order":
+        return InOrderPipeline(width=draw(st.sampled_from((1, 3)))), ARM_ISA
+    width = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):  # window > ROB
+        rob = draw(st.integers(min_value=4, max_value=7))
+        window = draw(st.integers(min_value=rob + 1, max_value=8))
+    else:
+        window = draw(st.integers(min_value=2, max_value=8))
+        rob = draw(st.integers(min_value=max(window, 4), max_value=128))
+    pipeline = OutOfOrderPipeline(width=width, window=window, rob_size=rob)
+    return pipeline, ARM_ISA
+
+
+def assert_exit_is_exact(core, seed, length, iterations):
+    """The early-exit kernel returns what full simulation returns."""
+    pipeline, isa = core
+    program = random_program(isa, length, np.random.default_rng(seed))
+    assert np.array_equal(
+        pipeline.execute(program, iterations),
+        pipeline.execute_reference(program, iterations),
+    )
+
+
+exit_cases = dict(
+    core=cores(),
+    seed=program_seeds,
+    length=st.integers(min_value=1, max_value=60),
+    iterations=st.integers(min_value=2, max_value=64),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**exit_cases)
+def test_early_exit_matches_full_simulation(
+    core, seed, length, iterations
+):
+    assert_exit_is_exact(core, seed, length, iterations)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(**exit_cases)
+def test_early_exit_matches_full_simulation_deep(
+    core, seed, length, iterations
+):
+    assert_exit_is_exact(core, seed, length, iterations)
+
+
+@pytest.mark.parametrize("platform", PLATFORMS)
+def test_early_exit_exact_on_random_programs_at_default_iterations(
+    platform,
+):
+    """200 fixed-seed 50-instruction programs at ``iterations=16``,
+    the value every caller uses."""
+    pipeline, isa = platform_core(platform)
+    rng = np.random.default_rng(2018)
+    for _ in range(200):
+        program = random_program(isa, 50, rng)
+        assert np.array_equal(
+            pipeline.execute(program, 16),
+            pipeline.execute_reference(program, 16),
+        )
 
 
 @settings(max_examples=30, deadline=None)

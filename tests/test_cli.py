@@ -391,7 +391,9 @@ class TestFaultPlanFlow:
 
 
 #: (command, flags) pairs whose last flag carries a value out of the
-#: bounds GAConfig, IslandConfig, RetryPolicy or the engine check.
+#: bounds GAConfig, IslandConfig, RetryPolicy, the engine, VminTester,
+#: ResonanceSweep, the cluster's core count or the impedance
+#: command's resonance band check.
 BAD_NUMBERS = [
     ("virus", ["--workers", "0"]),
     ("virus", ["--population", "1"]),
@@ -404,7 +406,47 @@ BAD_NUMBERS = [
     ("virus", ["--islands", "0"]),
     ("virus", ["--islands", "-3"]),
     ("report", ["--population", "1"]),
+    ("vmin", ["--step", "0"]),
+    ("vmin", ["--step", "-0.01"]),
+    ("vmin", ["--repeats", "0"]),
+    ("vmin", ["--virus-repeats", "0"]),
+    ("sweep", ["--samples", "0"]),
+    ("sweep", ["--samples", "-1"]),
+    ("sweep", ["--cores", "9"]),
+    ("sweep", ["--cores", "0"]),
+    ("impedance", ["--cores", "9"]),
+    ("impedance", ["--cores", "0"]),
+    ("impedance", ["--points", "0"]),
+    ("impedance", ["--points", "5"]),
+    ("impedance", ["--points", "-1"]),
 ]
+
+#: Arguments each command gets before the bad flag.
+BAD_NUMBER_BASES = {
+    "virus": VIRUS_ARGS,
+    "report": ["report", "--platform", "a53"],
+    "vmin": ["vmin", "--platform", "a72"],
+    "sweep": ["sweep", "--platform", "a72"],
+    "impedance": ["impedance", "--platform", "a72"],
+}
+
+#: Commands that archive to ``--out`` (which must stay empty).
+ARCHIVING = {"virus", "report", "sweep"}
+
+
+def write_virus_archive(directory):
+    """A minimal virus archive, as ``load_virus_archive`` reads it."""
+    from repro.cpu.arm import ARM_ISA
+    from repro.cpu.program import program_from_mnemonics
+    from repro.io.serialization import save_program
+
+    save_program(
+        program_from_mnemonics(ARM_ISA, ["add", "sdiv"]),
+        directory / "virus.json",
+    )
+    meta = directory / "virus.meta.json"
+    meta.write_text(json.dumps({"program_file": "virus.json"}))
+    return meta
 
 
 class TestBadNumbers:
@@ -416,13 +458,40 @@ class TestBadNumbers:
     def test_one_line_error_naming_the_flag(
         self, capsys, tmp_path, command, flags
     ):
-        base = (
-            VIRUS_ARGS if command == "virus"
-            else ["report", "--platform", "a53"]
-        )
-        assert main(base + flags + ["--out", str(tmp_path)]) == 2
+        out_flags = ["--out", str(tmp_path)] if command in ARCHIVING else []
+        assert main(BAD_NUMBER_BASES[command] + flags + out_flags) == 2
         out, err = capsys.readouterr()
         assert out == ""
         (line,) = err.splitlines()
         assert line.startswith(f"error: bad {flags[-2]} {flags[-1]}")
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--virus-repeats", "--repeats"])
+    def test_vmin_repeats_checked_before_any_ladder(
+        self, capsys, tmp_path, monkeypatch, flag
+    ):
+        from repro.stability.vmin import VminTester
+
+        def no_ladder(*args, **kwargs):
+            raise AssertionError("a ladder ran before the repeat check")
+
+        monkeypatch.setattr(VminTester, "run", no_ladder)
+        meta = write_virus_archive(tmp_path)
+        assert main(
+            BAD_NUMBER_BASES["vmin"]
+            + ["--workloads", "idle,gcc", "--virus", str(meta), flag, "0"]
+        ) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: bad {flag} 0: ")
+
+    @pytest.mark.parametrize("meta_text", [None, "{}"],
+                             ids=["missing", "no-program-file"])
+    def test_vmin_bad_virus_archive(self, capsys, tmp_path, meta_text):
+        meta = tmp_path / "virus.meta.json"
+        if meta_text is not None:
+            meta.write_text(meta_text)
+        assert main(BAD_NUMBER_BASES["vmin"] + ["--virus", str(meta)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: bad --virus {meta}: ")

@@ -18,9 +18,10 @@ import pytest
 from repro.cpu.arm import ARM_ISA
 from repro.cpu.cache import CacheModel
 from repro.cpu.current import CurrentModel
-from repro.cpu.isa import InstructionSet
+from repro.cpu.isa import Instruction, InstructionSet
 from repro.cpu.pipeline import InOrderPipeline, OutOfOrderPipeline
 from repro.cpu.program import (
+    LoopProgram,
     program_from_mnemonics,
     random_program,
 )
@@ -64,6 +65,81 @@ def memory_program():
     )
 
 
+def explicit_program(isa, body, name="explicit"):
+    """A loop from ``(mnemonic, dest, sources, address)`` tuples."""
+    return LoopProgram(
+        isa=isa,
+        body=tuple(
+            Instruction(
+                spec=isa.spec(m), dest=dest, sources=sources, address=address
+            )
+            for m, dest, sources, address in body
+        ),
+        name=name,
+    )
+
+
+def miss_shadow_program():
+    """One missing load, then a divide run long enough that the miss
+    completes before anything can observe its jittered latency: the
+    machine state repeats even with a cache model, so an early exit
+    there would skip miss draws."""
+    return explicit_program(
+        WIDE_MEM_ISA,
+        [("ldr", 0, (), 100)] + [("sdiv", 1, (2, 3), None)] * 20,
+        name="miss-shadow",
+    )
+
+
+#: Small loops whose early exit goes wrong if one part of the machine
+#: state is left out of the repeat check (found by dropping each part
+#: in turn and searching random dense-register programs).
+STATE_PART_CASES = {
+    "registers": (
+        lambda: InOrderPipeline(width=1),
+        [("mul", 0, (0, 0), None), ("vsqrt", 0, (0,), None)],
+    ),
+    "memory": (
+        lambda: InOrderPipeline(width=2),
+        [("ldr", 0, (), 0), ("vmul", 0, (0, 0), None)],
+    ),
+    "unit-free-times": (
+        lambda: InOrderPipeline(width=2),
+        [
+            ("sdiv", 1, (1, 1), None),
+            ("mov", 1, (0,), None),
+            ("fsqrt", 1, (0,), None),
+            ("add", 1, (0, 1), None),
+        ],
+    ),
+    "issue-slot-counts": (
+        lambda: OutOfOrderPipeline(width=2, window=2, rob_size=3),
+        [
+            ("mov", 0, (1,), None),
+            ("add", 0, (0, 0), None),
+            ("str", None, (0,), 0),
+        ],
+    ),
+    "rob-completions": (
+        lambda: OutOfOrderPipeline(width=2, window=1, rob_size=3),
+        [("str", None, (1,), 0), ("fmul", 1, (0, 0), None)],
+    ),
+    "oldest-window-issue-floor": (
+        lambda: OutOfOrderPipeline(width=3, window=4, rob_size=4),
+        [
+            ("vfma", 0, (0, 0, 0), None),
+            ("add", 0, (0, 0), None),
+            ("mul", 0, (0, 0), None),
+            ("sdiv", 0, (0, 0), None),
+            ("sdiv", 0, (0, 0), None),
+        ],
+    ),
+    "rob-lookback-filled": (
+        lambda: OutOfOrderPipeline(width=3, window=1, rob_size=6),
+        [("vmul", 0, (1, 1), None), ("orr", 1, (0, 1), None)],
+    ),
+}
+
 PROGRAMS = {
     "alu": alu_program,
     "div-shadow": div_shadow_program,
@@ -100,18 +176,53 @@ class TestScheduleEquivalence:
             ref = pipeline.execute_reference(prog, iterations=16)
             assert np.array_equal(fast, ref)
 
+    @pytest.mark.parametrize(
+        "case", sorted(STATE_PART_CASES), ids=sorted(STATE_PART_CASES)
+    )
+    def test_early_exit_checks_every_state_part(self, case):
+        make_pipeline, body = STATE_PART_CASES[case]
+        pipeline = make_pipeline()
+        prog = explicit_program(ARM_ISA, body, name=case)
+        assert np.array_equal(
+            pipeline.execute(prog, iterations=16),
+            pipeline.execute_reference(prog, iterations=16),
+        )
+
     def test_cache_path_preserves_rng_draw_order(self, pipeline):
         """The nondeterministic memory path must consume the RNG in the
-        same order, so the same seed gives the same schedule."""
-        prog = memory_program()
+        same order, so the same seed gives the same schedule and leaves
+        the generator in the same state."""
         cache = CacheModel(l1_slots=64, miss_penalty=60, penalty_jitter=16)
-        fast = pipeline.execute(
-            prog, 16, cache=cache, memory_rng=np.random.default_rng(5)
-        )
-        ref = pipeline.execute_reference(
-            prog, 16, cache=cache, memory_rng=np.random.default_rng(5)
-        )
-        assert np.array_equal(fast, ref)
+        for prog in (memory_program(), miss_shadow_program()):
+            fast_rng = np.random.default_rng(5)
+            ref_rng = np.random.default_rng(5)
+            fast = pipeline.execute(
+                prog, 16, cache=cache, memory_rng=fast_rng
+            )
+            ref = pipeline.execute_reference(
+                prog, 16, cache=cache, memory_rng=ref_rng
+            )
+            assert np.array_equal(fast, ref)
+            assert (
+                fast_rng.bit_generator.state == ref_rng.bit_generator.state
+            )
+
+    def test_windowed_cache_path_preserves_rng_draw_order(self, pipeline):
+        cache = CacheModel(l1_slots=64, miss_penalty=60, penalty_jitter=16)
+        for prog in (memory_program(), miss_shadow_program()):
+            window_rng = np.random.default_rng(5)
+            ref_rng = np.random.default_rng(5)
+            windowed = pipeline.windowed_schedule(
+                prog, 16, cache=cache, memory_rng=window_rng
+            )
+            ref = pipeline.execute_reference(
+                prog, 16, cache=cache, memory_rng=ref_rng
+            )
+            assert np.array_equal(windowed.issue, ref)
+            assert (
+                window_rng.bit_generator.state
+                == ref_rng.bit_generator.state
+            )
 
 
 class TestCurrentEquivalence:
