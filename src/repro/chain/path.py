@@ -90,12 +90,13 @@ class SignalPath:
         stage_times = {}
         for stage in self.stages:
             self.injector.visit(f"chain.{stage.name}")
-            start = time.monotonic()
             with kernel_section(f"chain.{stage.name}"):
+                # Inside the section, so the stage time excludes the
+                # section's own enter and exit.
+                start = time.monotonic()
                 stage.run(batch)
-            stage_times[stage.name] = round(
-                time.monotonic() - start, 6
-            )
+                elapsed = time.monotonic() - start
+            stage_times[stage.name] = round(elapsed, 6)
             if ledger is not None:
                 # Outside the timing section so audit overhead never
                 # pollutes the per-stage wall times.

@@ -76,6 +76,12 @@ _FIELD_FLAGS = {
     "virus_repeats": "--virus-repeats",
     "benchmark_repeats": "--repeats",
     "samples_per_point": "--samples",
+    "samples": "--samples",
+    "max_pending_jobs": "--max-pending",
+    "max_batch_items": "--max-batch-items",
+    "rate_per_s": "--rate",
+    "burst": "--burst",
+    "default_timeout_s": "--timeout",
 }
 
 #: The band the ``impedance`` command reads the first-order resonance in.
@@ -537,22 +543,31 @@ def cmd_serve(args) -> int:
     """Run the measurement service HTTP front end until interrupted."""
     import asyncio
 
-    from repro.service import MeasurementService, ServiceServer
+    from repro.service import BadRequest, MeasurementService, ServiceServer
 
+    if not 0 <= args.port <= 65535:
+        return _flag_error(
+            args, ValueError("port must be in 0..65535"), "--port"
+        )
     log, _log_name = _open_event_log(args)
 
     async def _serve() -> int:
-        service = MeasurementService(
-            seed=args.seed,
-            samples=args.samples,
-            max_pending_jobs=args.max_pending,
-            max_batch_items=args.max_batch_items,
-            rate_per_s=args.rate,
-            burst=args.burst,
-            default_timeout_s=args.timeout,
-            state_dir=Path(args.state_dir) if args.state_dir else None,
-            event_log=log,
-        )
+        try:
+            service = MeasurementService(
+                seed=args.seed,
+                samples=args.samples,
+                max_pending_jobs=args.max_pending,
+                max_batch_items=args.max_batch_items,
+                rate_per_s=args.rate,
+                burst=args.burst,
+                default_timeout_s=args.timeout,
+                state_dir=(
+                    Path(args.state_dir) if args.state_dir else None
+                ),
+                event_log=log,
+            )
+        except (ValueError, BadRequest) as exc:
+            return _flag_error(args, exc)
         await service.start()
         server = ServiceServer(service, host=args.host, port=args.port)
         await server.start()

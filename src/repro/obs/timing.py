@@ -4,7 +4,8 @@ The three compute kernels behind every fitness evaluation -- the issue
 scheduler (:meth:`repro.cpu.pipeline.Pipeline.execute`), the current
 model (:meth:`repro.cpu.current.CurrentModel.trace`) and the transient
 PDN solver (:meth:`repro.pdn.transient.TransientSolver.run`) -- wrap
-their bodies in :func:`kernel_section`.  When no collector is active
+their bodies in :func:`kernel_section`, as does the AC analysis behind
+each transfer-function grid (``pdn.ac``).  When no collector is active
 (the default) the wrapper is a single module-global check; inside
 :func:`collect_kernel_timings` each section accumulates call counts and
 total seconds, which the GA engine folds into its per-generation

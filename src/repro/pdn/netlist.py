@@ -8,12 +8,17 @@ The :class:`Circuit` collects elements and assigns MNA indices:
 
 The same index layout is shared by the AC, transient and steady-state
 solvers so that results can be cross-referenced by element name.
+
+The matrix is stamped once per circuit into :class:`MNAStamps`, which
+splits it by frequency dependence, so an AC grid builds ``A(omega)``
+for many frequencies with array arithmetic instead of a per-frequency
+element loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +32,19 @@ from repro.pdn.elements import (
 )
 
 GROUND = "0"
+
+
+def _admittance_entries(ia: int, ib: int) -> List[Tuple[int, int, float]]:
+    """``(row, col, sign)`` of a two-terminal admittance stamp between
+    node indices ``ia`` and ``ib`` (-1 is ground), in stamp order."""
+    entries = []
+    if ia >= 0:
+        entries.append((ia, ia, 1.0))
+    if ib >= 0:
+        entries.append((ib, ib, 1.0))
+    if ia >= 0 and ib >= 0:
+        entries += [(ia, ib, -1.0), (ib, ia, -1.0)]
+    return entries
 
 
 @dataclass(frozen=True)
@@ -64,6 +82,35 @@ class MNALayout:
         return self.num_nodes + self.branch_index[element_name]
 
 
+@dataclass(frozen=True)
+class MNAStamps:
+    """A circuit's MNA matrix, split by frequency dependence.
+
+    ``conductance`` holds the resistor and +-1 branch entries.  The
+    reactive values (``C`` on capacitor admittances, ``-L`` on inductor
+    branch equations) are kept per matrix entry in element order:
+    ``reactance[r]`` holds each entry's ``r``-th value, zero where the
+    entry has fewer.  ``A(omega) = G + 1j * (omega * B_0 + omega * B_1
+    + ...)`` summed rank by rank therefore repeats the per-element
+    accumulation of a stamp loop bit for bit.
+    """
+
+    layout: MNALayout
+    conductance: np.ndarray
+    reactance: np.ndarray
+
+    def matrices(self, omegas: Sequence[float]) -> np.ndarray:
+        """``A(omega)`` for each angular frequency: ``(F, n, n)`` complex."""
+        w = np.asarray(omegas, dtype=float)[:, None, None]
+        imag = np.zeros((w.shape[0],) + self.conductance.shape)
+        for rank in self.reactance:
+            imag += w * rank
+        a = np.empty(imag.shape, dtype=complex)
+        a.real = self.conductance
+        a.imag = imag
+        return a
+
+
 class Circuit:
     """A linear RLC circuit assembled incrementally.
 
@@ -78,6 +125,7 @@ class Circuit:
         self.name = name
         self._elements: List[Element] = []
         self._names: set = set()
+        self._stamps: Optional[MNAStamps] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -88,6 +136,7 @@ class Circuit:
             raise ValueError(f"duplicate element name {element.name!r}")
         self._names.add(element.name)
         self._elements.append(element)
+        self._stamps = None
         return element
 
     def add_series_rlc(
@@ -157,7 +206,16 @@ class Circuit:
     # MNA assembly
     # ------------------------------------------------------------------
     def layout(self) -> MNALayout:
-        """Assign MNA indices to nodes and branch elements."""
+        """MNA indices of the nodes and branch elements."""
+        return self.stamps().layout
+
+    def stamps(self) -> MNAStamps:
+        """The MNA stamps, computed on first use after the last :meth:`add`."""
+        if self._stamps is None:
+            self._stamps = self._stamp()
+        return self._stamps
+
+    def _stamp(self) -> MNAStamps:
         node_index = {n: i for i, n in enumerate(self.nodes)}
         branch_names = [
             e.name
@@ -165,49 +223,45 @@ class Circuit:
             if isinstance(e, (Inductor, VoltageSource))
         ]
         branch_index = {n: i for i, n in enumerate(branch_names)}
-        return MNALayout(node_index=node_index, branch_index=branch_index)
-
-    def ac_matrix(self, omega: float, layout: MNALayout) -> np.ndarray:
-        """Complex MNA matrix at angular frequency ``omega`` (rad/s)."""
+        layout = MNALayout(node_index=node_index, branch_index=branch_index)
         n = layout.size
-        a = np.zeros((n, n), dtype=complex)
-
-        def stamp_admittance(na: str, nb: str, y: complex) -> None:
-            ia, ib = layout.node(na), layout.node(nb)
-            if ia >= 0:
-                a[ia, ia] += y
-            if ib >= 0:
-                a[ib, ib] += y
-            if ia >= 0 and ib >= 0:
-                a[ia, ib] -= y
-                a[ib, ia] -= y
-
+        g = np.zeros((n, n))
+        # Each entry's reactive values, in element order.
+        reactive: Dict[Tuple[int, int], List[float]] = {}
         for e in self._elements:
+            ia, ib = layout.node(e.node_a), layout.node(e.node_b)
             if isinstance(e, Resistor):
-                stamp_admittance(e.node_a, e.node_b, 1.0 / e.resistance)
+                y = 1.0 / e.resistance
+                for i, j, sign in _admittance_entries(ia, ib):
+                    g[i, j] += sign * y
             elif isinstance(e, Capacitor):
-                stamp_admittance(e.node_a, e.node_b, 1j * omega * e.capacitance)
-            elif isinstance(e, Inductor):
+                for i, j, sign in _admittance_entries(ia, ib):
+                    reactive.setdefault((i, j), []).append(
+                        sign * e.capacitance
+                    )
+            elif isinstance(e, (Inductor, VoltageSource)):
                 k = layout.branch(e.name)
-                ia, ib = layout.node(e.node_a), layout.node(e.node_b)
                 if ia >= 0:
-                    a[ia, k] += 1.0
-                    a[k, ia] += 1.0
+                    g[ia, k] += 1.0
+                    g[k, ia] += 1.0
                 if ib >= 0:
-                    a[ib, k] -= 1.0
-                    a[k, ib] -= 1.0
-                a[k, k] -= 1j * omega * e.inductance
-            elif isinstance(e, VoltageSource):
-                k = layout.branch(e.name)
-                ia, ib = layout.node(e.node_a), layout.node(e.node_b)
-                if ia >= 0:
-                    a[ia, k] += 1.0
-                    a[k, ia] += 1.0
-                if ib >= 0:
-                    a[ib, k] -= 1.0
-                    a[k, ib] -= 1.0
+                    g[ib, k] -= 1.0
+                    g[k, ib] -= 1.0
+                if isinstance(e, Inductor):
+                    reactive.setdefault((k, k), []).append(-e.inductance)
             # CurrentSource stamps only the RHS.
-        return a
+        ranks = max((len(v) for v in reactive.values()), default=0)
+        b = np.zeros((ranks, n, n))
+        for (i, j), values in reactive.items():
+            b[: len(values), i, j] = values
+        # Every later analysis of this circuit shares these arrays.
+        g.flags.writeable = False
+        b.flags.writeable = False
+        return MNAStamps(layout=layout, conductance=g, reactance=b)
+
+    def ac_matrix(self, omega: float) -> np.ndarray:
+        """Complex MNA matrix at angular frequency ``omega`` (rad/s)."""
+        return self.stamps().matrices([omega])[0]
 
     def ac_rhs(
         self,

@@ -139,6 +139,7 @@ class SteadyStateSolver:
         self._tf_cache[key] = transfer
         return transfer
 
+    @timed_kernel("pdn.ac")
     def compute_transfer_functions(
         self, n_samples: int, sample_rate_hz: float
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -149,18 +150,16 @@ class SteadyStateSolver:
         itself.
         """
         freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
-        # Skip DC here; the IR drop is handled separately via Z(0+).
-        analysis = analyze_ac(self._circuit, self._die_node, freqs[1:])
-        z = np.concatenate(
-            [[0.0 + 0.0j], analysis.impedance(self._die_node)]
-        )
-        h_i = np.concatenate(
-            [[0.0 + 0.0j], analysis.branch_currents[self._sense_branch]]
-        )
+        # Bin 0 is solved at Z(0+), 1 Hz, in the same analysis as the
+        # harmonics.
+        freqs[0] = 1.0
+        analysis = analyze_ac(self._circuit, self._die_node, freqs)
+        # Copies, so a cached grid does not keep every node's solution.
+        z = analysis.impedance(self._die_node).copy()
+        h_i = analysis.branch_currents[self._sense_branch].copy()
         # DC transfer: resistive path for voltage, unity for current.
-        dc = analyze_ac(self._circuit, self._die_node, [1.0])
-        z[0] = np.real(dc.impedance(self._die_node)[0])
-        h_i[0] = np.real(dc.branch_currents[self._sense_branch][0])
+        z[0] = z[0].real
+        h_i[0] = h_i[0].real
         # Orient the sense branch so die current follows load at DC
         # (positive mean load -> positive mean die current), regardless
         # of how the inductor's terminals were declared in the netlist.

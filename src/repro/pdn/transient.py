@@ -94,7 +94,7 @@ class TransientSolver:
     def _build_matrix(self) -> None:
         layout = self._layout
         h = self._dt
-        a = self._circuit.ac_matrix(0.0, layout).real.astype(float)
+        a = self._circuit.ac_matrix(0.0).real.astype(float)
         # Capacitor companion: conductance 2C/h.
         for e in self._circuit.elements:
             if isinstance(e, Capacitor):
@@ -387,7 +387,7 @@ class TransientSolver:
     def _dc_state(self) -> np.ndarray:
         """Full DC MNA solution (node voltages and branch currents)."""
         layout = self._layout
-        a = self._circuit.ac_matrix(0.0, layout).real.astype(float)
+        a = self._circuit.ac_matrix(0.0).real.astype(float)
         a += np.diag(
             np.concatenate(
                 [
@@ -454,7 +454,7 @@ class TransientStepper:
     def reset(self, initial_load_a: float = 0.0) -> None:
         """Initialize at the DC operating point with the given load."""
         layout = self._layout
-        a = self._circuit.ac_matrix(0.0, layout).real.astype(float)
+        a = self._circuit.ac_matrix(0.0).real.astype(float)
         a += np.diag(
             np.concatenate(
                 [

@@ -77,6 +77,7 @@ from repro.service.jobs import (
     ServiceClosed,
     ServiceError,
     UnknownJob,
+    check_samples,
     spec_from_params,
 )
 from repro.service.ratelimit import TenantRateLimiter
@@ -144,6 +145,12 @@ class MeasurementService:
         event_log: EventLog = NULL_LOG,
         clock: Callable[[], float] = time.monotonic,
     ):
+        # Bad settings raise here, before the service starts (the
+        # coalescer and the rate limiter check their own): a bad default
+        # would otherwise fail every job that uses it.
+        check_samples(samples)
+        if default_timeout_s is not None and not default_timeout_s > 0.0:
+            raise ValueError("default_timeout_s must be positive")
         self.seed = seed
         self.samples = samples
         self.platforms = tuple(
@@ -384,8 +391,7 @@ class MeasurementService:
         samples = (
             spec.samples if spec.samples is not None else self.samples
         )
-        if samples < 1:
-            raise BadRequest(f"samples must be >= 1, got {samples}")
+        check_samples(samples)
         items = self._chain_items(spec, state)
         try:
             resolve_request(

@@ -118,6 +118,13 @@ def _band_tuple(value: Any) -> Optional[Tuple[float, float]]:
     return (lo, hi)
 
 
+
+def check_samples(samples: int) -> None:
+    """Raise :class:`BadRequest` unless a measurement takes at least one
+    analyzer sample."""
+    if samples < 1:
+        raise BadRequest(f"samples must be >= 1, got {samples}")
+
 @dataclass(frozen=True)
 class MeasureSpec:
     """One EM measurement of a program on a platform.

@@ -14,6 +14,15 @@ import time
 from typing import Callable, Dict, Optional
 
 
+def check_bucket(rate_per_s: float, burst: float) -> None:
+    """Raise ``ValueError`` unless a bucket refilling at ``rate_per_s``
+    up to ``burst`` tokens can ever grant a submission."""
+    if not rate_per_s > 0.0:
+        raise ValueError("rate_per_s must be positive")
+    if not burst >= 1.0:
+        raise ValueError("burst must allow at least one token")
+
+
 class TokenBucket:
     """Continuous-refill token bucket."""
 
@@ -23,10 +32,7 @@ class TokenBucket:
         burst: float,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if rate_per_s <= 0.0:
-            raise ValueError("rate_per_s must be positive")
-        if burst < 1.0:
-            raise ValueError("burst must allow at least one token")
+        check_bucket(rate_per_s, burst)
         self.rate_per_s = float(rate_per_s)
         self.burst = float(burst)
         self._clock = clock
@@ -60,7 +66,8 @@ class TenantRateLimiter:
 
     ``rate_per_s=None`` disables limiting entirely (every check
     succeeds); tenants share nothing, so one noisy tenant cannot
-    starve another's budget.
+    starve another's budget.  Settings are checked here, before any
+    tenant's first bucket.
     """
 
     def __init__(
@@ -69,6 +76,8 @@ class TenantRateLimiter:
         burst: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
     ):
+        if rate_per_s is not None:
+            check_bucket(rate_per_s, burst)
         self.rate_per_s = rate_per_s
         self.burst = burst
         self._clock = clock

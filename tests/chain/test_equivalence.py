@@ -275,3 +275,26 @@ class TestGAGenerationEquivalence:
             timings = record["kernel_timings"]
             assert "chain.execute" in timings
             assert "chain.receive" in timings
+
+    def test_generation_end_times_each_ac_analysis(self):
+        # A fresh board, so the solver's transfer-function cache is cold.
+        a53 = make_juno_board().a53
+        solver = a53.pdn.solver(a53.powered_cores)
+        analyses_before = solver.tf_analyses
+        sink = MemorySink()
+        fitness = ClusterFitness(
+            EMAmplitudeFitness(
+                analyzer=SpectrumAnalyzer(rng=np.random.default_rng(2)),
+                samples=2,
+            ),
+            a53,
+        )
+        GAEngine(fitness, config=self._config()).run(
+            a53.spec.isa, event_log=EventLog([sink])
+        )
+        calls = sum(
+            record["kernel_timings"].get("pdn.ac", {}).get("calls", 0)
+            for record in sink.events("generation_end")
+        )
+        assert calls > 0
+        assert calls == solver.tf_analyses - analyses_before

@@ -85,7 +85,7 @@ class TestDCCorrectness:
     def test_voltage_divider_dc(self):
         c = simple_divider()
         layout = c.layout()
-        a = c.ac_matrix(0.0, layout)
+        a = c.ac_matrix(0.0)
         b = c.ac_rhs(layout, {}, source_voltages=True)
         x = np.linalg.solve(a, b)
         assert x[layout.node("in")].real == pytest.approx(2.0)
@@ -98,7 +98,7 @@ class TestDCCorrectness:
         c.add(Resistor("r1", "out", GROUND, resistance=2.0))
         layout = c.layout()
         x = np.linalg.solve(
-            c.ac_matrix(0.0, layout),
+            c.ac_matrix(0.0),
             c.ac_rhs(layout, {}, source_voltages=True),
         )
         assert x[layout.node("out")].real == pytest.approx(1.0)
@@ -110,7 +110,7 @@ class TestDCCorrectness:
         c.add(Resistor("r1", "a", GROUND, resistance=4.0))
         layout = c.layout()
         x = np.linalg.solve(
-            c.ac_matrix(0.0, layout), c.ac_rhs(layout, {"a": 1.0})
+            c.ac_matrix(0.0), c.ac_rhs(layout, {"a": 1.0})
         )
         assert x[layout.node("a")].real == pytest.approx(4.0)
 
@@ -122,7 +122,7 @@ class TestACCorrectness:
         layout = c.layout()
         f = 1e6
         x = np.linalg.solve(
-            c.ac_matrix(2 * np.pi * f, layout), c.ac_rhs(layout, {"a": 1.0})
+            c.ac_matrix(2 * np.pi * f), c.ac_rhs(layout, {"a": 1.0})
         )
         expected = 1.0 / (2 * np.pi * f * 1e-9)
         assert abs(x[layout.node("a")]) == pytest.approx(expected, rel=1e-9)
@@ -134,7 +134,7 @@ class TestACCorrectness:
         layout = c.layout()
         f = 1e6
         x = np.linalg.solve(
-            c.ac_matrix(2 * np.pi * f, layout), c.ac_rhs(layout, {"a": 1.0})
+            c.ac_matrix(2 * np.pi * f), c.ac_rhs(layout, {"a": 1.0})
         )
         expected = 2 * np.pi * f * 1e-6
         assert abs(x[layout.node("a")]) == pytest.approx(expected, rel=1e-3)
@@ -151,7 +151,7 @@ class TestACCorrectness:
         mags = []
         for f in (f0 / 2, f0, f0 * 2):
             x = np.linalg.solve(
-                c.ac_matrix(2 * np.pi * f, layout),
+                c.ac_matrix(2 * np.pi * f),
                 c.ac_rhs(layout, {"a": 1.0}),
             )
             mags.append(abs(x[layout.node("a")]))

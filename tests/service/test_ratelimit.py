@@ -64,6 +64,15 @@ class TestTenantRateLimiter:
         for _ in range(100):
             assert limiter.try_acquire("anyone") == 0.0
 
+    @pytest.mark.parametrize(
+        "rate, burst", [(0.0, 5.0), (-1.0, 5.0), (1.0, 0.5)]
+    )
+    def test_invalid_parameters_rejected_before_any_tenant(
+        self, rate, burst
+    ):
+        with pytest.raises(ValueError):
+            TenantRateLimiter(rate, burst=burst)
+
     def test_tenants_have_independent_buckets(self):
         clock = FakeClock()
         limiter = TenantRateLimiter(1.0, burst=1.0, clock=clock)

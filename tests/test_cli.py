@@ -433,6 +433,22 @@ BAD_NUMBER_BASES = {
 #: Commands that archive to ``--out`` (which must stay empty).
 ARCHIVING = {"virus", "report", "sweep"}
 
+#: ``serve`` flags whose last value is out of the bounds of the job
+#: ``samples`` check, the service's default timeout, the coalescer, the
+#: token bucket or a TCP port.
+BAD_SERVE_NUMBERS = [
+    ["--samples", "0"],
+    ["--max-pending", "0"],
+    ["--max-batch-items", "0"],
+    ["--rate", "0"],
+    ["--rate", "-1"],
+    ["--rate", "1", "--burst", "0.5"],
+    ["--timeout", "0"],
+    ["--timeout", "-1"],
+    ["--port", "70000"],
+    ["--port", "-1"],
+]
+
 
 def write_virus_archive(directory):
     """A minimal virus archive, as ``load_virus_archive`` reads it."""
@@ -465,6 +481,25 @@ class TestBadNumbers:
         (line,) = err.splitlines()
         assert line.startswith(f"error: bad {flags[-2]} {flags[-1]}")
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags", BAD_SERVE_NUMBERS, ids=[" ".join(f) for f in BAD_SERVE_NUMBERS]
+    )
+    def test_serve_checks_numbers_before_starting(
+        self, capsys, monkeypatch, flags
+    ):
+        from repro.service import MeasurementService, ServiceServer
+
+        async def no_start(self):
+            raise AssertionError("started before the numbers were checked")
+
+        monkeypatch.setattr(MeasurementService, "start", no_start)
+        monkeypatch.setattr(ServiceServer, "start", no_start)
+        assert main(["serve"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: bad {flags[-2]} {flags[-1]}")
 
     @pytest.mark.parametrize("flag", ["--virus-repeats", "--repeats"])
     def test_vmin_repeats_checked_before_any_ladder(
