@@ -2,9 +2,9 @@
 
 The paper's V_MIN protocol runs one virus instance per core -- the
 worst case.  Production cores rarely all run the stressor, so how bad
-is a *partial* occupancy?  Using the heterogeneous-mix execution path,
-the A72 virus runs on one core while the sibling runs idle-ish code, a
-SPEC benchmark, or a second virus copy.
+is a *partial* occupancy?  Using mixed chain items (one program per
+active core), the A72 virus runs on one core while the sibling runs
+idle-ish code, a SPEC benchmark, or a second virus copy.
 
 Result shape: noise grows monotonically with how virus-like the
 sibling's activity is -- a co-running benchmark neither cancels the
@@ -13,6 +13,14 @@ aligned two-copy worst case.  This is why margining uses the
 all-cores-virus configuration.
 """
 
+from repro.chain import (
+    ChainItem,
+    ChainRequest,
+    CurrentStage,
+    ExecuteStage,
+    PDNStage,
+    SignalPath,
+)
 from repro.cpu.program import program_from_mnemonics
 from repro.workloads.spec import spec_workload
 
@@ -27,17 +35,27 @@ def test_ext_corun_interference(benchmark, juno_board, a72_em_virus):
         a72.spec.isa, ["mov"] * 10, name="quiet"
     )
     gcc = spec_workload(a72.spec.isa, "gcc").program
+    path = SignalPath([ExecuteStage(), CurrentStage(), PDNStage()])
+
+    def run_mixed(*programs):
+        request = ChainRequest(
+            cluster=a72,
+            items=[ChainItem(programs=programs)],
+            want_amplitude=False,
+            want_trace=False,
+        )
+        return path.run(request).items[0]
 
     def run_cases():
         cases = {
-            "virus alone (1 core)": a72.run_mixed([virus]),
-            "virus + quiet loop": a72.run_mixed([virus, quiet]),
-            "virus + gcc": a72.run_mixed([virus, gcc]),
-            "virus + virus": a72.run_mixed([virus, virus]),
+            "virus alone (1 core)": run_mixed(virus),
+            "virus + quiet loop": run_mixed(virus, quiet),
+            "virus + gcc": run_mixed(virus, gcc),
+            "virus + virus": run_mixed(virus, virus),
         }
         return {
-            name: (resp.peak_to_peak, resp.max_droop)
-            for name, resp in cases.items()
+            name: (run.peak_to_peak, run.max_droop)
+            for name, run in cases.items()
         }
 
     results = benchmark.pedantic(run_cases, rounds=1, iterations=1)

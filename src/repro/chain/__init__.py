@@ -13,10 +13,15 @@ This package reifies it once as a composable, batch-first pipeline:
 - a :class:`SimulationSession` owning cross-call caches keyed by the
   cluster state version (clock, voltage, powered cores).
 
-The high-level entry points (``EMCharacterizer.measure``,
-``ResonanceSweep.run``, the GA fitness evaluators, ``VirusGenerator``)
-are thin shims over this layer, pinned bit-identical to the historical
-per-call implementations by ``tests/chain/test_equivalence.py``.
+Every run of a program goes through this layer.  ``Cluster.run`` is a
+one-item, response-only call (execute -> current -> pdn) through a
+path and session the cluster owns; ``EMCharacterizer.measure``,
+``ResonanceSweep.run``, the GA fitness evaluators and
+``VirusGenerator`` are thin shims over the full chain.  Mixed-program
+and cache-miss runs are chain items too.  The test-side copy of the
+pre-chain per-call implementation in ``tests/chain/legacy_reference.py``
+pins all of them bit for bit (``tests/chain/test_equivalence.py``,
+``tests/property/test_property_chain.py``).
 """
 
 from repro.chain.path import SignalPath
@@ -38,6 +43,7 @@ from repro.chain.types import (
     ChainRequest,
     ChainResult,
     OperatingPoint,
+    TimingJitter,
 )
 
 __all__ = [
@@ -57,5 +63,6 @@ __all__ = [
     "SignalPath",
     "SimulationSession",
     "Stage",
+    "TimingJitter",
     "resolve_request",
 ]

@@ -1,11 +1,13 @@
 """Session-scoped caches for the measurement chain.
 
 A :class:`SimulationSession` owns everything that is expensive to
-derive but stable across chain calls: AC transfer-function grids
-(previously locked inside each ``SteadyStateSolver``), pipeline
+derive but stable across chain calls: AC transfer-function grids (the
+only cache of them: ``SteadyStateSolver`` keeps none), pipeline
 executions (schedule + current trace, which do not depend on the
 operating point), radiator tilt curves, propagation/antenna gains and
-analyzer band masks.
+analyzer band masks.  Every :class:`repro.platforms.base.Cluster` owns
+one for its own ``run`` and ``run_trace``; each characterizer and GA
+fitness owns another for its measurements.
 
 Cache entries are keyed by the *cluster operating state*
 (``Cluster.state()``: clock, voltage, powered cores) where relevant, so
@@ -50,13 +52,14 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.pdn.steady_state import PeriodicResponse
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.audit.tracker import DeterminismTracker
     from repro.cpu.program import LoopProgram
     from repro.cpu.multicore import ClusterExecution
     from repro.em.radiation import DieRadiator
     from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
-    from repro.pdn.steady_state import PeriodicResponse
     from repro.platforms.base import Cluster, ClusterState
 
 
@@ -97,10 +100,13 @@ class SimulationSession:
 
     One session per experiment (an ``EMCharacterizer``, a GA fitness, a
     sweep) is the intended granularity; sharing a session across
-    experiments against the same cluster compounds the reuse.  All
-    cached values are deterministic pure functions of their keys, so
-    caching never changes results -- the bit-equivalence tests in
-    ``tests/chain/test_equivalence.py`` pin this.
+    experiments against the same cluster compounds the reuse.  Each
+    ``Cluster`` also owns one, behind its ``run`` and ``run_trace``, so
+    a V_MIN ladder reuses one schedule and one grid per distinct state
+    across its voltage steps.  All cached values are deterministic pure
+    functions of their keys, so caching never changes results -- the
+    bit-equivalence tests in ``tests/chain/test_equivalence.py`` and
+    ``tests/property/test_property_chain.py`` pin this.
     """
 
     def __init__(
@@ -313,8 +319,6 @@ class SimulationSession:
         the distinct cluster states a campaign visits -- so repeated
         solves at a revisited state never re-run the AC analysis.
         """
-        from repro.platforms.base import _recentered
-
         solver = cluster.pdn.solver(powered_cores)
         key = (
             cluster.uid,
@@ -450,3 +454,21 @@ class SimulationSession:
                     lambda: (centers >= band[0]) & (centers <= band[1]),
                 )
         return mask
+
+
+def _recentered(
+    response: PeriodicResponse, supply_voltage: float
+) -> PeriodicResponse:
+    """Shift a response to a non-nominal supply voltage setting."""
+    if supply_voltage == response.nominal_voltage:
+        return response
+    delta = supply_voltage - response.nominal_voltage
+    return PeriodicResponse(
+        sample_rate_hz=response.sample_rate_hz,
+        nominal_voltage=supply_voltage,
+        die_voltage=response.die_voltage + delta,
+        die_current=response.die_current,
+        harmonic_frequencies_hz=response.harmonic_frequencies_hz,
+        die_voltage_harmonics=response.die_voltage_harmonics,
+        die_current_harmonics=response.die_current_harmonics,
+    )

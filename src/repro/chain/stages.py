@@ -4,14 +4,16 @@ Each stage transforms every item of a batch in request order:
 
     execute -> current -> pdn-steady-state -> radiate -> propagate -> receive
 
-The numeric code paths are the exact ones the legacy per-call helpers
-(``Cluster.run``, ``SpectrumAnalyzer.max_amplitude`` / ``sweep``) use,
-in the same floating-point operation order, so batched results are
-bit-identical to the per-call path.  RNG discipline: the execute stage
-draws only from per-item ``memory_rng`` generators, the receive stage
-only from the analyzer RNG, and both consume items in request order --
-so per-stream draw sequences match a sequential legacy loop even though
-the stages are batched.
+Every run of a program goes through these stages: ``Cluster.run`` is a
+response-only chain call (execute -> current -> pdn), and the receive
+stages make the same floating-point operations, in the same order, as
+the per-call ``SpectrumAnalyzer.max_amplitude`` / ``sweep`` helpers,
+so batched results are bit-identical to a per-call loop.  RNG
+discipline: the execute stage draws only from per-item ``memory_rng``
+generators, the receive stage only from the analyzer RNG, and both
+consume items in request order -- so per-stream draw sequences match a
+sequential loop even though the stages are batched.  Timing jitter
+seeds a fresh generator per item, so it shares no stream at all.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import List, Optional, Protocol, Tuple
 import numpy as np
 
 from repro.chain.session import SimulationSession
-from repro.chain.types import ChainItemResult, ChainRequest
+from repro.chain.types import ChainItemResult, ChainRequest, TimingJitter
 
 
 @dataclass
@@ -127,10 +129,11 @@ class ExecuteStage:
     """Instruction scheduling: program -> per-cycle current trace.
 
     Single-program executions come from the session cache (schedule and
-    amperes-per-cycle are operating-point independent); mixed and
-    cache-nondeterministic items are computed fresh, the latter drawing
-    from the item's ``memory_rng`` exactly as
-    ``Cluster.run_nondeterministic`` does.
+    amperes-per-cycle are operating-point independent), so a V_MIN
+    ladder schedules its program once, not once per voltage step.
+    Mixed items are computed fresh.  Cache-nondeterministic items are
+    computed fresh too: each active core draws one execution window
+    from the item's ``memory_rng``, in core order.
     """
 
     name = "execute"
@@ -195,7 +198,8 @@ class ExecuteStage:
 
 
 class CurrentStage:
-    """Operating-point scaling of the raw per-cycle current trace."""
+    """Operating-point scaling of the raw per-cycle current trace,
+    then the item's timing jitter, if it has any."""
 
     name = "current"
     drains = ()
@@ -203,16 +207,45 @@ class CurrentStage:
     def run(self, batch: ChainBatch) -> None:
         cluster = batch.cluster
         for w in batch.work:
+            item = w.result.item
             scale = cluster.current_scale(
                 clock_hz=w.result.clock_hz, voltage=w.result.voltage
             )
             trace = w.raw_current * scale
-            if w.result.item.mode == "single" and trace.size < 4:
+            if item.mode == "single" and trace.size < 4:
                 # Degenerate loops (period of 1-3 cycles) are still
                 # periodic; tile them so the spectral solver has a
                 # valid grid.
                 trace = np.tile(trace, int(np.ceil(4 / trace.size)))
+            if item.jitter is not None:
+                trace = _jittered(trace, item.jitter)
             w.load_current = trace
+
+
+def _jittered(trace: np.ndarray, jitter: TimingJitter) -> np.ndarray:
+    """``trace`` with a real workload's timing jitter applied."""
+    # Data-dependent issue jitter low-pass filters the current spectrum
+    # of real workloads; deterministic virus loops keep their sharp
+    # edges.
+    w = max(1, jitter.smooth_cycles)
+    if w > 1 and trace.size > w:
+        kernel = np.ones(w) / w
+        trace = np.convolve(
+            np.concatenate([trace[-(w - 1):], trace]), kernel, mode="valid"
+        )
+    if jitter.compression != 1.0:
+        # Real programs mix hot and cold paths: their windowed activity
+        # variance is a fraction of a worst-case synthetic loop's.
+        # Compress fluctuation around the mean; the mean (IR drop) is
+        # untouched.
+        mean = trace.mean()
+        trace = mean + jitter.compression * (trace - mean)
+    rng = np.random.default_rng(jitter.seed)
+    n = trace.size
+    tiles = max(1, jitter.tiles)
+    return np.concatenate(
+        [np.roll(trace, int(rng.integers(n))) for _ in range(tiles)]
+    )
 
 
 class PDNStage:

@@ -1,10 +1,11 @@
 """Batch types for the measurement chain.
 
 A :class:`ChainRequest` describes N measurement items -- each a program
-(or program mix) at a cluster operating point -- and what outputs the
-caller wants.  A :class:`ChainResult` carries the per-item artifacts of
-every stage that ran: execution, rail response, emission spectrum,
-received signal power, amplitude metric, displayed trace.
+(or program mix) at a cluster operating point, optionally with the
+timing jitter of a real workload -- and what outputs the caller wants.
+A :class:`ChainResult` carries the per-item artifacts of every stage
+that ran: execution, rail response, emission spectrum, received signal
+power, amplitude metric, displayed trace.
 
 Operating points are resolved against the live cluster state when the
 request enters the :class:`repro.chain.SignalPath`; the chain itself
@@ -24,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pdn.steady_state import PeriodicResponse
     from repro.em.radiation import EmissionSpectrum
     from repro.instruments.spectrum_analyzer import SpectrumTrace
-    from repro.platforms.base import Cluster, ClusterRun, NondeterministicRun
+    from repro.platforms.base import Cluster
 
 
 @dataclass(frozen=True)
@@ -41,15 +42,38 @@ class OperatingPoint:
     powered_cores: Optional[int] = None
 
 
+@dataclass(frozen=True)
+class TimingJitter:
+    """Data-dependent timing variation of a real (non-virus) workload.
+
+    SPEC-like programs do not stay phase-coherent from one loop
+    iteration to the next.  The current stage models this on the
+    scaled trace: it is smoothed over ``smooth_cycles`` cycles, its
+    fluctuation around the mean is scaled by ``compression``, and it is
+    tiled ``tiles`` times with random phase shifts drawn from
+    ``np.random.default_rng(seed)``, which destroys the coherent
+    harmonic build-up a perfectly periodic loop enjoys at the PDN
+    resonance.  dI/dt viruses are deliberately deterministic (Section
+    3.3) and carry no jitter.
+    """
+
+    seed: int
+    tiles: int = 16
+    smooth_cycles: int = 12
+    compression: float = 1.0
+
+
 @dataclass
 class ChainItem:
     """One measurement: a program (or mix) at one operating point.
 
     Exactly one of ``program`` / ``programs`` must be set.  Supplying
     ``cache_model`` (with ``memory_rng``) selects the
-    cache-nondeterministic execution mode of
-    ``Cluster.run_nondeterministic``; ``programs`` selects the
-    heterogeneous-mix mode of ``Cluster.run_mixed``.
+    cache-nondeterministic execution mode, where memory accesses beyond
+    the L1-resident window miss with random penalties (the environment
+    the paper's virus template avoids, Section 3.3); ``programs``
+    selects the heterogeneous mode, one program per active core.
+    ``jitter`` applies :class:`TimingJitter` to the item's current.
     """
 
     program: Optional["LoopProgram"] = None
@@ -60,6 +84,7 @@ class ChainItem:
     phase_offsets: Optional[Sequence[int]] = None
     cache_model: object = None
     memory_rng: Optional[np.random.Generator] = None
+    jitter: Optional[TimingJitter] = None
 
     @property
     def mode(self) -> str:
@@ -143,52 +168,16 @@ class ChainItemResult:
         return self.execution.loop_frequency_hz
 
     @property
+    def loop_period_s(self) -> float:
+        return self.execution.loop_period_s
+
+    @property
     def max_droop(self) -> float:
         return self.response.max_droop
 
     @property
     def peak_to_peak(self) -> float:
         return self.response.peak_to_peak
-
-    def to_cluster_run(self, cluster: "Cluster") -> "ClusterRun":
-        """Repackage a single-mode result as a legacy ``ClusterRun``."""
-        from repro.platforms.base import ClusterRun
-
-        if self.item.mode != "single":
-            raise ValueError(
-                f"cannot build a ClusterRun from a {self.item.mode} item"
-            )
-        return ClusterRun(
-            cluster=cluster,
-            program=self.item.program,
-            execution=self.execution,
-            response=self.response,
-            clock_hz=self.clock_hz,
-            voltage=self.voltage,
-            powered_cores=self.powered_cores,
-            active_cores=self.active_cores,
-        )
-
-    def to_nondeterministic_run(
-        self, cluster: "Cluster"
-    ) -> "NondeterministicRun":
-        """Repackage a nondeterministic-mode result as the legacy type."""
-        from repro.platforms.base import NondeterministicRun
-
-        if self.item.mode != "nondeterministic":
-            raise ValueError(
-                f"cannot build a NondeterministicRun from a "
-                f"{self.item.mode} item"
-            )
-        return NondeterministicRun(
-            cluster=cluster,
-            program=self.item.program,
-            windows=self.windows,
-            response=self.response,
-            clock_hz=self.clock_hz,
-            voltage=self.voltage,
-            active_cores=self.active_cores,
-        )
 
 
 @dataclass

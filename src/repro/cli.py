@@ -73,6 +73,7 @@ _FIELD_FLAGS = {
     "max_retries": "--max-retries",
     "checkpoint_every": "--checkpoint-every",
     "step_v": "--step",
+    "seed": "--seed",
     "virus_repeats": "--virus-repeats",
     "benchmark_repeats": "--repeats",
     "samples_per_point": "--samples",
@@ -749,6 +750,10 @@ _COMMANDS = {
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        # numpy rejects a negative seed only once a run, or a service
+        # job, has started.
+        return _flag_error(args, ValueError("seed must be >= 0"))
     return _COMMANDS[args.command](args)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.chain import (
     ChainItem,
+    ChainItemResult,
     ChainRequest,
     SignalPath,
     SimulationSession,
@@ -26,7 +27,7 @@ from repro.em.radiation import DieRadiator, EmissionSpectrum, combine_emissions
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer, SpectrumTrace
 from repro.obs.context import RunContext
 from repro.obs.events import NULL_LOG, EventLog
-from repro.platforms.base import Cluster, ClusterRun
+from repro.platforms.base import Cluster
 
 FIRST_ORDER_BAND = (50.0e6, 200.0e6)
 
@@ -38,7 +39,7 @@ class EMMeasurement:
     amplitude_w: float
     peak_frequency_hz: float
     trace: SpectrumTrace
-    run: ClusterRun
+    run: ChainItemResult
 
     @property
     def loop_frequency_hz(self) -> float:
@@ -85,7 +86,7 @@ class EMCharacterizer:
         )
 
     # ------------------------------------------------------------------
-    def emission_of(self, run: ClusterRun) -> EmissionSpectrum:
+    def emission_of(self, run: ChainItemResult) -> EmissionSpectrum:
         """Radiated spectrum of one cluster's steady-state execution."""
         return self.radiator.emission(run.response)
 
@@ -141,7 +142,7 @@ class EMCharacterizer:
                 amplitude_w=item.amplitude_w,
                 peak_frequency_hz=item.peak_frequency_hz,
                 trace=item.trace,
-                run=item.to_cluster_run(cluster),
+                run=item,
             )
             for item in result.items
         ]
@@ -197,7 +198,7 @@ class EMCharacterizer:
     # ------------------------------------------------------------------
     def monitor_domains(
         self,
-        executions: Dict[str, ClusterRun],
+        executions: Dict[str, ChainItemResult],
     ) -> MultiDomainSpectrum:
         """Simultaneously observe several voltage domains (Fig. 15).
 
@@ -223,7 +224,7 @@ class EMCharacterizer:
     # ------------------------------------------------------------------
     def spectrum_vs_scope_fft(
         self,
-        run: ClusterRun,
+        run: ChainItemResult,
         scope_capture,
         spike_count: int = 4,
     ) -> Dict[str, Sequence[Tuple[float, float]]]:

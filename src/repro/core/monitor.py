@@ -24,8 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.chain import ChainItemResult
 from repro.core.characterizer import EMCharacterizer
-from repro.platforms.base import Cluster, ClusterRun
+from repro.platforms.base import Cluster
 from repro.workloads.base import Workload
 
 
@@ -87,7 +88,7 @@ class EmergencyMonitor:
         self._baseline: List[float] = []
 
     # ------------------------------------------------------------------
-    def _amplitude_of(self, run: ClusterRun) -> float:
+    def _amplitude_of(self, run: ChainItemResult) -> float:
         emission = self.characterizer.emission_of(run)
         return self.characterizer.analyzer.max_amplitude(
             emission,

@@ -158,7 +158,7 @@ class VirusGenerator:
         # Re-measure the winning individual (the paper re-runs the best
         # individuals after the search to collect voltage metrics).
         # Response-only chain request: no analyzer readout, so the
-        # analyzer RNG is untouched -- as the legacy cluster.run was.
+        # analyzer RNG is untouched.
         from repro.chain import ChainItem, ChainRequest
 
         request = ChainRequest(
@@ -173,10 +173,9 @@ class VirusGenerator:
             want_amplitude=False,
             want_trace=False,
         )
-        item = self.characterizer.chain_path().run(
+        run = self.characterizer.chain_path().run(
             request, event_log=self.event_log
         ).items[0]
-        run = item.to_cluster_run(self.cluster)
         try:
             dominant = run.response.dominant_frequency_hz(
                 self.characterizer.band

@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.chain import ChainItemResult
 from repro.cpu.program import LoopProgram
 from repro.em.radiation import DieRadiator
 from repro.instruments.oscilloscope import Oscilloscope
 from repro.instruments.probes import DifferentialProbe
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
-from repro.platforms.base import Cluster, ClusterRun
+from repro.platforms.base import Cluster
 
 
 @dataclass
@@ -40,7 +41,7 @@ class FitnessEvaluation:
 
 
 def _common_metrics(
-    run: ClusterRun, band: Tuple[float, float]
+    run: ChainItemResult, band: Tuple[float, float]
 ) -> Tuple[float, float, float, float]:
     try:
         dominant = run.response.dominant_frequency_hz(band)

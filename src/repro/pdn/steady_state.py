@@ -8,14 +8,15 @@ complex AC transfer function, and superpose.
 
 This path is orders of magnitude faster than transient integration and
 is therefore used for GA fitness evaluation, where thousands of
-candidate loops must be scored.  Transfer functions are cached per
-(circuit, harmonic-frequency) grid.
+candidate loops must be scored.  The solver caches nothing: a
+:class:`repro.chain.SimulationSession` keeps the transfer-function
+grids, bounded, and passes them back in through ``solve(transfer=...)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,12 +115,10 @@ class SteadyStateSolver:
         self._die_node = die_node
         self._sense_branch = sense_branch
         self._nominal = nominal_voltage
-        self._tf_cache: Dict[
-            Tuple[int, float], Tuple[np.ndarray, np.ndarray]
-        ] = {}
-        #: Number of fresh AC analyses this solver has performed.  The
-        #: chain layer's cache-hit assertions ("at most one analysis per
-        #: distinct cluster state") read this counter.
+        #: Number of AC analyses this solver has performed through
+        #: :meth:`transfer_functions`.  The chain layer's cache-hit
+        #: assertions ("at most one analysis per distinct cluster
+        #: state") read this counter.
         self.tf_analyses = 0
 
     @property
@@ -129,25 +128,20 @@ class SteadyStateSolver:
     def transfer_functions(
         self, n_samples: int, sample_rate_hz: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(Z(f_k), H_I(f_k)) on the rfft harmonic grid, cached."""
-        key = (n_samples, sample_rate_hz)
-        cached = self._tf_cache.get(key)
-        if cached is not None:
-            return cached
+        """(Z(f_k), H_I(f_k)) on the rfft harmonic grid, counted in
+        :attr:`tf_analyses`."""
         self.tf_analyses += 1
-        transfer = self.compute_transfer_functions(n_samples, sample_rate_hz)
-        self._tf_cache[key] = transfer
-        return transfer
+        return self.compute_transfer_functions(n_samples, sample_rate_hz)
 
     @timed_kernel("pdn.ac")
     def compute_transfer_functions(
         self, n_samples: int, sample_rate_hz: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The AC analysis behind :meth:`transfer_functions`, uncached.
+        """The AC analysis behind :meth:`transfer_functions`, uncounted.
 
-        The determinism audit recomputes cached grids through this
-        method, so a corrupted cache entry is never compared with
-        itself.
+        The determinism audit recomputes the session's cached grids
+        through this method, so a corrupted cache entry is never
+        compared with itself.
         """
         freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
         # Bin 0 is solved at Z(0+), 1 Hz, in the same analysis as the
@@ -180,8 +174,8 @@ class SteadyStateSolver:
         ``load_current`` holds instantaneous amperes drawn by the CPU at
         ``sample_rate_hz``; the waveform is treated as repeating
         indefinitely.  ``transfer`` optionally supplies a precomputed
-        ``(Z, H_I)`` grid (see :meth:`transfer_functions`) so a
-        session-scoped cache can bypass the solver's own.
+        ``(Z, H_I)`` grid (see :meth:`transfer_functions`); without
+        one, the solve runs a fresh AC analysis.
         """
         i_load = np.asarray(load_current, dtype=float)
         if i_load.ndim != 1 or i_load.size < 2:

@@ -15,7 +15,6 @@
 
 from repro.platforms.base import (
     Cluster,
-    ClusterRun,
     ClusterSpec,
     NoiseVisibility,
 )
@@ -27,7 +26,6 @@ from repro.platforms.target import SimulatedTarget, Workstation
 
 __all__ = [
     "Cluster",
-    "ClusterRun",
     "ClusterSpec",
     "NoiseVisibility",
     "JunoBoard",

@@ -5,7 +5,8 @@ identical cores sharing one voltage rail (the A72 pair, the A53 quad,
 the Athlon quad).  It owns the mutable platform state the paper's
 experiments manipulate -- clock frequency, supply voltage, how many
 cores are powered -- and executes loop programs into steady-state rail
-responses through the PDN model.
+responses: ``run`` is one response-only call of the measurement chain
+(:mod:`repro.chain`) through a session the cluster owns.
 
 Dynamic current scales with both clock frequency (charge per cycle is
 fixed, so amperes scale with cycles per second) and supply voltage
@@ -19,14 +20,24 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.chain import (
+    ChainItem,
+    ChainItemResult,
+    ChainRequest,
+    CurrentStage,
+    ExecuteStage,
+    PDNStage,
+    SignalPath,
+    SimulationSession,
+    TimingJitter,
+)
 from repro.cpu.current import CurrentModel
 from repro.cpu.isa import InstructionSet
-from repro.cpu.multicore import ClusterExecution, CoreModel, execute_on_cluster
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.program import LoopProgram
 from repro.pdn.models import PDNModel, PDNParameters
@@ -103,6 +114,13 @@ class Cluster:
         # session outliving the cluster cannot alias a newer object's
         # entries onto the dead one's (audit rule R3).
         self.uid = next(Cluster._uid_counter)
+        # The response-only chain behind run and run_trace.  Its
+        # session is this cluster's only cache of schedules and
+        # transfer-function grids, and it is bounded.
+        self._path = SignalPath(
+            [ExecuteStage(), CurrentStage(), PDNStage()],
+            session=SimulationSession(),
+        )
 
     # ------------------------------------------------------------------
     # platform controls (SCP / Overdrive equivalents)
@@ -196,25 +214,15 @@ class Cluster:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def current_scale(
-        self,
-        clock_hz: Optional[float] = None,
-        voltage: Optional[float] = None,
-    ) -> float:
+    def current_scale(self, clock_hz: float, voltage: float) -> float:
         """Dynamic-current scaling for an operating point.
 
-        Defaults to the present platform state; the chain layer passes
-        explicit per-item values so a batched sweep never mutates the
-        cluster.
+        The chain layer passes explicit per-item values so a batched
+        sweep never mutates the cluster.
         """
-        clock = clock_hz if clock_hz is not None else self._clock_hz
-        volts = voltage if voltage is not None else self._voltage
-        return (clock / self.spec.nominal_clock_hz) * (
-            volts / self.spec.nominal_voltage
+        return (clock_hz / self.spec.nominal_clock_hz) * (
+            voltage / self.spec.nominal_voltage
         )
-
-    def _current_scale(self) -> float:
-        return self.current_scale()
 
     def run(
         self,
@@ -222,276 +230,41 @@ class Cluster:
         active_cores: Optional[int] = None,
         phase_offsets: Optional[Sequence[int]] = None,
         iterations: int = 16,
-        timing_jitter_rng: Optional[np.random.Generator] = None,
-        jitter_tiles: int = 16,
-        jitter_smooth_cycles: int = 12,
-        activity_compression: float = 1.0,
-    ) -> "ClusterRun":
+        jitter: Optional[TimingJitter] = None,
+    ) -> ChainItemResult:
         """Execute ``program`` on the cluster and solve the rail response.
 
-        ``timing_jitter_rng`` models data-dependent timing variation of
-        real (non-virus) workloads: the per-iteration current trace is
-        tiled ``jitter_tiles`` times with random phase shifts, which
-        destroys the coherent harmonic build-up a perfectly periodic
-        loop would enjoy at the PDN resonance.  dI/dt viruses are
-        deliberately deterministic (Section 3.3) and must pass ``None``.
+        One response-only chain call at the present operating point.
+        ``jitter`` models the data-dependent timing variation of a real
+        (non-virus) workload (see :class:`repro.chain.TimingJitter`);
+        dI/dt viruses are deliberately deterministic (Section 3.3) and
+        must pass ``None``.
         """
-        active = active_cores if active_cores is not None else (
-            self._powered_cores
-        )
-        if active > self._powered_cores:
-            raise ValueError(
-                f"{self.name}: {active} active cores exceed "
-                f"{self._powered_cores} powered"
-            )
-        core = CoreModel(
-            pipeline=self._pipeline,
-            current_model=self.spec.current_model,
-            clock_hz=self._clock_hz,
-        )
-        execution = execute_on_cluster(
-            core,
-            program,
-            active_cores=active,
+        item = ChainItem(
+            program=program,
+            active_cores=active_cores,
+            iterations=iterations,
             phase_offsets=phase_offsets,
-            uncore_current_a=self.spec.uncore_current_a,
-            iterations=iterations,
+            jitter=jitter,
         )
-        scale = self._current_scale()
-        trace = execution.load_current * scale
-        if trace.size < 4:
-            # Degenerate loops (period of 1-3 cycles) are still periodic;
-            # tile them so the spectral solver has a valid grid.
-            trace = np.tile(trace, int(np.ceil(4 / trace.size)))
-        if timing_jitter_rng is not None:
-            # Data-dependent issue jitter low-pass filters the current
-            # spectrum of real workloads; deterministic virus loops
-            # (timing_jitter_rng=None) keep their sharp edges.
-            w = max(1, jitter_smooth_cycles)
-            if w > 1 and trace.size > w:
-                kernel = np.ones(w) / w
-                trace = np.convolve(
-                    np.concatenate([trace[-(w - 1):], trace]),
-                    kernel,
-                    mode="valid",
-                )
-            if activity_compression != 1.0:
-                # Real programs mix hot and cold paths: their windowed
-                # activity variance is a fraction of a worst-case
-                # synthetic loop's.  Compress fluctuation around the
-                # mean; the mean (IR drop) is untouched.
-                mean = trace.mean()
-                trace = mean + activity_compression * (trace - mean)
-            n = trace.size
-            trace = np.concatenate(
-                [
-                    np.roll(trace, int(timing_jitter_rng.integers(n)))
-                    for _ in range(max(1, jitter_tiles))
-                ]
-            )
-        response = self._pdn.solver(self._powered_cores).solve(
-            trace, execution.sample_rate_hz
-        )
-        response = _recentered(response, self._voltage)
-        return ClusterRun(
+        request = ChainRequest(
             cluster=self,
-            program=program,
-            execution=execution,
-            response=response,
-            clock_hz=self._clock_hz,
-            voltage=self._voltage,
-            powered_cores=self._powered_cores,
-            active_cores=active,
+            items=[item],
+            want_amplitude=False,
+            want_trace=False,
         )
-
-    def run_mixed(
-        self,
-        programs: Sequence[LoopProgram],
-        iterations: int = 16,
-    ) -> PeriodicResponse:
-        """Co-run a different program on each active core.
-
-        ``programs`` supplies one loop per active core (at most the
-        powered count); the rail sees the superposition -- the realistic
-        scenario where a virus owns only some of the cores while other
-        work runs alongside.
-        """
-        if not 1 <= len(programs) <= self._powered_cores:
-            raise ValueError(
-                f"{self.name}: need 1..{self._powered_cores} programs, "
-                f"got {len(programs)}"
-            )
-        from repro.cpu.multicore import execute_mixed_on_cluster
-
-        core = CoreModel(
-            pipeline=self._pipeline,
-            current_model=self.spec.current_model,
-            clock_hz=self._clock_hz,
-        )
-        execution = execute_mixed_on_cluster(
-            core,
-            programs,
-            uncore_current_a=self.spec.uncore_current_a,
-            iterations=iterations,
-        )
-        trace = execution.load_current * self._current_scale()
-        response = self._pdn.solver(self._powered_cores).solve(
-            trace, execution.sample_rate_hz
-        )
-        return _recentered(response, self._voltage)
-
-    def run_nondeterministic(
-        self,
-        program: LoopProgram,
-        cache_model,
-        memory_rng: np.random.Generator,
-        active_cores: Optional[int] = None,
-        iterations: int = 16,
-    ) -> "NondeterministicRun":
-        """Execute with cache-miss timing nondeterminism enabled.
-
-        Reproduces the environment the paper's virus template avoids
-        (Section 3.3): memory accesses beyond the L1-resident window
-        miss with random penalties, so every call returns a slightly
-        different rail response -- a noisy fitness signal for the GA
-        cache-miss ablation.
-        """
-        active = active_cores if active_cores is not None else (
-            self._powered_cores
-        )
-        if active > self._powered_cores:
-            raise ValueError(
-                f"{self.name}: {active} active cores exceed "
-                f"{self._powered_cores} powered"
-            )
-        model = self.spec.current_model
-        traces = []
-        windows = []
-        for _ in range(active):
-            window = self._pipeline.windowed_schedule(
-                program,
-                iterations=iterations,
-                cache=cache_model,
-                memory_rng=memory_rng,
-            )
-            windows.append(window)
-            traces.append(model.window_trace(window))
-        length = max(t.size for t in traces)
-        combined = np.full(length, self.spec.uncore_current_a)
-        for trace in traces:
-            padded = np.full(length, model.base_current_a)
-            padded[: trace.size] = trace
-            combined += padded
-        combined *= self._current_scale()
-        response = self._pdn.solver(self._powered_cores).solve(
-            combined, self._clock_hz
-        )
-        response = _recentered(response, self._voltage)
-        return NondeterministicRun(
-            cluster=self,
-            program=program,
-            windows=windows,
-            response=response,
-            clock_hz=self._clock_hz,
-            voltage=self._voltage,
-            active_cores=active,
-        )
+        return self._path.run(request).items[0]
 
     def run_trace(
         self, load_current: np.ndarray, sample_rate_hz: float
     ) -> PeriodicResponse:
         """Rail response to an explicit current trace (SCL, idle, noise)."""
-        response = self._pdn.solver(self._powered_cores).solve(
-            np.asarray(load_current, dtype=float) * (
+        return self._path.session.pdn_solve(
+            self,
+            powered_cores=self._powered_cores,
+            voltage=self._voltage,
+            load_current=np.asarray(load_current, dtype=float) * (
                 self._voltage / self.spec.nominal_voltage
             ),
-            sample_rate_hz,
+            sample_rate_hz=sample_rate_hz,
         )
-        return _recentered(response, self._voltage)
-
-
-def _recentered(
-    response: PeriodicResponse, supply_voltage: float
-) -> PeriodicResponse:
-    """Shift a response to a non-nominal supply voltage setting."""
-    if supply_voltage == response.nominal_voltage:
-        return response
-    delta = supply_voltage - response.nominal_voltage
-    return PeriodicResponse(
-        sample_rate_hz=response.sample_rate_hz,
-        nominal_voltage=supply_voltage,
-        die_voltage=response.die_voltage + delta,
-        die_current=response.die_current,
-        harmonic_frequencies_hz=response.harmonic_frequencies_hz,
-        die_voltage_harmonics=response.die_voltage_harmonics,
-        die_current_harmonics=response.die_current_harmonics,
-    )
-
-
-@dataclass
-class ClusterRun:
-    """One steady-state program execution on a cluster."""
-
-    cluster: Cluster
-    program: LoopProgram
-    execution: ClusterExecution
-    response: PeriodicResponse
-    clock_hz: float
-    voltage: float
-    powered_cores: int
-    active_cores: int
-
-    @property
-    def ipc(self) -> float:
-        return self.execution.ipc
-
-    @property
-    def loop_frequency_hz(self) -> float:
-        return self.execution.loop_frequency_hz
-
-    @property
-    def loop_period_s(self) -> float:
-        return self.execution.loop_period_s
-
-    @property
-    def max_droop(self) -> float:
-        return self.response.max_droop
-
-    @property
-    def peak_to_peak(self) -> float:
-        return self.response.peak_to_peak
-
-
-@dataclass
-class NondeterministicRun:
-    """One cache-nondeterministic execution window on a cluster."""
-
-    cluster: Cluster
-    program: LoopProgram
-    windows: list
-    response: PeriodicResponse
-    clock_hz: float
-    voltage: float
-    active_cores: int
-
-    @property
-    def ipc(self) -> float:
-        return self.windows[0].ipc
-
-    @property
-    def loop_frequency_hz(self) -> float:
-        mean_cycles = self.windows[0].mean_iteration_cycles()
-        return self.clock_hz / mean_cycles
-
-    @property
-    def timing_jitter_cycles(self) -> float:
-        """Per-iteration period spread (zero without cache misses)."""
-        return self.windows[0].iteration_jitter_cycles()
-
-    @property
-    def max_droop(self) -> float:
-        return self.response.max_droop
-
-    @property
-    def peak_to_peak(self) -> float:
-        return self.response.peak_to_peak

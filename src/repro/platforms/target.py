@@ -15,8 +15,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
+from repro.chain import ChainItemResult
 from repro.cpu.program import LoopProgram
-from repro.platforms.base import Cluster, ClusterRun
+from repro.platforms.base import Cluster
 
 
 class TargetError(Exception):
@@ -43,7 +44,7 @@ class SimulatedTarget:
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self._ids = itertools.count(1)
-        self._running: Dict[int, ClusterRun] = {}
+        self._running: Dict[int, ChainItemResult] = {}
 
     def compile(self, program: LoopProgram) -> CompiledBinary:
         """'Compile' the individual: validate it against the target ISA."""
@@ -58,7 +59,7 @@ class SimulatedTarget:
 
     def run(
         self, binary: CompiledBinary, active_cores: Optional[int] = None
-    ) -> ClusterRun:
+    ) -> ChainItemResult:
         """Launch the binary; returns the steady-state execution."""
         run = self.cluster.run(binary.program, active_cores=active_cores)
         self._running[binary.binary_id] = run
@@ -89,7 +90,7 @@ class Workstation:
     """
 
     target: SimulatedTarget
-    measure: Callable[[ClusterRun], float]
+    measure: Callable[[ChainItemResult], float]
     log: Optional[Callable[[str], None]] = None
     retries: int = 2
 

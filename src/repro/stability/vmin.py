@@ -12,6 +12,7 @@ reported V_MIN is the highest deviation voltage seen across repeats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -20,6 +21,9 @@ import numpy as np
 from repro.platforms.base import Cluster
 from repro.stability.failure import CriticalVoltageModel, Outcome
 from repro.workloads.base import Workload
+
+#: Lowest supply voltage a descent tries before it gives up.
+DEFAULT_FLOOR_V = 0.5
 
 
 @dataclass
@@ -53,8 +57,32 @@ def check_repeat_counts(virus_repeats: int, benchmark_repeats: int) -> None:
             raise ValueError(f"{name} must be >= 1")
 
 
+def check_descent(
+    start_v: float, step_v: float, floor_v: float = DEFAULT_FLOOR_V
+) -> None:
+    """Raise ``ValueError`` unless a descent from ``start_v`` in steps
+    of ``step_v`` tests at least one voltage below ``start_v`` before it
+    reaches ``floor_v``.
+
+    A non-finite step, or one that jumps below the floor, leaves a
+    ladder of one rung: it tests nothing but the start voltage.
+    """
+    if not (math.isfinite(step_v) and step_v > 0.0):
+        raise ValueError("step_v must be positive and finite")
+    if start_v - step_v < floor_v:
+        raise ValueError(
+            f"step_v must leave a second rung: {start_v:g} V - "
+            f"{step_v:g} V is below the {floor_v:g} V floor"
+        )
+
+
 class VminTester:
-    """Runs V_MIN experiments on a cluster with a failure model."""
+    """Runs V_MIN experiments on a cluster with a failure model.
+
+    ``step_v`` and ``seed`` are checked here, against the default
+    descent from nominal voltage, so a bad value fails before any
+    ladder runs.
+    """
 
     def __init__(
         self,
@@ -63,8 +91,9 @@ class VminTester:
         step_v: float = 0.010,
         seed: int = 0,
     ):
-        if not step_v > 0.0:
-            raise ValueError("step_v must be positive")
+        check_descent(cluster.spec.nominal_voltage, step_v)
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         self.cluster = cluster
         self.failure_model = failure_model
         self.step_v = step_v
@@ -97,7 +126,7 @@ class VminTester:
         workload: Workload,
         repeats: int = 2,
         start_v: Optional[float] = None,
-        floor_v: float = 0.5,
+        floor_v: float = DEFAULT_FLOOR_V,
         active_cores: Optional[int] = None,
     ) -> VminResult:
         """Full experiment: ``repeats`` descents, worst-case V_MIN.
@@ -110,6 +139,7 @@ class VminTester:
         start = start_v if start_v is not None else (
             self.cluster.spec.nominal_voltage
         )
+        check_descent(start, self.step_v, floor_v)
         try:
             # Reference measurement at nominal voltage.
             self.cluster.set_voltage(self.cluster.spec.nominal_voltage)

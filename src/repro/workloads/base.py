@@ -8,9 +8,10 @@ from typing import Optional
 
 import numpy as np
 
+from repro.chain import ChainItemResult, TimingJitter
 from repro.cpu.program import LoopProgram
 from repro.pdn.steady_state import PeriodicResponse
-from repro.platforms.base import Cluster, ClusterRun
+from repro.platforms.base import Cluster
 
 
 @dataclass
@@ -19,7 +20,7 @@ class WorkloadRun:
 
     workload_name: str
     response: PeriodicResponse
-    cluster_run: Optional[ClusterRun] = None
+    cluster_run: Optional[ChainItemResult] = None
 
     @property
     def max_droop(self) -> float:
@@ -57,7 +58,8 @@ class ProgramWorkload(Workload):
     set): their loop iterations do not stay phase-coherent, so no
     resonant build-up occurs -- the property that separates them from
     deliberately deterministic dI/dt viruses.  Pass ``jitter_seed=None``
-    for virus-style deterministic execution.
+    for virus-style deterministic execution.  The four jitter settings
+    become one :class:`repro.chain.TimingJitter` on every run.
     """
 
     def __init__(
@@ -71,28 +73,22 @@ class ProgramWorkload(Workload):
     ):
         super().__init__(name)
         self.program = program
-        self.jitter_seed = jitter_seed
-        self.jitter_tiles = jitter_tiles
-        self.jitter_smooth_cycles = jitter_smooth_cycles
-        self.activity_compression = activity_compression
+        self.jitter = (
+            TimingJitter(
+                seed=jitter_seed,
+                tiles=jitter_tiles,
+                smooth_cycles=jitter_smooth_cycles,
+                compression=activity_compression,
+            )
+            if jitter_seed is not None
+            else None
+        )
 
     def run(
         self, cluster: Cluster, active_cores: Optional[int] = None
     ) -> WorkloadRun:
-        rng = (
-            np.random.default_rng(self.jitter_seed)
-            if self.jitter_seed is not None
-            else None
-        )
         run = cluster.run(
-            self.program,
-            active_cores=active_cores,
-            timing_jitter_rng=rng,
-            jitter_tiles=self.jitter_tiles,
-            jitter_smooth_cycles=self.jitter_smooth_cycles,
-            activity_compression=(
-                self.activity_compression if rng is not None else 1.0
-            ),
+            self.program, active_cores=active_cores, jitter=self.jitter
         )
         return WorkloadRun(
             workload_name=self.name, response=run.response, cluster_run=run

@@ -3,7 +3,8 @@
 The batched chain must make the same floating-point operations and the
 same RNG draws in the same order as the code it replaced.  Each test
 keeps a reference copy of the pre-chain implementation (built from the
-still-public primitives ``Cluster.run``, ``DieRadiator.emission``,
+pre-chain cluster run in ``tests/chain/legacy_reference.py`` and the
+per-call primitives ``DieRadiator.emission``,
 ``SpectrumAnalyzer.max_amplitude`` / ``sweep``) and asserts exact
 equality -- not approx -- against the rerouted public API.
 """
@@ -28,6 +29,8 @@ from repro.obs.context import RunContext
 from repro.obs.events import EventLog, MemorySink
 from repro.workloads.loops import high_low_program
 
+from tests.chain.legacy_reference import reference_run
+
 
 def fresh_characterizer(seed=1234, samples=4) -> EMCharacterizer:
     return EMCharacterizer(
@@ -44,7 +47,7 @@ def legacy_measure(
     samples=None,
 ):
     """The pre-chain ``EMCharacterizer.measure`` body, verbatim."""
-    run = cluster.run(program, active_cores=active_cores)
+    run = reference_run(cluster, program, active_cores=active_cores)
     emission = characterizer.radiator.emission(run.response)
     amplitude = characterizer.analyzer.max_amplitude(
         emission,
@@ -67,7 +70,7 @@ class LegacyEMAmplitudeFitness:
     active_cores: Optional[int] = None
 
     def __call__(self, cluster, program) -> FitnessEvaluation:
-        run = cluster.run(program, active_cores=self.active_cores)
+        run = reference_run(cluster, program, active_cores=self.active_cores)
         emission = self.radiator.emission(run.response)
         score = self.analyzer.max_amplitude(
             emission, band=self.band, samples=self.samples
@@ -172,8 +175,7 @@ class TestSweepEquivalence:
         assert a53.clock_hz == a53.spec.nominal_clock_hz
 
     def test_one_tf_analysis_per_distinct_cluster_state(self):
-        # A fresh board: the fixture's session-scoped solver caches may
-        # already be warm from other tests.
+        # A fresh board: its solvers count this test's analyses only.
         a53 = make_juno_board().a53
         clocks = self._clocks(a53)
         characterizer = fresh_characterizer()
@@ -277,7 +279,7 @@ class TestGAGenerationEquivalence:
             assert "chain.receive" in timings
 
     def test_generation_end_times_each_ac_analysis(self):
-        # A fresh board, so the solver's transfer-function cache is cold.
+        # A fresh board: its solvers count this test's analyses only.
         a53 = make_juno_board().a53
         solver = a53.pdn.solver(a53.powered_cores)
         analyses_before = solver.tf_analyses

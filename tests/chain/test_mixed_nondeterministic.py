@@ -1,10 +1,11 @@
-"""Chain routing of ``run_mixed`` and ``run_nondeterministic``.
+"""Mixed-program and cache-nondeterministic items through the chain.
 
-Satellite coverage: the heterogeneous-mix and cache-nondeterministic
-execution modes go through the same chain as single-program items, with
-bit-equivalence against the legacy ``Cluster`` methods and exact
-RNG-stream determinism (the chain consumes ``memory_rng`` in the same
-order the legacy per-call loop did).
+The heterogeneous-mix and cache-nondeterministic execution modes go
+through the same chain as single-program items, with bit-equivalence
+against the pre-chain ``Cluster.run_mixed`` / ``run_nondeterministic``
+bodies in ``tests/chain/legacy_reference.py`` and exact RNG-stream
+determinism (the chain consumes ``memory_rng`` in the same order the
+per-call loop did).
 """
 
 import numpy as np
@@ -18,6 +19,11 @@ from repro.em.radiation import DieRadiator
 from repro.ga.fitness import ClusterFitness, EMAmplitudeFitness
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.workloads.loops import high_low_program
+
+from tests.chain.legacy_reference import (
+    reference_run_mixed,
+    reference_run_nondeterministic,
+)
 
 
 def response_only_path():
@@ -57,7 +63,7 @@ class TestMixedThroughChain:
 
     def test_mixed_item_matches_run_mixed(self, a53):
         programs = self._programs(a53)
-        legacy = a53.run_mixed(programs)
+        legacy = reference_run_mixed(a53, programs)
         result = run_response_only(
             a53, [ChainItem(programs=programs)]
         )
@@ -80,8 +86,8 @@ class TestMixedThroughChain:
     def test_mixed_batch_matches_sequential_legacy(self, a53):
         programs = self._programs(a53)
         legacy = [
-            a53.run_mixed(programs),
-            a53.run_mixed(list(reversed(programs))),
+            reference_run_mixed(a53, programs),
+            reference_run_mixed(a53, list(reversed(programs))),
         ]
         result = run_response_only(
             a53,
@@ -102,8 +108,8 @@ class TestNondeterministicThroughChain:
         cache = CacheModel(l1_slots=64)
 
         legacy_rng = np.random.default_rng(42)
-        legacy = a72.run_nondeterministic(
-            program, cache_model=cache, memory_rng=legacy_rng
+        legacy = reference_run_nondeterministic(
+            a72, program, cache_model=cache, memory_rng=legacy_rng
         )
 
         chain_rng = np.random.default_rng(42)
@@ -139,8 +145,8 @@ class TestNondeterministicThroughChain:
 
         legacy_rng = np.random.default_rng(7)
         legacy = [
-            a72.run_nondeterministic(
-                program, cache_model=cache, memory_rng=legacy_rng
+            reference_run_nondeterministic(
+                a72, program, cache_model=cache, memory_rng=legacy_rng
             )
             for _ in range(3)
         ]

@@ -1,8 +1,11 @@
 """Shared fixtures: platform models and receive chains.
 
-Board models are session-scoped for speed (their PDN solver caches are
-expensive to warm); the function-scoped cluster fixtures reset mutable
-state (voltage, clock, power gating) so tests stay independent.
+Board models are session-scoped for speed; the function-scoped cluster
+fixtures reset mutable state (voltage, clock, power gating) so tests
+stay independent.  Each cluster owns a chain session that caches the
+schedules and transfer-function grids of its ``run`` and ``run_trace``
+for the whole test session, so a test that counts cache misses, AC
+analyses or kernel calls builds a fresh board (``make_juno_board()``).
 
 Also home to the test-suite plumbing: the ``--update-golden`` flag
 (regenerates ``tests/golden/`` data instead of comparing against it)

@@ -3,6 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.chain import (
+    ChainItem,
+    ChainRequest,
+    CurrentStage,
+    ExecuteStage,
+    PDNStage,
+    SignalPath,
+)
 from repro.cpu.arm import ARM_ISA
 from repro.cpu.cache import CacheModel
 from repro.cpu.current import CurrentModel
@@ -126,20 +134,38 @@ class TestNondeterministicPipeline:
         assert charge == pytest.approx(expected, rel=1e-6)
 
 
+def run_nondeterministic(cluster, program, cache_model, memory_rng):
+    """One cache-nondeterministic chain item, response only."""
+    request = ChainRequest(
+        cluster=cluster,
+        items=[
+            ChainItem(
+                program=program,
+                cache_model=cache_model,
+                memory_rng=memory_rng,
+            )
+        ],
+        want_amplitude=False,
+        want_trace=False,
+    )
+    path = SignalPath([ExecuteStage(), CurrentStage(), PDNStage()])
+    return path.run(request).items[0]
+
+
 class TestClusterNondeterministicRun:
     def test_runs_differ_between_calls(self, a72):
         program = missy_program()
         rng = np.random.default_rng(7)
         cache = CacheModel(l1_slots=64)
-        r1 = a72.run_nondeterministic(program, cache, rng)
-        r2 = a72.run_nondeterministic(program, cache, rng)
+        r1 = run_nondeterministic(a72, program, cache, rng)
+        r2 = run_nondeterministic(a72, program, cache, rng)
         assert r1.max_droop != pytest.approx(r2.max_droop, rel=1e-9)
-        assert r1.timing_jitter_cycles > 0.0
+        assert r1.windows[0].iteration_jitter_cycles() > 0.0
 
     def test_metrics_available(self, a72):
         program = missy_program()
-        run = a72.run_nondeterministic(
-            program, CacheModel(l1_slots=64), np.random.default_rng(8)
+        run = run_nondeterministic(
+            a72, program, CacheModel(l1_slots=64), np.random.default_rng(8)
         )
         assert run.ipc > 0.0
         assert run.loop_frequency_hz > 0.0

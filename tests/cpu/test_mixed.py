@@ -3,6 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.chain import (
+    ChainItem,
+    ChainRequest,
+    CurrentStage,
+    ExecuteStage,
+    PDNStage,
+    SignalPath,
+)
 from repro.cpu.arm import ARM_ISA
 from repro.cpu.current import CurrentModel
 from repro.cpu.multicore import (
@@ -81,25 +89,37 @@ class TestMixedExecution:
         assert freqs[0] != freqs[1]
 
 
+def run_mixed(cluster, programs):
+    """One mixed chain item, response only: a program per active core."""
+    request = ChainRequest(
+        cluster=cluster,
+        items=[ChainItem(programs=programs)],
+        want_amplitude=False,
+        want_trace=False,
+    )
+    path = SignalPath([ExecuteStage(), CurrentStage(), PDNStage()])
+    return path.run(request).items[0]
+
+
 class TestClusterRunMixed:
     def test_virus_plus_background(self, a72, hilo):
         """A virus on one core with a quiet loop on the other still
         rings the rail, but less than two aligned virus copies."""
         a72.set_clock(540e6)  # hilo at the 67.5 MHz resonance
         quiet = program_from_mnemonics(a72.spec.isa, ["add"] * 9)
-        both_virus = a72.run_mixed([hilo, hilo])
-        one_virus = a72.run_mixed([hilo, quiet])
+        both_virus = run_mixed(a72, [hilo, hilo])
+        one_virus = run_mixed(a72, [hilo, quiet])
         assert both_virus.peak_to_peak > one_virus.peak_to_peak
         assert one_virus.peak_to_peak > 0.005
 
     def test_program_count_bounds(self, a72, hilo):
         with pytest.raises(ValueError):
-            a72.run_mixed([])
+            run_mixed(a72, [])
         with pytest.raises(ValueError):
-            a72.run_mixed([hilo] * 3)  # only 2 cores
+            run_mixed(a72, [hilo] * 3)  # only 2 cores
 
     def test_single_program_matches_single_core_run(self, a72, hilo):
-        mixed = a72.run_mixed([hilo])
+        mixed = run_mixed(a72, [hilo])
         direct = a72.run(hilo, active_cores=1)
         assert mixed.max_droop == pytest.approx(
             direct.max_droop, rel=1e-9

@@ -77,9 +77,13 @@ class TestCollection:
                 pass
         assert shared.calls["x"] == 2
 
-    def test_instrumented_kernels_report(self, a53):
+    def test_instrumented_kernels_report(self):
+        from repro import make_juno_board
         from repro.workloads.loops import high_low_program
 
+        # A fresh board: the fixture cluster's session may already hold
+        # this program's execution, and a cache hit schedules nothing.
+        a53 = make_juno_board().a53
         program = high_low_program(a53.spec.isa)
         with collect_kernel_timings() as timings:
             a53.run(program)

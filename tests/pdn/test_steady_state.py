@@ -96,9 +96,17 @@ class TestSpectra:
         assert resp.period_s == pytest.approx(50 / 1e9)
 
 
-class TestTransferCache:
-    def test_cache_hit_is_fast_and_identical(self, solver):
+class TestTransferFunctions:
+    def test_repeated_solves_are_identical_and_uncached(self, solver):
+        """The solver keeps no grid cache: each solve without a
+        ``transfer`` grid runs, and counts, its own AC analysis."""
         wave = np.random.default_rng(3).random(64)
+        before = solver.tf_analyses
         r1 = solver.solve(wave, 1.2e9)
         r2 = solver.solve(wave, 1.2e9)
-        assert np.allclose(r1.die_voltage, r2.die_voltage)
+        np.testing.assert_array_equal(r1.die_voltage, r2.die_voltage)
+        assert solver.tf_analyses - before == 2
+        grid = solver.transfer_functions(64, 1.2e9)
+        r3 = solver.solve(wave, 1.2e9, transfer=grid)
+        np.testing.assert_array_equal(r3.die_voltage, r1.die_voltage)
+        assert solver.tf_analyses - before == 3

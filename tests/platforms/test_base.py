@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.chain import TimingJitter
 from repro.cpu.program import program_from_mnemonics
 
 
@@ -102,9 +103,8 @@ class TestExecution:
         assert resp.max_droop > 0.0
 
     def test_jitter_trace_longer_but_periodic(self, a72, hilo):
-        rng = np.random.default_rng(0)
-        run = a72.run(hilo, timing_jitter_rng=rng, jitter_tiles=4)
-        # response waveform covers jitter_tiles periods
+        run = a72.run(hilo, jitter=TimingJitter(seed=0, tiles=4))
+        # response waveform covers jitter.tiles periods
         base = a72.run(hilo)
         assert run.response.die_voltage.size == (
             4 * base.response.die_voltage.size

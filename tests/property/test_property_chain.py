@@ -10,20 +10,31 @@ operating points, not just the fixtures the equivalence shims pin:
   request permutes the response-derived results and nothing else.
   (The *noisy* amplitude is deliberately not equivariant -- analyzer
   noise draws are positional by design, matching serial hardware.)
+
+A third property pins ``Cluster.run``, ``ProgramWorkload.run`` and
+``IdleWorkload.run`` -- now chain calls through the cluster's own
+session -- bit for bit to the pre-chain per-call path in
+``tests/chain/legacy_reference.py``, on a cache miss and a cache hit.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.chain import ChainItem, ChainRequest, OperatingPoint
+from repro.chain import ChainItem, ChainRequest, OperatingPoint, TimingJitter
 from repro.core.characterizer import EMCharacterizer
 from repro.cpu.program import random_program
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
+from repro.platforms import registry
 from repro.platforms.juno import make_juno_board
+from repro.workloads.base import IdleWorkload, ProgramWorkload
 
-# Module-local board: the hypothesis examples share its solver caches,
-# but every test resets the mutable cluster state via OperatingPoint
-# overrides only (the cluster itself is never mutated).
+from tests.chain.legacy_reference import (
+    reference_idle_response,
+    reference_run,
+)
+
+# Module-local board: the tests below set operating points through
+# OperatingPoint overrides only (the cluster itself is never mutated).
 _BOARD = make_juno_board()
 _CLUSTER = _BOARD.a53
 _CLOCKS = list(_CLUSTER.spec.allowed_clocks_hz())
@@ -123,3 +134,119 @@ def test_deterministic_outputs_are_permutation_equivariant(
             permuted[out_pos].peak_to_peak
             == base[in_pos].peak_to_peak
         )
+
+
+# Module-local clusters for the reference property; every example sets
+# their whole operating point before it runs.
+_PLATFORMS = {
+    name: registry.make_cluster(name) for name in ("a72", "a53", "amd")
+}
+
+jitters = st.one_of(
+    st.none(),
+    st.builds(
+        TimingJitter,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        tiles=st.integers(min_value=1, max_value=16),
+        smooth_cycles=st.integers(min_value=1, max_value=24),
+        compression=st.floats(min_value=0.2, max_value=1.0),
+    ),
+)
+
+
+@st.composite
+def operating_points(draw):
+    """A platform cluster set to a random clock, voltage and gating,
+    plus a random active-core count (``None``: every powered core)."""
+    cluster = _PLATFORMS[draw(st.sampled_from(sorted(_PLATFORMS)))]
+    cluster.set_clock(draw(st.sampled_from(cluster.spec.allowed_clocks_hz())))
+    cluster.set_voltage(draw(st.floats(min_value=0.5, max_value=1.3)))
+    powered = draw(
+        st.integers(min_value=1, max_value=cluster.spec.num_cores)
+    )
+    cluster.power_gate(powered)
+    active = draw(st.none() | st.integers(min_value=1, max_value=powered))
+    return cluster, active
+
+
+def _assert_same_response(got, expected):
+    assert got.sample_rate_hz == expected.sample_rate_hz
+    assert got.nominal_voltage == expected.nominal_voltage
+    for field in (
+        "die_voltage",
+        "die_current",
+        "harmonic_frequencies_hz",
+        "die_voltage_harmonics",
+        "die_current_harmonics",
+    ):
+        np.testing.assert_array_equal(
+            getattr(got, field), getattr(expected, field)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    point=operating_points(),
+    length=st.integers(min_value=1, max_value=60),
+    program_seed=seeds,
+    jitter=jitters,
+)
+def test_runs_equal_the_pre_chain_reference(
+    point, length, program_seed, jitter
+):
+    """``Cluster.run`` and ``ProgramWorkload.run`` == the reference."""
+    cluster, active = point
+    program = random_program(
+        cluster.spec.isa, length, np.random.default_rng(program_seed)
+    )
+    if jitter is None:
+        expected = reference_run(cluster, program, active_cores=active)
+        workload = ProgramWorkload("w", program, jitter_seed=None)
+    else:
+        expected = reference_run(
+            cluster,
+            program,
+            active_cores=active,
+            timing_jitter_rng=np.random.default_rng(jitter.seed),
+            jitter_tiles=jitter.tiles,
+            jitter_smooth_cycles=jitter.smooth_cycles,
+            activity_compression=jitter.compression,
+        )
+        workload = ProgramWorkload(
+            "w",
+            program,
+            jitter_seed=jitter.seed,
+            jitter_tiles=jitter.tiles,
+            jitter_smooth_cycles=jitter.smooth_cycles,
+            activity_compression=jitter.compression,
+        )
+    # The second and third runs of the program are session cache hits.
+    runs = [
+        cluster.run(program, active_cores=active, jitter=jitter),
+        workload.run(cluster, active_cores=active).cluster_run,
+        cluster.run(program, active_cores=active, jitter=jitter),
+    ]
+    for run in runs:
+        _assert_same_response(run.response, expected.response)
+        np.testing.assert_array_equal(
+            run.execution.load_current, expected.execution.load_current
+        )
+        assert run.clock_hz == expected.clock_hz
+        assert run.voltage == expected.voltage
+        assert run.powered_cores == expected.powered_cores
+        assert run.active_cores == expected.active_cores
+        assert run.ipc == expected.ipc
+        assert run.loop_frequency_hz == expected.loop_frequency_hz
+        assert run.loop_period_s == expected.loop_period_s
+
+
+@settings(max_examples=15, deadline=None)
+@given(point=operating_points(), seed=seeds)
+def test_idle_run_equals_the_reference_run_trace(point, seed):
+    """``IdleWorkload.run`` == the reference ``run_trace``, twice."""
+    cluster, _ = point
+    workload = IdleWorkload(seed=seed)
+    expected = reference_idle_response(cluster, workload)
+    for _ in range(2):
+        _assert_same_response(workload.run(cluster).response, expected)
+

@@ -37,6 +37,22 @@ class TestVminMechanics:
         with pytest.raises(ValueError):
             VminTester(a72, failure_model_for("cortex-a72"), step_v=0.0)
 
+    @pytest.mark.parametrize("step_v", [math.inf, math.nan, 0.6, 5.0])
+    def test_step_must_leave_a_second_rung(self, a72, step_v):
+        """From 1.0 V to the 0.5 V floor, these ladders have one rung."""
+        with pytest.raises(ValueError, match="^step_v must"):
+            VminTester(a72, failure_model_for("cortex-a72"), step_v=step_v)
+
+    def test_run_checks_its_own_descent(self, tester, a72):
+        a72.set_voltage(0.9)
+        with pytest.raises(ValueError, match="second rung"):
+            tester.run(idle_workload(), start_v=0.6, floor_v=0.595)
+        assert a72.voltage == 0.9  # nothing ran
+
+    def test_negative_seed_rejected(self, a72):
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            VminTester(a72, failure_model_for("cortex-a72"), seed=-1)
+
     def test_invalid_repeats_rejected(self, tester):
         with pytest.raises(ValueError):
             tester.run(idle_workload(), repeats=0)

@@ -405,15 +405,22 @@ BAD_NUMBERS = [
     ("virus", ["--islands", "2", "--migration-interval", "-1"]),
     ("virus", ["--islands", "0"]),
     ("virus", ["--islands", "-3"]),
+    ("virus", ["--seed", "-1"]),
     ("report", ["--population", "1"]),
+    ("report", ["--seed", "-1"]),
     ("vmin", ["--step", "0"]),
     ("vmin", ["--step", "-0.01"]),
+    ("vmin", ["--step", "inf"]),
+    ("vmin", ["--step", "nan"]),
+    ("vmin", ["--step", "5"]),
+    ("vmin", ["--seed", "-1"]),
     ("vmin", ["--repeats", "0"]),
     ("vmin", ["--virus-repeats", "0"]),
     ("sweep", ["--samples", "0"]),
     ("sweep", ["--samples", "-1"]),
     ("sweep", ["--cores", "9"]),
     ("sweep", ["--cores", "0"]),
+    ("sweep", ["--seed", "-1"]),
     ("impedance", ["--cores", "9"]),
     ("impedance", ["--cores", "0"]),
     ("impedance", ["--points", "0"]),
@@ -447,6 +454,7 @@ BAD_SERVE_NUMBERS = [
     ["--timeout", "-1"],
     ["--port", "70000"],
     ["--port", "-1"],
+    ["--seed", "-1"],
 ]
 
 
@@ -518,6 +526,27 @@ class TestBadNumbers:
         ) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: bad {flag} 0: ")
+
+    @pytest.mark.parametrize("step", ["inf", "5"])
+    def test_vmin_step_checked_before_any_ladder(
+        self, capsys, tmp_path, monkeypatch, step
+    ):
+        """A step that leaves no second rung would print a made-up
+        ``nan`` V_MIN; it must fail before the first workload runs."""
+        from repro.stability.vmin import VminTester
+
+        def no_ladder(*args, **kwargs):
+            raise AssertionError("a ladder ran before the step check")
+
+        monkeypatch.setattr(VminTester, "run", no_ladder)
+        meta = write_virus_archive(tmp_path)
+        assert main(
+            BAD_NUMBER_BASES["vmin"]
+            + ["--workloads", "idle,gcc", "--virus", str(meta),
+               "--step", step]
+        ) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: bad --step {float(step)}: step_v ")
 
     @pytest.mark.parametrize("meta_text", [None, "{}"],
                              ids=["missing", "no-program-file"])
