@@ -309,7 +309,11 @@ class ChainLedger:
     ) -> Optional[Dict[str, Any]]:
         """Post-receive analyzer state per the contract, by replaying
         the expected draw sequence on a clone; None when the expected
-        pattern cannot be derived (degenerate empty band)."""
+        pattern cannot be derived (degenerate empty band).
+
+        The replay draws one row per sweep, so it also checks that the
+        analyzer's one-block RMS-of-N draw drains the generator exactly
+        like per-sweep draws."""
         request = self._request
         analyzer = self._analyzer
         clone = np.random.Generator(type(analyzer.rng.bit_generator)())

@@ -47,7 +47,14 @@ class AmbientEnvironment:
     def sample_noise_w(
         self, shape, rng: np.random.Generator
     ) -> np.ndarray:
-        """Per-bin noise power draws for one sweep."""
+        """Per-bin noise power draws, one row per sweep.
+
+        The normal draws fill ``shape`` in C order, so a
+        ``(sweeps, bins)`` call returns the same values, and leaves
+        ``rng`` in the same state, as ``sweeps`` successive
+        ``(bins,)`` calls; the analyzer's RMS-of-N readout relies on
+        this to draw all its sweeps at once.
+        """
         db = self.noise_floor_dbm + self.noise_sigma_db * rng.standard_normal(
             shape
         )

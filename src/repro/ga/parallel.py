@@ -54,6 +54,10 @@ Observability: the pool emits one ``worker_warmup`` event per (re)spawn
 worker, and the cache stats its warm-up primed -- and records each
 worker's latest session cache counters (``worker_stats``) so the GA
 engine can fold per-worker cache-hit rates into ``generation_end``.
+Each worker times its shards' kernel sections
+(:mod:`repro.obs.timing`) and returns the snapshot with the results;
+the parent merges it into the collector active where it dispatched,
+so ``generation_end.kernel_timings`` include the worker-side time.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from repro.faults.plan import NULL_INJECTOR, FaultInjector
 from repro.faults.retry import RetryPolicy, call_with_retry
 from repro.ga.fitness import FitnessEvaluation
 from repro.obs.events import NULL_LOG, EventLog
+from repro.obs.timing import active_kernel_timings, collect_kernel_timings
 
 #: Score assigned to quarantined genomes.  Real fitness metrics
 #: (EM amplitude in watts, droop in volts) are strictly positive, so
@@ -215,7 +220,10 @@ def _worker_main(worker_id: int, task_q, result_q, payload: bytes) -> None:
             return
         _, task_key, programs = message
         try:
-            evaluations = _run_shard(fitness, injector, policy, programs)
+            with collect_kernel_timings() as timings:
+                evaluations = _run_shard(
+                    fitness, injector, policy, programs
+                )
         # Transport every failure (fault, crash, bug) to the
         # parent, which re-raises or handles it by type.
         except BaseException as exc:  # audit: ignore[R6]
@@ -225,7 +233,15 @@ def _worker_main(worker_id: int, task_q, result_q, payload: bytes) -> None:
             continue
         stats_hook = getattr(fitness, "session_stats", None)
         stats = stats_hook() if stats_hook is not None else None
-        _send(result_q, "ok", worker_id, task_key, evaluations, stats)
+        _send(
+            result_q,
+            "ok",
+            worker_id,
+            task_key,
+            evaluations,
+            stats,
+            timings.snapshot(),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +551,12 @@ class PersistentWorkerPool:
         handle.shard_index = None
         handle.deadline = None
         if kind == "ok":
-            _, _, _, results, stats = message
+            _, _, _, results, stats, timings = message
             if stats is not None:
                 self.worker_stats[worker_id] = stats
+            collector = active_kernel_timings()
+            if collector is not None:
+                collector.merge(timings)
             outcomes[index] = ShardOutcome(kind="ok", results=results)
         else:  # "raised"
             outcomes[index] = ShardOutcome(kind="raised", error=message[3])

@@ -11,13 +11,17 @@ each transfer-function grid (``pdn.ac``).  When no collector is active
 total seconds, which the GA engine folds into its per-generation
 ``kernel_timings`` events.
 
-Collection is process-local *and thread-local*: with
-``GAConfig.workers > 1`` the kernels run in worker processes and the
-parent's collector only sees the re-measurement of champions, while
-the island engine (:mod:`repro.ga.islands`) runs one ``GAEngine`` per
-thread, each with its own active collector -- a module global would
-cross-attribute their timings.  Timings are observability, not a
-determinism input -- they never feed back into the computation.
+Collection is process-local *and thread-local*.  With
+``GAConfig.workers > 1`` the kernels run in worker processes: each
+worker times every shard in a collector of its own and ships its
+:meth:`KernelTimings.snapshot` back with the shard's results, and the
+parent folds it into its active collector (:meth:`KernelTimings.merge`),
+so a generation's ``kernel_timings`` cover the worker-side sections
+too.  The island engine (:mod:`repro.ga.islands`) runs one
+``GAEngine`` per thread, each with its own active collector -- a
+module global would cross-attribute their timings.  Timings are
+observability, not a determinism input -- they never feed back into
+the computation.
 """
 
 from __future__ import annotations
@@ -49,6 +53,14 @@ class KernelTimings:
             for name in sorted(self.total_s)
         }
 
+    def merge(self, snapshot: Dict[str, Dict[str, float]]) -> None:
+        """Fold another collector's :meth:`snapshot` into this one."""
+        for name, section in snapshot.items():
+            self.total_s[name] = (
+                self.total_s.get(name, 0.0) + section["total_s"]
+            )
+            self.calls[name] = self.calls.get(name, 0) + section["calls"]
+
     def clear(self) -> None:
         self.total_s.clear()
         self.calls.clear()
@@ -63,7 +75,8 @@ class KernelTimings:
 _STATE = threading.local()
 
 
-def _active() -> Optional[KernelTimings]:
+def active_kernel_timings() -> Optional[KernelTimings]:
+    """This thread's active collector, or None outside a collection."""
     return getattr(_STATE, "active", None)
 
 
@@ -72,7 +85,7 @@ def collect_kernel_timings(
     collector: Optional[KernelTimings] = None,
 ) -> Iterator[KernelTimings]:
     """Activate (or reuse) a collector for the duration of the block."""
-    previous = _active()
+    previous = active_kernel_timings()
     _STATE.active = collector if collector is not None else KernelTimings()
     try:
         yield _STATE.active
@@ -83,7 +96,7 @@ def collect_kernel_timings(
 @contextmanager
 def kernel_section(name: str) -> Iterator[None]:
     """Time one kernel invocation into the active collector, if any."""
-    collector = _active()
+    collector = active_kernel_timings()
     if collector is None:
         yield
         return
@@ -105,7 +118,7 @@ def timed_kernel(name: str):
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            collector = _active()
+            collector = active_kernel_timings()
             if collector is None:
                 return fn(*args, **kwargs)
             start = time.monotonic()

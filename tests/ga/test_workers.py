@@ -392,3 +392,46 @@ class TestWarmUpHooks:
         assert stats and all(
             "execute_misses" in s for s in stats.values()
         )
+
+    def test_generation_end_covers_worker_kernel_timings(self):
+        """Workers time their shards and the parent merges the
+        snapshots: every generation that fans out reports the chain's
+        receive stage and the issue scheduler (``cpu.pipeline.execute``)
+        at least once per dispatched shard, although none of those
+        sections ran in the parent."""
+        from repro.ga.fitness import ClusterFitness, EMAmplitudeFitness
+        from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
+        from repro.platforms.juno import make_juno_board
+
+        fitness = ClusterFitness(
+            EMAmplitudeFitness(
+                analyzer=SpectrumAnalyzer(rng=np.random.default_rng(3)),
+                samples=2,
+            ),
+            make_juno_board().a72,
+        )
+        workers = 2
+        sink = MemorySink()
+        GAEngine(
+            fitness,
+            GAConfig(
+                population_size=6,
+                generations=3,
+                loop_length=5,
+                seed=1,
+                workers=workers,
+            ),
+        ).run(ARM_ISA, event_log=EventLog([sink]))
+        fanned_out = [
+            record
+            for record in sink.events("generation_end")
+            if record["fresh_evaluations"] > 1
+        ]
+        assert fanned_out
+        for record in fanned_out:
+            assert record["dispatched_workers"] == workers
+            shards = min(workers, record["fresh_evaluations"])
+            timings = record["kernel_timings"]
+            for section in ("chain.receive", "cpu.pipeline.execute"):
+                assert timings[section]["calls"] >= shards
+                assert timings[section]["total_s"] > 0.0

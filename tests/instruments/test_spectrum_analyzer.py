@@ -1,11 +1,15 @@
 """Unit tests for the spectrum analyzer model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.em.propagation import AmbientEnvironment
 from repro.em.radiation import EmissionSpectrum
 from repro.instruments.spectrum_analyzer import (
+    LINE_BLOCK,
+    RBW_REACH_SIGMAS,
     SpectrumAnalyzer,
     SpectrumTrace,
     dbm_to_watts,
@@ -39,6 +43,22 @@ class TestConfiguration:
     def test_invalid_rbw_rejected(self):
         with pytest.raises(ValueError):
             analyzer(rbw_hz=0.0)
+
+    @pytest.mark.parametrize("name", ["start_hz", "stop_hz", "rbw_hz"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            analyzer(**{name: value})
+
+    @pytest.mark.parametrize("dwell", [-1.0, np.nan, np.inf])
+    def test_bad_dwell_rejected(self, dwell):
+        with pytest.raises(ValueError, match="dwell_s_per_bin"):
+            analyzer(dwell_s_per_bin=dwell)
+
+    def test_zero_dwell_allowed(self):
+        sa = analyzer(dwell_s_per_bin=0.0)
+        sa.max_amplitude(single_line(), samples=2)
+        assert sa.total_measurement_time_s == 0.0
 
     def test_bin_centers_cover_span(self):
         sa = analyzer()
@@ -101,7 +121,61 @@ class TestSweep:
             trace.peak(band=(300e6, 400e6))
 
 
+class TestReceivedPower:
+    def test_reach_underflows_the_filter_to_zero(self):
+        assert np.exp(-0.5 * RBW_REACH_SIGMAS**2) == 0.0
+
+    def test_line_power_is_conserved(self):
+        sa = analyzer()
+        line = single_line(freq=123.4e6)
+        (v,) = line.amplitudes * sa.line_gains(line.frequencies_hz)
+        assert sa.received_power_w(line).sum() == pytest.approx(
+            v * v / 100.0, rel=1e-12
+        )
+
+    def test_misaligned_gains_rejected(self):
+        sa = analyzer()
+        two = EmissionSpectrum(
+            np.array([60e6, 150e6]), np.array([1e-3, 2e-3])
+        )
+        with pytest.raises(ValueError, match="2 banded emission lines"):
+            sa.received_power_w(two, gains=np.array([2.0]))
+        with pytest.raises(ValueError, match="gains shape"):
+            sa.received_power_w(two, gains=np.float64(2.0))
+        with pytest.raises(ValueError, match="0 banded emission lines"):
+            sa.received_power_w(single_line(freq=1e9), gains=np.ones(1))
+
+    def test_memory_stays_within_a_few_line_blocks(self):
+        """A long jittered emission is spread block by block: the peak
+        allocation is a few (LINE_BLOCK x bins) arrays, not one row
+        per line."""
+        sa = analyzer()
+        bins = sa.bin_centers().size
+        lines = 2000
+        emission = EmissionSpectrum(
+            np.linspace(sa.start_hz, sa.stop_hz, lines),
+            np.full(lines, 1e-3),
+        )
+        sa.received_power_w(emission)  # warm the bin-center cache
+        tracemalloc.start()
+        try:
+            sa.received_power_w(emission)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = LINE_BLOCK * bins * 8
+        assert lines > 10 * LINE_BLOCK
+        assert peak < 3 * block_bytes
+
+
 class TestMaxAmplitude:
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        sa = analyzer()
+        signal = sa.received_power_w(single_line())
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            sa.max_amplitude_from_power(signal, samples=samples)
+
     def test_stronger_line_scores_higher(self):
         sa = analyzer()
         weak = sa.max_amplitude(single_line(amp=0.5e-3), samples=10)

@@ -21,6 +21,19 @@ class TestKernelTimings:
         assert abs(snap["k"]["total_s"] - 0.75) < 1e-9
         assert snap["other"]["calls"] == 1
 
+    def test_merge_folds_a_snapshot(self):
+        t = KernelTimings()
+        t.add("k", 0.5)
+        other = KernelTimings()
+        other.add("k", 0.25)
+        other.add("k", 0.25)
+        other.add("w", 1.0)
+        t.merge(other.snapshot())
+        snap = t.snapshot()
+        assert snap["k"]["calls"] == 3
+        assert abs(snap["k"]["total_s"] - 1.0) < 1e-9
+        assert snap["w"] == {"calls": 1, "total_s": 1.0}
+
     def test_snapshot_sorted_and_clear(self):
         t = KernelTimings()
         t.add("b", 1.0)
