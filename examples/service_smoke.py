@@ -12,6 +12,11 @@ submission sequence against a twin service with the same seed, one job
 at a time, waiting for each result before the next submission -- the
 no-coalescing-possible baseline.
 
+Before the pinned plan, phase one also posts one malformed job and
+asserts the front end answers it with a 400 (:class:`BadRequest`)
+rather than dropping the connection; a rejected job takes no queue
+slot and no analyzer draw, so the results below do not change.
+
 Both phases write their results as canonical JSON; the CI lane ends
 with ``cmp coalesced.json sequential.json``, pinning the service's
 bit-identity contract on a real TCP path.  The script also asserts a
@@ -30,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.platforms import registry  # noqa: E402
 from repro.service import (  # noqa: E402
+    BadRequest,
     HttpClient,
     MeasurementService,
     ServiceServer,
@@ -41,6 +47,8 @@ SWEEP_CLOCKS = [
     float(c)
     for c in registry.make_cluster("a53").spec.allowed_clocks_hz()[:2]
 ]
+#: A job the service must refuse at submission with a 400.
+MALFORMED_JOB = ("measure", {"platform": "a53", "program_length": "x"})
 
 
 def job_plan(clients: int):
@@ -76,6 +84,12 @@ async def coalesced_phase(clients: int):
     try:
         submitter = HttpClient(server.host, server.port)
         assert (await submitter.healthz())["ok"]
+        try:
+            await submitter.submit(*MALFORMED_JOB, tenant="malformed")
+        except BadRequest as exc:
+            print(f"# malformed job refused with HTTP 400: {exc}")
+        else:
+            raise AssertionError(f"malformed job accepted: {MALFORMED_JOB}")
         # Pinned submission order (determinism is defined over it);
         # the warmup sweep keeps the worker busy so the client jobs
         # queue up and coalesce.

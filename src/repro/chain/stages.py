@@ -106,6 +106,8 @@ def resolve_request(
                 if item.active_cores is not None
                 else powered
             )
+            if active < 1:
+                raise ValueError("active_cores must be >= 1")
             if active > powered:
                 raise ValueError(
                     f"{cluster.name}: {active} active cores exceed "

@@ -1,8 +1,9 @@
 """Result containers for the characterization API.
 
 Every result returned by a ``.run(ctx)`` entry point mixes in
-:class:`JsonResultMixin`: one ``to_json()/from_json()`` pair, shared
-across :class:`GARunSummary`, :class:`MeasurementResult` and
+:class:`JsonResultMixin`: one ``to_payload()`` plus a
+``to_json()/from_json()`` pair, shared across :class:`GARunSummary`,
+:class:`MeasurementResult` and
 :class:`repro.core.resonance.SweepResult`, so run artifacts of every
 experiment kind round-trip the same way.
 """
@@ -26,8 +27,9 @@ class JsonResultMixin:
     """Common JSON round-trip for experiment results.
 
     Subclasses implement ``to_dict``/``from_dict``; the mixin supplies
-    ``to_json``/``from_json`` plus a ``kind`` tag checked on load so a
-    sweep result cannot be silently parsed as a GA summary.
+    ``to_payload`` (the tagged dict) and ``to_json``/``from_json``,
+    with a ``kind`` tag checked on load so a sweep result cannot be
+    silently parsed as a GA summary.
     """
 
     kind: str = "result"
@@ -39,13 +41,17 @@ class JsonResultMixin:
     def from_dict(cls, data: Dict[str, Any]):  # pragma: no cover
         raise NotImplementedError
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        payload = {
+    def to_payload(self) -> Dict[str, Any]:
+        """The tagged result as plain data: only dict, list, str, int,
+        float, bool and None, so it equals its own JSON round trip."""
+        return {
             "result_version": RESULT_SCHEMA_VERSION,
             "kind": self.kind,
+            **self.to_dict(),
         }
-        payload.update(self.to_dict())
-        return json.dumps(payload, indent=indent)
+
+    def to_json(self, indent: Optional[int] = None) -> str:
+        return json.dumps(self.to_payload(), indent=indent)
 
     @classmethod
     def from_json(cls, text: str):

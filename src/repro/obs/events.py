@@ -62,8 +62,10 @@ the bound HTTP endpoint, ``job_submitted`` (job id, kind, tenant,
 queue depth) admits a job, ``job_rejected`` records load shedding
 (``reason`` is ``rate_limited`` or ``queue_full``), ``job_batched``
 marks a batch dispatch (batch id, member job ids, whether requests
-were actually coalesced) and ``job_done`` closes a job with its
-terminal status.  While a batch executes, every chain/GA event it
+were actually coalesced), ``job_done`` closes a job with its
+terminal status, and ``service_error`` records an unexpected exception
+in an HTTP route (the ``route``, the ``error`` and the formatted
+``traceback``) that was answered with a 500.  While a batch executes, every chain/GA event it
 produces is stamped with the ``batch`` id and the ``jobs`` list, so a
 shared-session run log still attributes each record to the client
 requests that caused it.

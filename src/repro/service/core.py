@@ -17,6 +17,16 @@ prefix of the queue -- so a coalesced batch is **bit-identical** to
 the same jobs submitted sequentially, and any arrival interleaving of
 compatible submissions yields identical per-job results.
 
+Submission validates everything before a job takes a queue slot: the
+spec's fields (type and range, virus fields against
+:class:`~repro.ga.engine.GAConfig`'s bounds), the tenant, the timeout,
+a dry run of the operating points and a band with analyzer bins in
+it, so one bad job is refused with
+a :class:`~repro.service.jobs.BadRequest` instead of failing the jobs
+coalesced with it.  A job's result is built once on the worker thread
+as plain data (``to_payload()``); JSON text is made only where it
+leaves the process (HTTP body, persisted ``result.json``).
+
 Degradation under load is graceful and explicit: per-tenant token
 buckets reject over-rate tenants (:class:`~repro.service.jobs.RateLimited`),
 a bounded pending queue sheds excess jobs
@@ -78,6 +88,8 @@ from repro.service.jobs import (
     ServiceError,
     UnknownJob,
     check_samples,
+    parse_tenant,
+    parse_timeout,
     spec_from_params,
 )
 from repro.service.ratelimit import TenantRateLimiter
@@ -298,7 +310,8 @@ class MeasurementService:
     ) -> Job:
         """Validate, admit and enqueue one job; returns its record.
 
-        Raises :class:`BadRequest` (malformed spec),
+        Raises :class:`BadRequest` (malformed spec, tenant or
+        timeout),
         :class:`RateLimited` (tenant over budget), :class:`QueueFull`
         (pending queue at capacity) or :class:`ServiceClosed`; on
         success the job is queued, a ``job_submitted`` event is
@@ -306,6 +319,8 @@ class MeasurementService:
         """
         if self._closed:
             raise ServiceClosed("service is shutting down")
+        tenant = parse_tenant(tenant)
+        timeout_s = parse_timeout(timeout_s)
         spec = spec_from_params(kind, params)
         state = self._platform_state(spec.platform)
         items, key = self._prepare(spec, state)
@@ -376,22 +391,19 @@ class MeasurementService:
         """Resolve a spec into chain items + compat key (validated).
 
         Virus jobs return ``(None, None)``: they are exclusive and
-        build their generator at execution time.  Measure/sweep items
-        are dry-run through :func:`repro.chain.stages.resolve_request`
-        so an invalid operating point rejects the *submission* instead
-        of failing the whole coalesced batch later.
+        build their generator at execution time (their GA settings
+        were checked when the spec was parsed).  Measure/sweep items
+        are dry-run through :func:`repro.chain.stages.resolve_request`,
+        and the band must hold at least one analyzer bin, so an invalid
+        operating point or band rejects the *submission* instead of
+        failing the whole coalesced batch later.
         """
         if spec.kind == "virus":
-            if spec.generations < 1 or spec.population < 2:
-                raise BadRequest(
-                    "virus jobs need generations >= 1, population >= 2"
-                )
             return None, None
         band = spec.band or state.characterizer.band
         samples = (
             spec.samples if spec.samples is not None else self.samples
         )
-        check_samples(samples)
         items = self._chain_items(spec, state)
         try:
             resolve_request(
@@ -405,6 +417,10 @@ class MeasurementService:
             )
         except ValueError as exc:
             raise BadRequest(str(exc)) from exc
+        if not state.session.band_mask(
+            state.characterizer.analyzer, band
+        ).any():
+            raise BadRequest(f"no analyzer bins inside band {tuple(band)}")
         key = CompatKey(
             platform=spec.platform,
             state_version=state.cluster.state_version,
@@ -676,7 +692,7 @@ class MeasurementService:
                 frequencies_hz=r.trace.frequencies_hz,
                 power_dbm=r.trace.power_dbm,
             )
-            return json.loads(measurement.to_json())
+            return measurement.to_payload()
         # sweep
         points = [
             SweepPoint(
@@ -691,11 +707,10 @@ class MeasurementService:
             powered_cores=item_results[0].powered_cores,
             points=points,
         )
-        return json.loads(sweep.to_json())
+        return sweep.to_payload()
 
     def _run_virus(self, job: Job, job_log: _JobLog) -> Dict[str, Any]:
         from repro.core.virusgen import VirusGenerator
-        from repro.ga.engine import GAConfig
 
         spec = job.spec
         state = self._platform_state(spec.platform)
@@ -704,22 +719,13 @@ class MeasurementService:
             from repro.io.serialization import load_checkpoint
 
             resume = load_checkpoint(spec.resume_dir, event_log=job_log)
-        config = GAConfig(
-            population_size=spec.population,
-            generations=spec.generations,
-            loop_length=spec.loop_length,
-            mutation_rate=spec.mutation_rate,
-            seed=spec.seed,
-            workers=1,
-        )
         generator = VirusGenerator(
             state.cluster,
             state.characterizer,
-            config=config,
+            config=spec.ga_config(),
             event_log=job_log,
         )
-        summary = generator.generate_em_virus(resume=resume)
-        return json.loads(summary.to_json())
+        return generator.generate_em_virus(resume=resume).to_payload()
 
     # ------------------------------------------------------------------
     # completion

@@ -21,13 +21,19 @@ Service exceptions carry their own ``http_status``
 (:mod:`repro.service.jobs`), so the error path is a single translation:
 ``{"error": str(exc), "type": type(exc).__name__}`` with that status.
 Rate-limit rejections add ``retry_after_s`` and a ``Retry-After``
-header, which is all a well-behaved client needs to back off.
+header, which is all a well-behaved client needs to back off.  A
+request that cannot be parsed (a malformed or over-long line, a bad
+``Content-Length``, a body that is not a JSON object) gets a 400.  Any
+other exception a route raises is answered the same way with a 500
+and logged as a ``service_error`` event carrying the route and the
+traceback, so every request gets a status line.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import traceback
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -36,6 +42,7 @@ from repro.service.jobs import (
     BadRequest,
     RateLimited,
     ServiceError,
+    parse_timeout,
 )
 
 MAX_BODY_BYTES = 1_000_000
@@ -104,13 +111,29 @@ class ServiceServer:
                 method, path, body = await _read_request(reader)
             except _HttpParseError as exc:
                 await _respond(
-                    writer, exc.status, {"error": str(exc)}
+                    writer, exc.status, json.dumps({"error": str(exc)})
                 )
                 return
-            status, payload, headers = await self._route(
-                method, path, body
-            )
-            await _respond(writer, status, payload, headers)
+            try:
+                status, payload, headers = await self._route(
+                    method, path, body
+                )
+                text = json.dumps(payload)
+            except Exception as exc:  # audit: ignore[R6]
+                # Transport, not swallow: the failure is answered as a
+                # 500 and logged with its traceback as service_error;
+                # the server must answer every request it read.
+                status, headers = 500, {}
+                text = json.dumps(
+                    {"error": str(exc), "type": type(exc).__name__}
+                )
+                self.service.event_log.emit(
+                    "service_error",
+                    route=f"{method} {path}",
+                    error=f"{type(exc).__name__}: {exc}",
+                    traceback=traceback.format_exc(),
+                )
+            await _respond(writer, status, text, headers)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
         finally:
@@ -194,7 +217,7 @@ class ServiceServer:
         timeout_s: Optional[float] = None
         if "timeout_s" in query:
             try:
-                timeout_s = float(query["timeout_s"][0])
+                timeout_s = parse_timeout(float(query["timeout_s"][0]))
             except ValueError as exc:
                 raise BadRequest(
                     f"timeout_s must be a number: {exc}"
@@ -229,10 +252,20 @@ class _HttpParseError(Exception):
         super().__init__(message)
 
 
+async def _read_line(reader: asyncio.StreamReader) -> str:
+    try:
+        line = await reader.readline()
+    except ValueError:  # the line overran the stream's buffer limit
+        raise _HttpParseError(
+            400, "request line or header field too long"
+        ) from None
+    return line.decode("latin-1").strip()
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Tuple[str, str, Optional[Dict[str, Any]]]:
-    request_line = (await reader.readline()).decode("latin-1").strip()
+    request_line = await _read_line(reader)
     if not request_line:
         raise _HttpParseError(400, "empty request")
     try:
@@ -243,7 +276,7 @@ async def _read_request(
         ) from None
     content_length = 0
     while True:
-        line = (await reader.readline()).decode("latin-1").strip()
+        line = await _read_line(reader)
         if not line:
             break
         name, _, value = line.partition(":")
@@ -277,10 +310,10 @@ async def _read_request(
 async def _respond(
     writer: asyncio.StreamWriter,
     status: int,
-    payload: Dict[str, Any],
+    text: str,
     headers: Optional[Dict[str, str]] = None,
 ) -> None:
-    body = json.dumps(payload).encode("utf-8")
+    body = text.encode("utf-8")
     reason = _REASONS.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {reason}",

@@ -1,11 +1,14 @@
 """Job vocabulary of the measurement service.
 
 A job is one client request -- ``measure``, ``sweep`` or ``virus`` --
-described by a typed, JSON-round-trippable spec.  Specs are validated
-at submission (platform key, operating-point overrides, band shape),
-so a malformed request is rejected with :class:`BadRequest` before it
-can occupy queue capacity; jobs that pass validation move through the
-lifecycle ``queued -> running -> done`` (or ``failed`` / ``timeout`` /
+described by a typed, JSON-round-trippable spec.  Parsing a spec
+checks the type and range of every field (counts are integers of at
+least one, seeds non-negative integers, clocks and voltages finite
+positive numbers, virus fields within :class:`~repro.ga.engine.GAConfig`'s
+own bounds), so a malformed request is rejected with one
+:class:`BadRequest` naming the field before it can occupy queue
+capacity; jobs that pass validation move through the lifecycle
+``queued -> running -> done`` (or ``failed`` / ``timeout`` /
 ``cancelled``).
 
 Every service-level error carries an HTTP status so the stdlib front
@@ -17,10 +20,14 @@ the same exceptions directly.
 from __future__ import annotations
 
 import asyncio
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.ga.engine import GAConfig
 
 JOB_KINDS = ("measure", "sweep", "virus")
 
@@ -100,6 +107,73 @@ class ServiceClosed(ServiceError):
 
 
 # ---------------------------------------------------------------------------
+# field parsing
+# ---------------------------------------------------------------------------
+def _integer(
+    name: str,
+    value: Any,
+    minimum: Optional[int] = None,
+    default: Optional[int] = None,
+) -> Optional[int]:
+    """``value`` as an int of at least ``minimum``; ``None`` (an absent
+    or null field) gives ``default``."""
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadRequest(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise BadRequest(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _real(
+    name: str,
+    value: Any,
+    positive: bool = True,
+    default: Optional[float] = None,
+) -> Optional[float]:
+    """``value`` as a finite float, positive unless ``positive`` is
+    false; ``None`` (an absent or null field) gives ``default``."""
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadRequest(f"{name} must be a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise BadRequest(f"{name} must be finite, got {value!r}")
+    if positive and number <= 0.0:
+        raise BadRequest(f"{name} must be positive, got {value!r}")
+    return number
+
+
+def _text(name: str, value: Any) -> Optional[str]:
+    """``value`` as a string; ``None`` passes through."""
+    if value is not None and not isinstance(value, str):
+        raise BadRequest(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _platform(kind: str, data: Dict[str, Any]) -> str:
+    platform = _text("platform", data.get("platform"))
+    if platform is None:
+        raise BadRequest(f"{kind} spec needs a platform")
+    return platform
+
+
+def parse_timeout(value: Any) -> Optional[float]:
+    """A job's ``timeout_s``: ``None`` (the service default) or a
+    finite, positive number of seconds."""
+    return _real("timeout_s", value)
+
+
+def parse_tenant(value: Any) -> str:
+    """A job's tenant, which keys its rate-limit bucket."""
+    if not isinstance(value, str):
+        raise BadRequest(f"tenant must be a string, got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # specs
 # ---------------------------------------------------------------------------
 def _band_tuple(value: Any) -> Optional[Tuple[float, float]]:
@@ -163,20 +237,27 @@ class MeasureSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MeasureSpec":
-        try:
-            platform = data["platform"]
-        except (KeyError, TypeError) as exc:
-            raise BadRequest("measure spec needs a platform") from exc
         return cls(
-            platform=platform,
-            program_seed=data.get("program_seed"),
-            program_length=int(data.get("program_length", 8)),
-            active_cores=data.get("active_cores"),
-            clock_hz=data.get("clock_hz"),
-            voltage=data.get("voltage"),
-            powered_cores=data.get("powered_cores"),
+            platform=_platform("measure", data),
+            program_seed=_integer(
+                "program_seed", data.get("program_seed"), minimum=0
+            ),
+            program_length=_integer(
+                "program_length",
+                data.get("program_length"),
+                minimum=1,
+                default=8,
+            ),
+            active_cores=_integer(
+                "active_cores", data.get("active_cores"), minimum=1
+            ),
+            clock_hz=_real("clock_hz", data.get("clock_hz")),
+            voltage=_real("voltage", data.get("voltage")),
+            powered_cores=_integer(
+                "powered_cores", data.get("powered_cores"), minimum=1
+            ),
             band=_band_tuple(data.get("band")),
-            samples=data.get("samples"),
+            samples=_integer("samples", data.get("samples"), minimum=1),
         )
 
 
@@ -212,20 +293,30 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SweepSpec":
-        try:
-            platform = data["platform"]
-        except (KeyError, TypeError) as exc:
-            raise BadRequest("sweep spec needs a platform") from exc
+        platform = _platform("sweep", data)
         clocks = data.get("clocks_hz")
+        if clocks is not None and not isinstance(clocks, (list, tuple)):
+            raise BadRequest(
+                f"clocks_hz must be a list of numbers, got {clocks!r}"
+            )
         return cls(
             platform=platform,
             clocks_hz=(
-                tuple(float(c) for c in clocks) if clocks else None
+                tuple(
+                    _real(f"clocks_hz[{i}]", clock)
+                    for i, clock in enumerate(clocks)
+                )
+                if clocks
+                else None
             ),
-            active_cores=data.get("active_cores"),
-            powered_cores=data.get("powered_cores"),
+            active_cores=_integer(
+                "active_cores", data.get("active_cores"), minimum=1
+            ),
+            powered_cores=_integer(
+                "powered_cores", data.get("powered_cores"), minimum=1
+            ),
             band=_band_tuple(data.get("band")),
-            samples=data.get("samples"),
+            samples=_integer("samples", data.get("samples"), minimum=1),
         )
 
 
@@ -254,21 +345,44 @@ class VirusSpec:
             "resume_dir": self.resume_dir,
         }
 
+    def ga_config(self) -> GAConfig:
+        """The campaign's GA settings (one worker: the service's own)."""
+        return GAConfig(
+            population_size=self.population,
+            generations=self.generations,
+            loop_length=self.loop_length,
+            mutation_rate=self.mutation_rate,
+            seed=self.seed,
+            workers=1,
+        )
+
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "VirusSpec":
-        try:
-            platform = data["platform"]
-        except (KeyError, TypeError) as exc:
-            raise BadRequest("virus spec needs a platform") from exc
-        return cls(
-            platform=platform,
-            generations=int(data.get("generations", 3)),
-            population=int(data.get("population", 8)),
-            loop_length=int(data.get("loop_length", 8)),
-            mutation_rate=float(data.get("mutation_rate", 0.03)),
-            seed=int(data.get("seed", 0)),
-            resume_dir=data.get("resume_dir"),
+        spec = cls(
+            platform=_platform("virus", data),
+            generations=_integer(
+                "generations", data.get("generations"), default=3
+            ),
+            population=_integer(
+                "population", data.get("population"), default=8
+            ),
+            loop_length=_integer(
+                "loop_length", data.get("loop_length"), default=8
+            ),
+            mutation_rate=_real(
+                "mutation_rate",
+                data.get("mutation_rate"),
+                positive=False,
+                default=0.03,
+            ),
+            seed=_integer("seed", data.get("seed"), minimum=0, default=0),
+            resume_dir=_text("resume_dir", data.get("resume_dir")),
         )
+        try:
+            spec.ga_config()
+        except ValueError as exc:
+            raise BadRequest(f"virus spec: {exc}") from None
+        return spec
 
 
 SPEC_TYPES = {
@@ -279,14 +393,18 @@ SPEC_TYPES = {
 
 
 def spec_from_params(kind: str, params: Dict[str, Any]):
-    """Parse a wire-format ``(kind, params)`` pair into a typed spec."""
-    try:
-        spec_cls = SPEC_TYPES[kind]
-    except KeyError:
+    """Parse a wire-format ``(kind, params)`` pair into a typed spec.
+
+    Raises one :class:`BadRequest` naming the first field whose type or
+    range is wrong; platform-dependent limits (reachable clocks, core
+    counts) are checked when the service dry-runs the spec.
+    """
+    if not isinstance(kind, str) or kind not in SPEC_TYPES:
         raise BadRequest(
             f"unknown job kind {kind!r} (expected one of "
             f"{', '.join(JOB_KINDS)})"
-        ) from None
+        )
+    spec_cls = SPEC_TYPES[kind]
     if not isinstance(params, dict):
         raise BadRequest("params must be a JSON object")
     return spec_cls.from_dict(params)

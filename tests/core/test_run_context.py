@@ -5,6 +5,8 @@ generation -- takes the same :class:`repro.obs.RunContext` and returns
 a result that round-trips through ``to_json``/``from_json``.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,11 @@ class TestJsonResultSchema:
         assert f'"result_version": {RESULT_SCHEMA_VERSION}' in text
         with pytest.raises(ValueError, match="kind"):
             SweepResult.from_json(text)  # wrong result type
+
+    def test_json_is_the_dumped_payload(self, a53):
+        result = make_characterizer().run(RunContext(cluster=a53))
+        payload = result.to_payload()
+        assert list(payload)[:2] == ["result_version", "kind"]
+        assert payload["kind"] == MeasurementResult.kind
+        assert result.to_json() == json.dumps(payload)
+        assert result.to_json(indent=2) == json.dumps(payload, indent=2)

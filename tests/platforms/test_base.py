@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.chain import TimingJitter
+from repro.chain import (
+    ChainItem,
+    ChainRequest,
+    SimulationSession,
+    TimingJitter,
+)
+from repro.chain.stages import resolve_request
 from repro.cpu.program import program_from_mnemonics
 
 
@@ -55,6 +61,15 @@ class TestExecution:
         a72.power_gate(1)
         with pytest.raises(ValueError, match="exceed"):
             a72.run(hilo, active_cores=2)
+
+    def test_zero_active_cores_rejected_when_resolving(self, a72, hilo):
+        # Rejected before any stage runs, so a bad item cannot fail
+        # the rest of a batch at execution time.
+        request = ChainRequest(
+            cluster=a72, items=[ChainItem(program=hilo, active_cores=0)]
+        )
+        with pytest.raises(ValueError, match="active_cores must be >= 1"):
+            resolve_request(request, SimulationSession())
 
     def test_run_reports_operating_point(self, a72, hilo):
         a72.set_clock(1.0e9)

@@ -10,11 +10,13 @@ import asyncio
 
 import pytest
 
+from repro.obs.events import EventLog, MemorySink
 from repro.service import (
     BadRequest,
     HttpClient,
     MeasurementService,
     RateLimited,
+    ServiceError,
     ServiceServer,
     UnknownJob,
 )
@@ -138,6 +140,71 @@ class TestErrorMapping:
 
         _run(run())
 
+    def test_malformed_job_is_400_not_a_dropped_connection(self):
+        async def run():
+            service, server, client = await _boot(rate_per_s=100.0)
+            try:
+                for kind, params, tenant in [
+                    ("measure", {**MEASURE, "program_length": "x"}, "t"),
+                    ("virus", {"platform": "a53", "loop_length": 0}, "t"),
+                    ("measure", MEASURE, ["not", "hashable"]),
+                ]:
+                    with pytest.raises(BadRequest):
+                        await client.submit(kind, params, tenant=tenant)
+                status, payload = await client.request(
+                    "POST",
+                    "/v1/jobs",
+                    {
+                        "kind": "measure",
+                        "params": MEASURE,
+                        "timeout_s": "soon",
+                    },
+                )
+                assert status == 400
+                assert "timeout_s" in payload["error"]
+                # The server is still answering.
+                assert (await client.healthz())["ok"] is True
+            finally:
+                await server.close()
+                await service.close()
+
+        _run(run())
+
+    def test_unexpected_route_failure_is_500_and_logged(self):
+        sink = MemorySink()
+
+        async def run():
+            service, server, client = await _boot(
+                event_log=EventLog([sink])
+            )
+
+            def broken_stats():
+                raise RuntimeError("stats exploded")
+
+            service.stats = broken_stats
+            try:
+                status, payload = await client.request("GET", "/v1/stats")
+                assert status == 500
+                assert payload == {
+                    "error": "stats exploded",
+                    "type": "RuntimeError",
+                }
+                with pytest.raises(ServiceError) as excinfo:
+                    await client.stats()
+                assert excinfo.value.http_status == 500
+                # The server is still answering.
+                assert (await client.healthz())["ok"] is True
+            finally:
+                await server.close()
+                await service.close()
+
+        _run(run())
+        errors = sink.events("service_error")
+        assert len(errors) == 2
+        assert errors[0]["route"] == "GET /v1/stats"
+        assert errors[0]["error"] == "RuntimeError: stats exploded"
+        assert "broken_stats" in errors[0]["traceback"]
+
     def test_rate_limited_is_429_with_retry_after(self):
         async def run():
             service, server, client = await _boot(
@@ -171,6 +238,27 @@ class TestErrorMapping:
                     "DELETE", "/v1/jobs/job-1"
                 )
                 assert status == 405
+            finally:
+                await server.close()
+                await service.close()
+
+        _run(run())
+
+    def test_oversize_request_line_is_400(self):
+        async def run():
+            service, server, _client = await _boot()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                writer.write(
+                    b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+                )
+                await writer.drain()
+                status_line = await reader.readline()
+                assert b"400" in status_line
+                writer.close()
+                await writer.wait_closed()
             finally:
                 await server.close()
                 await service.close()

@@ -68,6 +68,67 @@ class TestSpecParsing:
                 "measure", {"platform": "a53", "band": band}
             )
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("measure", "program_length", 0),
+            ("measure", "program_length", -3),
+            ("measure", "program_length", "x"),
+            ("measure", "program_length", 2.5),
+            ("measure", "program_seed", "abc"),
+            ("measure", "program_seed", -1),
+            ("measure", "samples", "3"),
+            ("measure", "samples", 0),
+            ("measure", "clock_hz", "fast"),
+            ("measure", "clock_hz", float("nan")),
+            ("measure", "voltage", -0.9),
+            ("measure", "active_cores", 0),
+            ("measure", "powered_cores", True),
+            ("measure", "platform", ["a53"]),
+            ("sweep", "clocks_hz", 5),
+            ("sweep", "clocks_hz", ["x"]),
+            ("sweep", "clocks_hz", [1.1e9, float("inf")]),
+            ("sweep", "active_cores", 0),
+            ("virus", "population", "x"),
+            ("virus", "generations", 1.5),
+            ("virus", "seed", -1),
+            ("virus", "resume_dir", 7),
+        ],
+    )
+    def test_malformed_field_named_in_one_bad_request(
+        self, kind, field, value
+    ):
+        params = {"platform": "a53", field: value}
+        with pytest.raises(BadRequest, match=field) as excinfo:
+            spec_from_params(kind, params)
+        assert "\n" not in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("population", 1),
+            ("generations", 0),
+            ("loop_length", 0),
+            ("mutation_rate", 2.0),
+            ("mutation_rate", -0.1),
+        ],
+    )
+    def test_virus_fields_checked_against_ga_bounds(self, field, value):
+        with pytest.raises(BadRequest, match="virus spec"):
+            spec_from_params("virus", {"platform": "a53", field: value})
+
+    @pytest.mark.parametrize("kind", [["measure"], {"measure": 1}])
+    def test_unhashable_kind_rejected(self, kind):
+        with pytest.raises(BadRequest, match="unknown job kind"):
+            spec_from_params(kind, {"platform": "a53"})
+
+    def test_null_fields_take_their_defaults(self):
+        spec = spec_from_params(
+            "measure",
+            {"platform": "a53", "program_length": None, "samples": None},
+        )
+        assert spec == MeasureSpec(platform="a53")
+
 
 class TestErrors:
     def test_http_status_mapping(self):

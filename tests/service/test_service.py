@@ -214,6 +214,79 @@ class TestLifecycle:
 
         asyncio.run(run())
 
+    MALFORMED = [
+        ("measure", {"program_length": 0}, {}, "program_length"),
+        ("measure", {"program_length": -3}, {}, "program_length"),
+        ("measure", {"program_length": "x"}, {}, "program_length"),
+        ("measure", {"program_seed": "abc"}, {}, "program_seed"),
+        ("measure", {"program_seed": -1}, {}, "program_seed"),
+        ("measure", {"samples": "3"}, {}, "samples"),
+        ("measure", {"clock_hz": "fast"}, {}, "clock_hz"),
+        ("measure", {"platform": ["a53"]}, {}, "platform"),
+        ("measure", {"band": [1e8, 1e8]}, {}, "band"),
+        ("measure", {"band": [5e9, 6e9]}, {}, "band"),
+        ("sweep", {"clocks_hz": 5}, {}, "clocks_hz"),
+        ("sweep", {"clocks_hz": ["x"]}, {}, "clocks_hz"),
+        ("virus", {"population": "x"}, {}, "population"),
+        ("virus", {"mutation_rate": 2.0}, {}, "mutation_rate"),
+        ("virus", {"loop_length": 0}, {}, "loop_length"),
+        ("measure", {}, {"timeout_s": "soon"}, "timeout_s"),
+        ("measure", {}, {"timeout_s": float("nan")}, "timeout_s"),
+        ("measure", {}, {"timeout_s": float("inf")}, "timeout_s"),
+        ("measure", {}, {"timeout_s": 0.0}, "timeout_s"),
+        ("measure", {}, {"tenant": ["alice"]}, "tenant"),
+        ("measure", {}, {"tenant": 7}, "tenant"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, params, submit_kwargs, field",
+        MALFORMED,
+        ids=[
+            f"{kind}-{field}-{index}"
+            for index, (kind, _, _, field) in enumerate(MALFORMED)
+        ],
+    )
+    def test_malformed_submission_is_one_bad_request(
+        self, kind, params, submit_kwargs, field
+    ):
+        async def run():
+            # With a rate limit the tenant keys a bucket dict, where an
+            # unhashable tenant used to raise TypeError.
+            async with _service(rate_per_s=100.0) as svc:
+                with pytest.raises(BadRequest, match=field):
+                    svc.submit(
+                        kind,
+                        {"platform": "a53", **params},
+                        **submit_kwargs,
+                    )
+                assert len(svc._coalescer) == 0
+                assert svc.counters["submitted"] == 0
+
+        asyncio.run(run())
+
+    def test_bad_job_refused_without_failing_its_neighbours(self):
+        async def run():
+            async with _service() as svc:
+                # No await between submissions: the good jobs queue
+                # together and coalesce into one batch.
+                good = [svc.submit("measure", MEASURE_SPECS[0])]
+                with pytest.raises(BadRequest, match="active_cores"):
+                    svc.submit(
+                        "measure",
+                        {"platform": "a53", "active_cores": 0},
+                    )
+                good += [
+                    svc.submit("measure", spec)
+                    for spec in MEASURE_SPECS[1:]
+                ]
+                for job in good:
+                    await job.wait()
+                assert [job.status for job in good] == ["done"] * 3
+                assert len({job.batch_id for job in good}) == 1
+                assert svc.counters["failed"] == 0
+
+        asyncio.run(run())
+
     def test_close_without_drain_cancels_queued_jobs(self):
         async def run():
             svc = _service()
@@ -332,6 +405,57 @@ class TestPersistence:
         job_id = asyncio.run(run())
         report = report_from_provenance(tmp_path / job_id)
         assert "service-measure" in report
+
+
+def _assert_same_tree(a, b, path="payload"):
+    """Equal values of the same type at every node (a tuple or a numpy
+    scalar differs in type from what its JSON round trip gives)."""
+    assert type(a) is type(b), (path, type(a), type(b))
+    if isinstance(a, dict):
+        assert list(a) == list(b), path
+        for key in a:
+            _assert_same_tree(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for index, (x, y) in enumerate(zip(a, b)):
+            _assert_same_tree(x, y, f"{path}[{index}]")
+    else:
+        assert a == b, path
+
+
+class TestPayloads:
+    """A job's payload is plain data, exactly its own JSON round trip,
+    so the HTTP body and the persisted ``result.json`` equal it."""
+
+    JOBS = [
+        ("measure", {"platform": "a53", "program_seed": 4}),
+        ("sweep", {"platform": "a53", "clocks_hz": list(CLOCKS)}),
+        (
+            "virus",
+            {
+                "platform": "a53",
+                "generations": 1,
+                "population": 2,
+                "loop_length": 4,
+            },
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, params", JOBS, ids=[kind for kind, _ in JOBS]
+    )
+    def test_payload_equals_its_json_round_trip(self, kind, params):
+        async def run():
+            async with _service() as svc:
+                return await svc.submit(kind, params).wait()
+
+        payload = asyncio.run(run())
+        _assert_same_tree(payload, json.loads(json.dumps(payload)))
+        assert payload["kind"] in (
+            "em-measurement",
+            "resonance-sweep",
+            "ga-run-summary",
+        )
 
 
 class TestObservability:
