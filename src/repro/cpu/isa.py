@@ -16,7 +16,20 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 
-class InstructionClass(enum.Enum):
+class _IdentityEnum(enum.Enum):
+    """An enum whose members hash by identity.
+
+    Members are singletons compared by identity, so the identity hash
+    agrees with equality; it is computed in C, where ``enum.Enum``'s
+    own ``__hash__`` hashes the member name in Python on every dict or
+    set lookup, which the program packer and the scheduler make per
+    instruction.
+    """
+
+    __hash__ = object.__hash__
+
+
+class InstructionClass(_IdentityEnum):
     """Instruction-type taxonomy used in Table 2's mix breakdown."""
 
     BRANCH = "branch"
@@ -29,7 +42,7 @@ class InstructionClass(enum.Enum):
     MEM = "mem"  # ARM only: explicit load/store
 
 
-class ExecutionUnit(enum.Enum):
+class ExecutionUnit(_IdentityEnum):
     """Functional units instructions contend for."""
 
     ALU = "alu"
@@ -42,7 +55,7 @@ class ExecutionUnit(enum.Enum):
     BRANCH = "branch"
 
 
-class RegisterFile(enum.Enum):
+class RegisterFile(_IdentityEnum):
     """Register namespaces; operands never cross namespaces."""
 
     INT = "int"

@@ -36,23 +36,24 @@ class LoopProgram:
     def __post_init__(self) -> None:
         if not self.body:
             raise ValueError("loop body must contain at least one instruction")
+        limits = self.isa.registers
+        slots = self.isa.memory_slots
         for i, instr in enumerate(self.body):
-            limit = self.isa.registers[instr.spec.regfile]
-            regs = list(instr.sources)
-            if instr.spec.has_dest:
-                regs.append(instr.dest)
+            spec = instr.spec
+            limit = limits[spec.regfile]
+            regs = instr.sources
+            if spec.has_dest:
+                regs = (*regs, instr.dest)
             for r in regs:
                 if not 0 <= r < limit:
                     raise ValueError(
                         f"instruction {i} ({instr.mnemonic}) uses register "
                         f"{r} outside 0..{limit - 1}"
                     )
-            if instr.spec.touches_memory and not (
-                0 <= instr.address < self.isa.memory_slots
-            ):
+            if spec.touches_memory and not 0 <= instr.address < slots:
                 raise ValueError(
                     f"instruction {i} ({instr.mnemonic}) uses memory slot "
-                    f"{instr.address} outside 0..{self.isa.memory_slots - 1}"
+                    f"{instr.address} outside 0..{slots - 1}"
                 )
 
     def __len__(self) -> int:
@@ -127,7 +128,6 @@ class ProgramStatics:
     )
 
     def __init__(self, program: "LoopProgram"):
-        body = program.body
         offsets: Dict[RegisterFile, int] = {}
         total = 0
         for rf in RegisterFile:
@@ -135,23 +135,34 @@ class ProgramStatics:
             total += program.isa.registers.get(rf, 0)
         self.num_registers = total
 
-        self.units = tuple(i.spec.unit for i in body)
-        self.latency = [i.spec.latency for i in body]
-        self.recip = [i.spec.recip_throughput for i in body]
-        self.sources = tuple(
-            tuple(offsets[i.spec.regfile] + s for s in i.sources)
-            for i in body
-        )
-        self.dest = [
-            offsets[i.spec.regfile] + i.dest if i.spec.has_dest else -1
-            for i in body
-        ]
-        self.touches_memory = tuple(i.spec.touches_memory for i in body)
-        self.address = [
-            i.address if i.spec.touches_memory else -1 for i in body
-        ]
+        units, latency, recip, sources, dest = [], [], [], [], []
+        touches_memory, address, energy = [], [], []
+        for instr in program.body:
+            spec = instr.spec
+            base = offsets[spec.regfile]
+            units.append(spec.unit)
+            latency.append(spec.latency)
+            recip.append(spec.recip_throughput)
+            # The first register file packs at offset 0, where the
+            # instruction's own source tuple already holds the indices.
+            sources.append(
+                tuple([base + s for s in instr.sources])
+                if base
+                else instr.sources
+            )
+            dest.append(base + instr.dest if spec.has_dest else -1)
+            touches_memory.append(spec.touches_memory)
+            address.append(instr.address if spec.touches_memory else -1)
+            energy.append(spec.energy)
+        self.units = tuple(units)
+        self.latency = latency
+        self.recip = recip
+        self.sources = tuple(sources)
+        self.dest = dest
+        self.touches_memory = tuple(touches_memory)
+        self.address = address
 
-        self.energy = np.array([i.spec.energy for i in body], dtype=float)
+        self.energy = np.array(energy, dtype=float)
         self.recip_arr = np.array(self.recip, dtype=np.int64)
         self.per_cycle_energy = self.energy / self.recip_arr
         # Concatenated [0..d) ranges, one per instruction: adding these

@@ -11,6 +11,7 @@ spectrum analyzer's displayed noise floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,27 +36,54 @@ class NearFieldCoupling:
 
 @dataclass(frozen=True)
 class AmbientEnvironment:
-    """Measurement environment: noise floor and its sweep-to-sweep spread."""
+    """Measurement environment: noise floor and its sweep-to-sweep spread.
+
+    The floor must be finite and the spread finite and non-negative:
+    a NaN floor would make every amplitude NaN, and a non-negative
+    spread keeps :meth:`noise_w` non-decreasing in its draws, which the
+    analyzer's readout relies on to bound every sweep's noise by the
+    noise of its largest draw.
+    """
 
     noise_floor_dbm: float = -95.0
     noise_sigma_db: float = 1.0
 
+    def __post_init__(self) -> None:
+        floor = self.noise_floor_dbm
+        if not math.isfinite(floor):
+            raise ValueError(f"noise_floor_dbm must be finite, got {floor}")
+        sigma = self.noise_sigma_db
+        if not (math.isfinite(sigma) and sigma >= 0.0):
+            raise ValueError(
+                f"noise_sigma_db must be finite and non-negative, got {sigma}"
+            )
+
     def noise_power_w(self) -> float:
         """Mean noise power per RBW bin, in watts."""
         return 1.0e-3 * 10.0 ** (self.noise_floor_dbm / 10.0)
+
+    def noise_w(self, normals: np.ndarray) -> np.ndarray:
+        """Noise power in watts of standard-normal draws.
+
+        Each draw is a sweep-to-sweep deviation of the floor, in units
+        of ``noise_sigma_db``.  The dB value maps to watts element by
+        element, so an array gathered from a block of draws converts
+        to the same bits as those elements of the converted block; a
+        numpy scalar can differ in the last bit.
+        """
+        db = self.noise_floor_dbm + self.noise_sigma_db * normals
+        return 1.0e-3 * 10.0 ** (db / 10.0)
 
     def sample_noise_w(
         self, shape, rng: np.random.Generator
     ) -> np.ndarray:
         """Per-bin noise power draws, one row per sweep.
 
-        The normal draws fill ``shape`` in C order, so a
-        ``(sweeps, bins)`` call returns the same values, and leaves
-        ``rng`` in the same state, as ``sweeps`` successive
-        ``(bins,)`` calls; the analyzer's RMS-of-N readout relies on
-        this to draw all its sweeps at once.
+        The :meth:`noise_w` of ``rng.standard_normal(shape)``.  The
+        normal draws fill ``shape`` in C order, so a ``(sweeps, bins)``
+        call returns the same values, and leaves ``rng`` in the same
+        state, as ``sweeps`` successive ``(bins,)`` calls; the
+        analyzer's RMS-of-N readout draws its sweeps as one such block
+        and converts only the bins where a sweep's maximum can land.
         """
-        db = self.noise_floor_dbm + self.noise_sigma_db * rng.standard_normal(
-            shape
-        )
-        return 1.0e-3 * 10.0 ** (db / 10.0)
+        return self.noise_w(rng.standard_normal(shape))

@@ -10,7 +10,9 @@ Both readout kernels are exact rewrites of the plain per-line and
 per-sweep loops (kept as the reference in
 ``tests/instruments/analyzer_reference.py``): the RBW filter is
 evaluated only within :data:`RBW_REACH_SIGMAS` of each line, where its
-weights can be nonzero, and the RMS-of-N noise is drawn as one block.
+weights can be nonzero, and the RMS-of-N noise is drawn as one block
+whose draws are converted to watts only in the bins where some sweep's
+maximum can land.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ RBW_REACH_SIGMAS = 40.0
 #: Each pass holds a few ``(LINE_BLOCK, bins)`` arrays, however many
 #: lines a jittered trace puts in the span.
 LINE_BLOCK = 32
+
+#: Relative widening of the two bounds that decide which bins of an
+#: RMS-of-N readout can hold a sweep maximum (see
+#: :meth:`SpectrumAnalyzer.max_amplitude_from_power`).  It covers any
+#: last-bit difference between converting one draw and a block of them.
+BOUND_SLACK = 1.0e-9
 
 
 def watts_to_dbm(power_w: np.ndarray) -> np.ndarray:
@@ -271,9 +279,18 @@ class SpectrumAnalyzer:
         ``band`` (must match what :meth:`bin_centers` would produce).
 
         All ``samples`` sweeps of the band are drawn as one
-        ``(samples, bins)`` noise block, which fills row by row: the
-        same values, and the same final analyzer RNG state, as one
-        draw per sweep.
+        ``(samples, bins)`` block of standard normals, which fills row
+        by row: the same values, and the same final analyzer RNG state,
+        as one draw per sweep.  Only the bins where some sweep's
+        maximum can land are converted to watts
+        (:meth:`~repro.em.propagation.AmbientEnvironment.noise_w`).
+        Every sweep reaches at least ``reach`` at the strongest bin,
+        and no bin's noise exceeds ``ceiling``, the noise of the
+        block's largest draw, because the map is non-decreasing in the
+        draw; a bin whose signal plus ``ceiling`` stays below
+        ``reach`` is never any sweep's maximum, so dropping it leaves
+        every maximum's bits unchanged.  Both bounds are widened by
+        :data:`BOUND_SLACK`, and a NaN bin always stays.
         """
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
@@ -284,10 +301,16 @@ class SpectrumAnalyzer:
         if not mask.any():
             raise ValueError(f"no bins inside band {band}")
         signal = signal_w[mask]
-        noise = self.environment.sample_noise_w(
-            (samples, signal.size), self.rng
-        )
-        maxima = np.max(signal + noise, axis=1)
+        normals = self.rng.standard_normal((samples, signal.size))
+        noise_w = self.environment.noise_w
+        strongest = int(np.argmax(signal))
+        reach = np.min(signal[strongest] + noise_w(normals[:, strongest]))
+        # Lowered whatever its sign; an infinite reach stays infinite.
+        reach = min(reach * (1.0 - BOUND_SLACK), reach * (1.0 + BOUND_SLACK))
+        ceiling = noise_w(normals.max()) * (1.0 + BOUND_SLACK)
+        keep = ~(signal + ceiling < reach)
+        noise = noise_w(np.compress(keep, normals, axis=1))
+        maxima = np.max(signal[keep] + noise, axis=1)
         # A banded measurement only dwells on the requested bins.
         self.total_measurement_time_s += samples * self.sweep_time_s(band)
         return float(np.sqrt(np.mean(maxima**2)))

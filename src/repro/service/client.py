@@ -99,51 +99,84 @@ class HttpClient:
         path: str,
         body: Optional[Dict[str, Any]] = None,
     ) -> Tuple[int, Dict[str, Any]]:
-        """One request/response exchange; returns (status, payload)."""
+        """One request/response exchange; returns (status, payload).
+
+        A response the server cuts short (no status line, or a head or
+        body that ends early) or garbles (a status code or
+        ``Content-Length`` that is not ASCII digits, a body that is not
+        a JSON object) raises one :class:`ServiceError` naming the
+        server and what was missing or malformed.
+        """
+        payload = (
+            json.dumps(body).encode("utf-8") if body is not None else b""
+        )
+        head = (
+            f"{method} {path} HTTP/1.1\r\n"
+            f"Host: {self.host}:{self.port}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            "Connection: close\r\n\r\n"
+        )
         reader, writer = await asyncio.open_connection(
             self.host, self.port
         )
         try:
-            payload = (
-                json.dumps(body).encode("utf-8")
-                if body is not None
-                else b""
-            )
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                "Connection: close\r\n\r\n"
-            )
             writer.write(head.encode("latin-1") + payload)
             await writer.drain()
             status_line = (
                 (await reader.readline()).decode("latin-1").strip()
             )
-            status = int(status_line.split(" ", 2)[1])
+            if not status_line:
+                raise self._cut_short("the status line")
+            code = status_line.partition(" ")[2].partition(" ")[0]
+            if not code.isdecimal():
+                raise ValueError(f"status line {status_line!r}")
+            status = int(code)
             content_length = 0
             while True:
-                line = (
-                    (await reader.readline()).decode("latin-1").strip()
-                )
+                raw_line = await reader.readline()
+                if not raw_line.endswith(b"\n"):
+                    raise self._cut_short("the end of the response head")
+                line = raw_line.decode("latin-1").strip()
                 if not line:
                     break
                 name, _, value = line.partition(":")
                 if name.strip().lower() == "content-length":
-                    content_length = int(value.strip())
+                    value = value.strip()
+                    if not value.isdecimal():
+                        raise ValueError(f"Content-Length {value!r}")
+                    content_length = int(value)
             raw = (
                 await reader.readexactly(content_length)
                 if content_length
                 else b"{}"
             )
-            return status, json.loads(raw)
+            reply = json.loads(raw)
+            if not isinstance(reply, dict):
+                raise ValueError(f"body {raw[:40]!r}: not a JSON object")
+            return status, reply
+        except asyncio.IncompleteReadError as exc:
+            raise self._cut_short(
+                f"the last {content_length - len(exc.partial)} of "
+                f"{content_length} body bytes"
+            ) from None
+        except ValueError as exc:
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors too.
+            raise ServiceError(
+                f"{self.host}:{self.port} sent a malformed response: {exc}"
+            ) from None
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+
+    def _cut_short(self, missing: str) -> ServiceError:
+        return ServiceError(
+            f"{self.host}:{self.port} closed the connection before "
+            f"sending {missing}"
+        )
 
     def _raise_for(self, status: int, payload: Dict[str, Any]) -> None:
         if status < 400:

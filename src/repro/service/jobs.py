@@ -5,9 +5,10 @@ described by a typed, JSON-round-trippable spec.  Parsing a spec
 checks the type and range of every field (counts are integers of at
 least one, seeds non-negative integers, clocks and voltages finite
 positive numbers, virus fields within :class:`~repro.ga.engine.GAConfig`'s
-own bounds), so a malformed request is rejected with one
-:class:`BadRequest` naming the field before it can occupy queue
-capacity; jobs that pass validation move through the lifecycle
+own bounds, and program lengths, sample counts and clock lists at most
+:data:`MAX_PROGRAM_LENGTH`, :data:`MAX_SAMPLES` and :data:`MAX_CLOCKS`),
+so a malformed request is rejected with one :class:`BadRequest` naming
+the field before it can occupy queue capacity; jobs that pass validation move through the lifecycle
 ``queued -> running -> done`` (or ``failed`` / ``timeout`` /
 ``cancelled``).
 
@@ -30,6 +31,15 @@ import numpy as np
 from repro.ga.engine import GAConfig
 
 JOB_KINDS = ("measure", "sweep", "virus")
+
+#: Upper bounds on a submission's sizes, far above the paper's values
+#: (50-instruction loops, 30 analyzer samples, 55 clock points).  The
+#: service builds a measure job's program on its event loop at submit
+#: time, and a coalesced batch draws ``samples`` noise sweeps of every
+#: item in one block, so an unbounded size would stall every client.
+MAX_PROGRAM_LENGTH = 1000
+MAX_SAMPLES = 1000
+MAX_CLOCKS = 1000
 
 #: Lifecycle states (terminal: done, failed, timeout, cancelled).
 QUEUED = "queued"
@@ -114,8 +124,9 @@ def _integer(
     value: Any,
     minimum: Optional[int] = None,
     default: Optional[int] = None,
+    maximum: Optional[int] = None,
 ) -> Optional[int]:
-    """``value`` as an int of at least ``minimum``; ``None`` (an absent
+    """``value`` as an int in ``minimum..maximum``; ``None`` (an absent
     or null field) gives ``default``."""
     if value is None:
         return default
@@ -123,6 +134,8 @@ def _integer(
         raise BadRequest(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise BadRequest(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise BadRequest(f"{name} must be <= {maximum}, got {value}")
     return int(value)
 
 
@@ -194,10 +207,22 @@ def _band_tuple(value: Any) -> Optional[Tuple[float, float]]:
 
 
 def check_samples(samples: int) -> None:
-    """Raise :class:`BadRequest` unless a measurement takes at least one
-    analyzer sample."""
+    """Raise :class:`BadRequest` unless a measurement takes 1 to
+    :data:`MAX_SAMPLES` analyzer samples."""
     if samples < 1:
         raise BadRequest(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise BadRequest(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+
+
+def _samples(value: Any) -> Optional[int]:
+    """A spec's ``samples``: ``None`` (the service default) or an
+    integer :func:`check_samples` accepts."""
+    samples = _integer("samples", value)
+    if samples is not None:
+        check_samples(samples)
+    return samples
+
 
 @dataclass(frozen=True)
 class MeasureSpec:
@@ -247,6 +272,7 @@ class MeasureSpec:
                 data.get("program_length"),
                 minimum=1,
                 default=8,
+                maximum=MAX_PROGRAM_LENGTH,
             ),
             active_cores=_integer(
                 "active_cores", data.get("active_cores"), minimum=1
@@ -257,7 +283,7 @@ class MeasureSpec:
                 "powered_cores", data.get("powered_cores"), minimum=1
             ),
             band=_band_tuple(data.get("band")),
-            samples=_integer("samples", data.get("samples"), minimum=1),
+            samples=_samples(data.get("samples")),
         )
 
 
@@ -299,6 +325,11 @@ class SweepSpec:
             raise BadRequest(
                 f"clocks_hz must be a list of numbers, got {clocks!r}"
             )
+        if clocks is not None and len(clocks) > MAX_CLOCKS:
+            raise BadRequest(
+                f"clocks_hz must hold at most {MAX_CLOCKS} clocks, "
+                f"got {len(clocks)}"
+            )
         return cls(
             platform=platform,
             clocks_hz=(
@@ -316,7 +347,7 @@ class SweepSpec:
                 "powered_cores", data.get("powered_cores"), minimum=1
             ),
             band=_band_tuple(data.get("band")),
-            samples=_integer("samples", data.get("samples"), minimum=1),
+            samples=_samples(data.get("samples")),
         )
 
 
@@ -367,7 +398,10 @@ class VirusSpec:
                 "population", data.get("population"), default=8
             ),
             loop_length=_integer(
-                "loop_length", data.get("loop_length"), default=8
+                "loop_length",
+                data.get("loop_length"),
+                default=8,
+                maximum=MAX_PROGRAM_LENGTH,
             ),
             mutation_rate=_real(
                 "mutation_rate",

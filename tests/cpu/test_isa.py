@@ -1,5 +1,7 @@
 """Unit tests for the instruction-set model."""
 
+import pickle
+
 import pytest
 
 from repro.cpu.arm import ARM_ISA
@@ -74,6 +76,22 @@ class TestInstruction:
         assert "[mem+7]" in ldr.assembly()
         fadd = Instruction(spec=ARM_ISA.spec("fadd"), dest=0, sources=(1, 2))
         assert fadd.assembly().startswith("fadd f0")
+
+
+@pytest.mark.parametrize(
+    "enum_cls", [InstructionClass, ExecutionUnit, RegisterFile]
+)
+class TestEnumIdentity:
+    """Members are singletons: they compare and hash by identity."""
+
+    def test_hash_is_identity(self, enum_cls):
+        for member in enum_cls:
+            assert hash(member) == object.__hash__(member)
+
+    def test_pickle_returns_the_member(self, enum_cls):
+        for member in enum_cls:
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert enum_cls(member.value) is member
 
 
 class TestInstructionSet:

@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 from repro.cpu.arm import ARM_ISA
-from repro.cpu.isa import Instruction, InstructionClass
+from repro.cpu.isa import (
+    Instruction,
+    InstructionClass,
+    InstructionSet,
+    RegisterFile,
+)
 from repro.cpu.program import (
     LoopProgram,
+    ProgramStatics,
     program_from_mnemonics,
     random_instruction,
     random_program,
 )
+from repro.cpu.x86 import X86_ISA
+from repro.platforms.gpu import GPU_ISA
+from tests.cpu.statics_reference import program_statics_reference
 
 
 class TestLoopProgramValidation:
@@ -21,6 +30,11 @@ class TestLoopProgramValidation:
     def test_register_bounds_enforced(self):
         bad = Instruction(spec=ARM_ISA.spec("add"), dest=99, sources=(0, 1))
         with pytest.raises(ValueError, match="register"):
+            LoopProgram(isa=ARM_ISA, body=(bad,))
+
+    def test_sources_checked_before_dest(self):
+        bad = Instruction(spec=ARM_ISA.spec("add"), dest=99, sources=(0, 77))
+        with pytest.raises(ValueError, match="instruction 0 .* register 77"):
             LoopProgram(isa=ARM_ISA, body=(bad,))
 
     def test_memory_bounds_enforced(self):
@@ -100,3 +114,57 @@ class TestFromMnemonics:
     def test_unknown_mnemonic_raises(self):
         with pytest.raises(KeyError):
             program_from_mnemonics(ARM_ISA, ["nope"])
+
+
+#: The platforms' instruction sets (a72 and a53 share ``ARM_ISA``),
+#: plus a pool without vector registers and with uneven register
+#: counts, so the FP and VEC offsets differ from the platforms'.
+PACKING_ISAS = (
+    ARM_ISA,
+    X86_ISA,
+    GPU_ISA,
+    InstructionSet(
+        name="no-vec",
+        specs=tuple(
+            s for s in ARM_ISA.specs if s.regfile is not RegisterFile.VEC
+        ),
+        registers={RegisterFile.INT: 5, RegisterFile.FP: 3},
+        memory_slots=7,
+    ),
+)
+
+
+def same_container(a, b) -> bool:
+    """Equal value and container type, recursively; arrays equal bit
+    for bit with the same dtype and shape."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return (
+            a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        )
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same_container, a, b))
+    return a == b
+
+
+class TestProgramStatics:
+    @pytest.mark.parametrize("isa", PACKING_ISAS, ids=lambda isa: isa.name)
+    def test_fields_match_reference_packing(self, isa):
+        regfiles, memory_ops = set(), 0
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            length = int(rng.integers(1, 80))
+            program = random_program(isa, length, rng)
+            statics = ProgramStatics(program)
+            expected = program_statics_reference(program)
+            assert set(expected) == set(ProgramStatics.__slots__)
+            for name, value in expected.items():
+                assert same_container(getattr(statics, name), value), name
+            regfiles |= {i.spec.regfile for i in program.body}
+            memory_ops += sum(i.spec.touches_memory for i in program.body)
+        # Every register file the ISA has, and memory operands, occur.
+        assert regfiles == set(isa.registers)
+        assert memory_ops > 0

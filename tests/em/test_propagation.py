@@ -50,3 +50,30 @@ class TestAmbientEnvironment:
         a = env.sample_noise_w((5,), np.random.default_rng(7))
         b = env.sample_noise_w((5,), np.random.default_rng(7))
         assert np.allclose(a, b)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_floor_dbm", float("nan")),
+            ("noise_floor_dbm", float("inf")),
+            ("noise_floor_dbm", float("-inf")),
+            ("noise_sigma_db", -1.0),
+            ("noise_sigma_db", float("nan")),
+            ("noise_sigma_db", float("inf")),
+        ],
+    )
+    def test_bad_noise_setting_rejected(self, field, value):
+        """A NaN floor would make every amplitude NaN, and the readout
+        bounds each sweep's noise by that of its largest draw, which
+        needs a finite, non-negative spread."""
+        with pytest.raises(ValueError, match=field):
+            AmbientEnvironment(**{field: value})
+
+    def test_noise_w_is_the_sampled_map(self):
+        env = AmbientEnvironment(noise_floor_dbm=-90.0, noise_sigma_db=2.0)
+        normals = np.random.default_rng(3).standard_normal((4, 5))
+        sampled = env.sample_noise_w((4, 5), np.random.default_rng(3))
+        assert np.array_equal(env.noise_w(normals), sampled)
+        assert np.array_equal(
+            env.noise_w(normals[:, [1, 3]]), sampled[:, [1, 3]]
+        )

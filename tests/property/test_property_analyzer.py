@@ -10,10 +10,16 @@ every power array, amplitude, displayed trace, final RNG state and
 accumulated measurement time must be identical, on random spans
 (including spans clamped to two bins), line sets at the banding edges,
 on bin centers, duplicated and spread over several blocks, and full,
-partial and single-bin bands.
+partial and single-bin bands.  ``max_amplitude_from_power`` converts
+the noise draws to watts only in the bins where a sweep maximum can
+land; fixed examples pin the cases a random draw rarely reaches (one
+line far above a spread-free floor, a signal under the floor
+everywhere, exact ties, NaN and infinite bins, a one-bin band, and a
+runner-up bin that wins only the sweep holding the largest draw).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.em.propagation import AmbientEnvironment
@@ -153,3 +159,130 @@ def test_readout_matches_reference_bit_for_bit(case):
     assert same_bits(trace.power_dbm, expected_trace.power_dbm)
     assert sa.rng.bit_generator.state == ref.rng.bit_generator.state
     assert sa.total_measurement_time_s == ref.total_measurement_time_s
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(case=cases())
+def test_readout_matches_reference_bit_for_bit_deep(case):
+    test_readout_matches_reference_bit_for_bit.hypothesis.inner_test(case)
+
+
+def strong_line_signal(sa, dbm=-40.0):
+    """Signal power of one line whose bin reads about ``dbm``."""
+    centers = sa.bin_centers()
+    emission = EmissionSpectrum(np.array([centers[700] + 13.0e3]), [1.0])
+    signal = sa.received_power_w(emission)
+    return signal * (1.0e-3 * 10.0 ** (dbm / 10.0) / signal.max())
+
+
+def runner_up_signal(sa, samples):
+    """A strongest bin and a runner-up that holds the maximum of only
+    the sweep with the block's largest draw.
+
+    The runner-up trails by more than that draw's noise minus the
+    strongest bin's largest noise, so a bound taken from the largest
+    value the strongest bin reaches, not the smallest, would drop it.
+    """
+    bins = sa.bin_centers().size
+    noise = sa.environment.sample_noise_w(
+        (samples, bins), np.random.default_rng(EDGE_SEED)
+    )
+    sweep, runner = np.unravel_index(np.argmax(noise), noise.shape)
+    strongest = np.argmin(noise[sweep])
+    ceiling = noise[sweep, runner]
+    low = ceiling - noise[:, strongest].max()
+    high = ceiling - noise[sweep, strongest]
+    signal = np.zeros(bins)
+    signal[strongest] = 1.0e-9
+    signal[runner] = 1.0e-9 - (low + high) / 2.0
+    return signal
+
+
+def edge_signal(kind, sa, samples):
+    if kind == "strong-line":
+        return strong_line_signal(sa)
+    if kind == "under-floor":
+        return strong_line_signal(sa, dbm=-160.0)
+    if kind == "runner-up":
+        return runner_up_signal(sa, samples)
+    signal = np.zeros(sa.bin_centers().size)
+    if kind == "ties":
+        signal[[3, 400, 401, 1499]] = 1.0e-8
+    elif kind == "nan-bin":
+        signal[[5, 900]] = [1.0e-8, np.nan]
+    elif kind == "inf-bin":
+        signal[[5, 900]] = [1.0e-8, np.inf]
+    elif kind == "nan-and-inf":
+        signal[[5, 600, 900]] = [1.0e-8, np.inf, np.nan]
+    return signal
+
+
+EDGE_SEED = 17
+
+EDGE_CASES = [
+    # (signal kind, noise spread in dB, band as bin indices or None)
+    ("strong-line", 0.0, None),
+    ("strong-line", 1.0, None),
+    ("strong-line", 0.0, (700, 700)),
+    ("under-floor", 1.0, None),
+    ("under-floor", 0.0, None),
+    ("ties", 0.0, None),
+    ("ties", 1.0, (400, 401)),
+    ("nan-bin", 0.0, None),
+    ("nan-bin", 1.0, None),
+    ("inf-bin", 1.0, None),
+    ("nan-and-inf", 0.0, None),
+    ("ties", 1.0, (3, 3)),
+    ("runner-up", 3.0, None),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, sigma_db, band_bins",
+    EDGE_CASES,
+    ids=[f"{k}-{s}dB-{b}" for k, s, b in EDGE_CASES],
+)
+@pytest.mark.parametrize("samples", [1, 10])
+def test_readout_edge_cases_match_reference(
+    kind, sigma_db, band_bins, samples
+):
+    settings_ = {
+        "environment": AmbientEnvironment(noise_sigma_db=sigma_db),
+    }
+    sa, ref = twins({"seed": EDGE_SEED, "settings": settings_})
+    signal = edge_signal(kind, sa, samples)
+    band = None
+    if band_bins is not None:
+        centers = sa.bin_centers()
+        band = (centers[band_bins[0]], centers[band_bins[1]])
+    amplitude = sa.max_amplitude_from_power(signal, band=band, samples=samples)
+    expected = max_amplitude_from_power_reference(
+        ref, signal, band=band, samples=samples
+    )
+    assert same_bits(amplitude, expected)
+    assert sa.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert sa.total_measurement_time_s == ref.total_measurement_time_s
+
+
+def test_readout_converts_only_columns_that_can_hold_a_maximum(monkeypatch):
+    """At 0 dB spread one strong line decides every sweep's maximum,
+    so the readout converts a few columns of its noise block to watts,
+    not all ``samples x bins`` draws."""
+    converted = []
+    noise_w = AmbientEnvironment.noise_w
+
+    def spy(self, normals):
+        converted.append(np.size(normals))
+        return noise_w(self, normals)
+
+    monkeypatch.setattr(AmbientEnvironment, "noise_w", spy)
+    samples = 10
+    settings_ = {"environment": AmbientEnvironment(noise_sigma_db=0.0)}
+    sa, ref = twins({"seed": 5, "settings": settings_})
+    signal = strong_line_signal(sa)
+    bins = signal.size
+    amplitude = sa.max_amplitude_from_power(signal, samples=samples)
+    assert 0 < sum(converted) <= 3 * samples + 1 < samples * bins
+    expected = max_amplitude_from_power_reference(ref, signal, samples=samples)
+    assert same_bits(amplitude, expected)

@@ -288,3 +288,81 @@ class TestErrorMapping:
                 await service.close()
 
         _run(run())
+
+
+class TestBrokenResponse:
+    """A server that closes without answering or mid-response, or
+    answers garbage, gives one ``ServiceError`` naming it, never an
+    ``IndexError``, ``ValueError`` or ``asyncio.IncompleteReadError``
+    from the parser."""
+
+    @pytest.mark.parametrize(
+        "reply, ending",
+        [
+            (b"", "before sending the status line"),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Len",
+                "before sending the end of the response head",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{\"ok\"",
+                "before sending the last 35 of 40 body bytes",
+            ),
+            (
+                b"hello\r\n\r\n",
+                "sent a malformed response: status line 'hello'",
+            ),
+            # '\xb2' is a superscript two: str.isdigit() accepts it,
+            # int() does not.
+            (
+                b"HTTP/1.1 \xb200 OK\r\n\r\n",
+                "sent a malformed response: status line 'HTTP/1.1 \xb200 OK'",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}",
+                "sent a malformed response: Content-Length 'abc'",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+                "sent a malformed response: Expecting value: "
+                "line 1 column 1 (char 0)",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\n[1]",
+                "sent a malformed response: body b'[1]': "
+                "not a JSON object",
+            ),
+        ],
+        ids=[
+            "no-reply",
+            "head-cut",
+            "body-cut",
+            "malformed-status",
+            "superscript-status",
+            "malformed-length",
+            "body-not-json",
+            "body-not-object",
+        ],
+    )
+    def test_broken_response_is_one_service_error(self, reply, ending):
+        async def handle(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(reply)
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+
+        async def run():
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                with pytest.raises(ServiceError) as excinfo:
+                    await HttpClient("127.0.0.1", port).healthz()
+            finally:
+                server.close()
+                await server.wait_closed()
+            message = str(excinfo.value)
+            assert message.startswith(f"127.0.0.1:{port} ")
+            assert message.endswith(ending)
+
+        _run(run())

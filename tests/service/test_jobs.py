@@ -93,6 +93,14 @@ class TestSpecParsing:
             ("virus", "generations", 1.5),
             ("virus", "seed", -1),
             ("virus", "resume_dir", 7),
+            # One over the size caps (1,000 each), and far over.
+            ("measure", "program_length", 1001),
+            ("measure", "program_length", 50_000),
+            ("measure", "samples", 1001),
+            ("measure", "samples", 10_000_000),
+            ("sweep", "samples", 1001),
+            ("sweep", "clocks_hz", [1.0e9] * 1001),
+            ("virus", "loop_length", 1001),
         ],
     )
     def test_malformed_field_named_in_one_bad_request(

@@ -236,6 +236,13 @@ class TestLifecycle:
         ("measure", {}, {"timeout_s": 0.0}, "timeout_s"),
         ("measure", {}, {"tenant": ["alice"]}, "tenant"),
         ("measure", {}, {"tenant": 7}, "tenant"),
+        # One over the size caps (1,000 each): refused before any
+        # program is built or any noise block is drawn.
+        ("measure", {"program_length": 1001}, {}, "program_length"),
+        ("measure", {"samples": 1001}, {}, "samples"),
+        ("sweep", {"samples": 1001}, {}, "samples"),
+        ("sweep", {"clocks_hz": [CLOCKS[0]] * 1001}, {}, "clocks_hz"),
+        ("virus", {"loop_length": 1001}, {}, "loop_length"),
     ]
 
     @pytest.mark.parametrize(

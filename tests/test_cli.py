@@ -445,6 +445,7 @@ ARCHIVING = {"virus", "report", "sweep"}
 #: token bucket or a TCP port.
 BAD_SERVE_NUMBERS = [
     ["--samples", "0"],
+    ["--samples", "1001"],
     ["--max-pending", "0"],
     ["--max-batch-items", "0"],
     ["--rate", "0"],
