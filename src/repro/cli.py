@@ -36,7 +36,6 @@ from repro.core.resonance import ResonanceSweep, check_samples_per_point
 from repro.core.virusgen import VirusGenerator
 from repro.faults.retry import RetryPolicy
 from repro.ga.engine import GAConfig
-from repro.ga.topology import TOPOLOGIES
 from repro.instruments.spectrum_analyzer import (
     SpectrumAnalyzer,
     watts_to_dbm,
@@ -56,20 +55,15 @@ PLATFORM_CHOICES = registry.platform_keys()
 EVENT_LOG_FILENAME = "events.jsonl"
 CHECKPOINT_FILENAME = "checkpoint.json"
 
-#: Default checkpoint directory for island campaigns (``--islands``).
-ISLAND_CHECKPOINT_DIRNAME = "island-checkpoints"
-
 #: The flag that sets each field whose bound ``GAConfig``,
-#: ``IslandConfig``, ``RetryPolicy``, the GA engine, ``VminTester`` or
-#: ``ResonanceSweep`` checks.
+#: ``RetryPolicy``, the GA engine, ``VminTester`` or ``ResonanceSweep``
+#: checks.
 _FIELD_FLAGS = {
     "population_size": "--population",
     "generations": "--generations",
     "loop_length": "--loop-length",
     "mutation_rate": "--mutation-rate",
     "workers": "--workers",
-    "islands": "--islands",
-    "migration_interval": "--migration-interval",
     "max_retries": "--max-retries",
     "checkpoint_every": "--checkpoint-every",
     "step_v": "--step",
@@ -166,10 +160,9 @@ def _flag_error(args, exc: Exception, flag: Optional[str] = None) -> int:
 
 
 def _virus_settings(args) -> tuple:
-    """(GAConfig, IslandConfig or None, RetryPolicy) from the ``virus``
-    flags; raises ``ValueError`` on the first out-of-bounds value."""
+    """(GAConfig, RetryPolicy) from the ``virus`` flags; raises
+    ``ValueError`` on the first out-of-bounds value."""
     from repro.ga.engine import check_checkpoint_every
-    from repro.ga.islands import IslandConfig
 
     config = GAConfig(
         population_size=args.population,
@@ -179,22 +172,13 @@ def _virus_settings(args) -> tuple:
         seed=args.seed,
         workers=args.workers,
     )
-    island_config = IslandConfig(
-        islands=args.islands,
-        topology=args.topology,
-        migration_interval=(
-            None if args.migration_interval == 0 else args.migration_interval
-        ),
-    )
     check_checkpoint_every(args.checkpoint_every)
     retry_policy = RetryPolicy(
         max_retries=args.max_retries,
         base_delay_s=0.05,
         seed=args.seed,
     )
-    if island_config.islands == 1:
-        island_config = None
-    return config, island_config, retry_policy
+    return config, retry_policy
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +292,7 @@ def cmd_virus(args) -> int:
 
     cluster = resolve_cluster(args.platform)
     try:
-        config, island_config, retry_policy = _virus_settings(args)
+        config, retry_policy = _virus_settings(args)
     except ValueError as exc:
         return _flag_error(args, exc)
     out_dir = Path(args.out) if args.out else None
@@ -318,17 +302,7 @@ def cmd_virus(args) -> int:
     )
     checkpoint_path = args.checkpoint
     if checkpoint_path is None and out_dir is not None:
-        checkpoint_path = (
-            out_dir / ISLAND_CHECKPOINT_DIRNAME
-            if island_config is not None
-            else out_dir / CHECKPOINT_FILENAME
-        )
-    if island_config is not None:
-        manifest.extra["islands"] = {
-            "islands": island_config.islands,
-            "topology": island_config.topology,
-            "migration_interval": island_config.migration_interval,
-        }
+        checkpoint_path = out_dir / CHECKPOINT_FILENAME
     fault_injector = None
     if args.fault_plan:
         from repro.faults import FaultInjector, load_fault_plan
@@ -348,14 +322,7 @@ def cmd_virus(args) -> int:
         from repro.io.serialization import SerializationError
 
         try:
-            if island_config is not None:
-                from repro.ga.islands import load_island_checkpoint
-
-                resume = load_island_checkpoint(
-                    args.resume, event_log=log
-                )
-            else:
-                resume = load_checkpoint(args.resume, event_log=log)
+            resume = load_checkpoint(args.resume, event_log=log)
         except (
             FileNotFoundError,
             CorruptArtifact,
@@ -384,7 +351,6 @@ def cmd_virus(args) -> int:
         checkpoint_every=args.checkpoint_every,
         retry_policy=retry_policy,
         fault_injector=fault_injector,
-        island_config=island_config,
     )
 
     def progress(record):
@@ -644,19 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
                    help="fitness evaluation processes (1 = serial)")
-    p.add_argument("--islands", type=int, default=1,
-                   help="shard the population across N islands "
-                        "(1 = single-population search)")
-    p.add_argument("--topology", choices=list(TOPOLOGIES),
-                   default="ring",
-                   help="island migration topology")
-    p.add_argument("--migration-interval", type=int, default=5,
-                   help="generations between champion migrations "
-                        "(0 = never migrate)")
     p.add_argument("--checkpoint", default=None,
-                   help="checkpoint file (default: <out>/checkpoint.json; "
-                        "with --islands a directory, default "
-                        "<out>/island-checkpoints)")
+                   help="checkpoint file (default: <out>/checkpoint.json)")
     p.add_argument("--checkpoint-every", type=int, default=5,
                    help="generations between checkpoints")
     p.add_argument("--fault-plan", default=None,

@@ -24,11 +24,6 @@ from repro.ga.engine import (
     GAEngine,
     GenerationRecord,
 )
-from repro.ga.islands import (
-    IslandCheckpoint,
-    IslandConfig,
-    IslandGAEngine,
-)
 from repro.ga.fitness import (
     ClusterFitness,
     EMAmplitudeFitness,
@@ -58,7 +53,6 @@ class VirusGenerator:
         checkpoint_every: int = 5,
         retry_policy=None,
         fault_injector=None,
-        island_config: Optional[IslandConfig] = None,
     ):
         self.cluster = cluster
         self.characterizer = characterizer or EMCharacterizer()
@@ -73,10 +67,6 @@ class VirusGenerator:
         #: injector schedules deterministic chaos faults.
         self.retry_policy = retry_policy
         self.fault_injector = fault_injector
-        #: With an :class:`IslandConfig` the search is sharded across
-        #: islands (see :mod:`repro.ga.islands`); ``checkpoint_path``
-        #: is then interpreted as a checkpoint *directory*.
-        self.island_config = island_config
 
     # ------------------------------------------------------------------
     def run(
@@ -85,9 +75,7 @@ class VirusGenerator:
         band: Tuple[float, float] = FIRST_ORDER_BAND,
         samples: Optional[int] = None,
         progress: Optional[Callable[[GenerationRecord], None]] = None,
-        resume: Optional[
-            Union[GACheckpoint, IslandCheckpoint]
-        ] = None,
+        resume: Optional[GACheckpoint] = None,
     ) -> GARunSummary:
         """Unified entry point: EM-virus generation under ``ctx``.
 
@@ -109,7 +97,6 @@ class VirusGenerator:
             checkpoint_every=self.checkpoint_every,
             retry_policy=self.retry_policy,
             fault_injector=self.fault_injector,
-            island_config=self.island_config,
         )
         return runner.generate_em_virus(
             progress=progress, band=band, samples=samples, resume=resume
@@ -121,39 +108,29 @@ class VirusGenerator:
         fitness: Callable[[LoopProgram], FitnessEvaluation],
         metric: str,
         progress: Optional[Callable[[GenerationRecord], None]],
-        resume: Optional[
-            Union[GACheckpoint, IslandCheckpoint]
-        ] = None,
+        resume: Optional[GACheckpoint] = None,
     ) -> GARunSummary:
         self.event_log.emit(
             "virus_run_start",
             cluster=self.cluster.name,
             metric=metric,
             resumed=resume is not None,
-            islands=(
-                self.island_config.islands
-                if self.island_config is not None
-                else None
-            ),
         )
-        if self.island_config is not None:
-            result = self._run_island_ga(fitness, progress, resume)
-        else:
-            engine = GAEngine(
-                fitness,
-                config=self.config,
-                pool=self.pool,
-                retry_policy=self.retry_policy,
-                fault_injector=self.fault_injector,
-            )
-            result = engine.run(
-                self.cluster.spec.isa,
-                progress=progress,
-                event_log=self.event_log,
-                checkpoint_path=self.checkpoint_path,
-                checkpoint_every=self.checkpoint_every,
-                resume=resume,
-            )
+        engine = GAEngine(
+            fitness,
+            config=self.config,
+            pool=self.pool,
+            retry_policy=self.retry_policy,
+            fault_injector=self.fault_injector,
+        )
+        result = engine.run(
+            self.cluster.spec.isa,
+            progress=progress,
+            event_log=self.event_log,
+            checkpoint_path=self.checkpoint_path,
+            checkpoint_every=self.checkpoint_every,
+            resume=resume,
+        )
         best = result.best
         # Re-measure the winning individual (the paper re-runs the best
         # individuals after the search to collect voltage metrics).
@@ -206,54 +183,6 @@ class VirusGenerator:
         )
         return summary
 
-    def _run_island_ga(
-        self,
-        fitness: Callable[[LoopProgram], FitnessEvaluation],
-        progress: Optional[Callable[[GenerationRecord], None]],
-        resume: Optional[IslandCheckpoint],
-    ):
-        """The sharded search path: run an :class:`IslandGAEngine` and
-        fold the island histories into one :class:`GAResult` for the
-        champion re-measurement and summary.
-
-        ``progress`` keeps its single-record signature by forwarding
-        island 0 only (the island that carries the campaign seed);
-        per-island telemetry is on the event log.
-        """
-        if resume is not None and not isinstance(
-            resume, IslandCheckpoint
-        ):
-            raise ValueError(
-                "an island campaign resumes from an island checkpoint "
-                "directory (see repro.ga.islands.load_island_checkpoint)"
-            )
-        island_progress = (
-            (
-                lambda island, record: (
-                    progress(record) if island == 0 else None
-                )
-            )
-            if progress is not None
-            else None
-        )
-        with IslandGAEngine(
-            fitness,
-            config=self.config,
-            island_config=self.island_config,
-            pool=self.pool,
-            retry_policy=self.retry_policy,
-            fault_injector=self.fault_injector,
-        ) as engine:
-            island_result = engine.run(
-                self.cluster.spec.isa,
-                progress=island_progress,
-                event_log=self.event_log,
-                checkpoint_dir=self.checkpoint_path,
-                checkpoint_every=self.checkpoint_every,
-                resume=resume,
-            )
-        return island_result.merged()
-
     # ------------------------------------------------------------------
     def narrowed_band_from_sweep(
         self,
@@ -293,18 +222,14 @@ class VirusGenerator:
         progress: Optional[Callable[[GenerationRecord], None]] = None,
         band: Tuple[float, float] = FIRST_ORDER_BAND,
         samples: Optional[int] = None,
-        resume: Optional[
-            Union[GACheckpoint, IslandCheckpoint]
-        ] = None,
+        resume: Optional[GACheckpoint] = None,
     ) -> GARunSummary:
         """EM-amplitude-driven virus generation: works on ANY cluster.
 
         This is the paper's headline capability -- no voltage
         visibility required (the Cortex-A53 case).  ``resume`` continues
         a previously checkpointed campaign (see
-        :func:`repro.io.serialization.load_checkpoint`, or
-        :func:`repro.ga.islands.load_island_checkpoint` when the
-        generator carries an :class:`~repro.ga.islands.IslandConfig`).
+        :func:`repro.io.serialization.load_checkpoint`).
         """
         fitness_fn = EMAmplitudeFitness(
             analyzer=self.characterizer.analyzer,

@@ -16,8 +16,9 @@ tiling the trace reproduces the true periodic waveform.
 The production :meth:`CurrentModel.trace` / ``window_trace`` deposit
 every charge packet with a single ``np.add.at`` scatter over the packed
 per-program arrays (:meth:`repro.cpu.program.LoopProgram.static_arrays`)
-and smooth with a circular convolution; the ``*_reference`` variants
-keep the per-instruction formulation as the golden reference.
+and smooth with a circular convolution; the per-instruction
+formulation they are checked against is in
+``tests/cpu/current_reference.py``.
 """
 
 from __future__ import annotations
@@ -72,22 +73,6 @@ class CurrentModel:
         )
         return self._smooth(trace)
 
-    def trace_reference(self, schedule: Schedule) -> np.ndarray:
-        """Per-instruction formulation of :meth:`trace` (golden reference)."""
-        cycles = schedule.cycles
-        trace = np.full(cycles, self.base_current_a, dtype=float)
-        k = self.amps_per_energy
-        for instr, t0 in zip(
-            schedule.program.body, schedule.issue_offsets
-        ):
-            spec = instr.spec
-            duration = spec.recip_throughput
-            per_cycle = spec.energy / duration * k
-            for c in range(duration):
-                trace[(t0 + c) % cycles] += per_cycle
-            trace[t0 % cycles] += self.frontend_energy * k
-        return self._smooth_reference(trace)
-
     def _smooth(self, trace: np.ndarray) -> np.ndarray:
         """Charge smoothing over a few cycles (pipeline overlap + local
         decoupling): single-cycle spikes are averaged away while
@@ -101,17 +86,6 @@ class CurrentModel:
         # shorter than the window correct.
         pad = np.take(trace, np.arange(-(w - 1), trace.size), mode="wrap")
         return np.convolve(pad, np.ones(w), mode="valid") / w
-
-    def _smooth_reference(self, trace: np.ndarray) -> np.ndarray:
-        """Index-matrix gather formulation of :meth:`_smooth`."""
-        w = self.smoothing_cycles
-        if w <= 1 or trace.size < 2:
-            return trace
-        n = trace.size
-        # True circular moving average (robust for traces shorter than
-        # the window): element i averages samples i-w+1 .. i mod n.
-        idx = (np.arange(n)[:, None] - np.arange(w)[None, :]) % n
-        return trace[idx].mean(axis=1)
 
     def mean_current(self, schedule: Schedule) -> float:
         return float(np.mean(self.trace(schedule)))
@@ -142,22 +116,6 @@ class CurrentModel:
             trace, t0, np.full(t0.size, self.frontend_energy * k)
         )
         return self._smooth(trace)
-
-    def window_trace_reference(self, windowed) -> np.ndarray:
-        """Per-instruction formulation of :meth:`window_trace`."""
-        trace = np.full(windowed.cycles, self.base_current_a, dtype=float)
-        k = self.amps_per_energy
-        body = windowed.program.body
-        for it in range(windowed.iterations):
-            for j, instr in enumerate(body):
-                spec = instr.spec
-                t0 = int(windowed.issue[it, j])
-                duration = spec.recip_throughput
-                per_cycle = spec.energy / duration * k
-                end = min(t0 + duration, windowed.cycles)
-                trace[t0:end] += per_cycle
-                trace[t0] += self.frontend_energy * k
-        return self._smooth_reference(trace)
 
 
 def loop_current_trace(

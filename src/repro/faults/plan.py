@@ -9,9 +9,6 @@ are dotted names matched with :func:`fnmatch.fnmatch` patterns::
     chain.propagate  chain.receive          (SignalPath stage boundaries)
     worker.shard                            (per shard, inside a worker)
     checkpoint.save  checkpoint.load        (GA checkpoint IO)
-    island.<i>.segment                      (before island i runs a
-                                             segment; per-island
-                                             injector replicas)
 
 Scheduling is deterministic: every spec keeps its own per-injector
 visit counter, and either fires on an explicit visit window

@@ -9,8 +9,6 @@ selection, one-point crossover, 2-4 % mutation rate.
 
 - :mod:`repro.ga.operators` -- selection, crossover, mutation.
 - :mod:`repro.ga.engine` -- the generational loop with memoized fitness.
-- :mod:`repro.ga.islands` -- island-model sharding with deterministic
-  champion migration (:mod:`repro.ga.topology` defines the exchange).
 - :mod:`repro.ga.fitness` -- EM-amplitude and voltage-feedback fitness.
 - :mod:`repro.ga.instruction_spec` -- the XML instruction-pool input.
 - :mod:`repro.ga.templates` -- loop template rendering (register
@@ -18,17 +16,6 @@ selection, one-point crossover, 2-4 % mutation rate.
 """
 
 from repro.ga.engine import GAConfig, GAEngine, GAResult, GenerationRecord
-from repro.ga.islands import (
-    IslandCheckpoint,
-    IslandConfig,
-    IslandGAEngine,
-    IslandGAResult,
-    island_population_sizes,
-    island_seed,
-    load_island_checkpoint,
-    save_island_checkpoint,
-)
-from repro.ga.topology import TOPOLOGIES, migrate, migration_links
 from repro.ga.operators import (
     mutate,
     one_point_crossover,
@@ -52,17 +39,6 @@ __all__ = [
     "GAEngine",
     "GAResult",
     "GenerationRecord",
-    "IslandCheckpoint",
-    "IslandConfig",
-    "IslandGAEngine",
-    "IslandGAResult",
-    "TOPOLOGIES",
-    "island_population_sizes",
-    "island_seed",
-    "load_island_checkpoint",
-    "migrate",
-    "migration_links",
-    "save_island_checkpoint",
     "mutate",
     "one_point_crossover",
     "tournament_selection",

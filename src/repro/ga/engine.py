@@ -330,8 +330,8 @@ class GAEngine:
         resume: Optional[GACheckpoint],
     ) -> Tuple[List[LoopProgram], List[GenerationRecord], int, int]:
         """(population, history, evaluations, start_gen) honoring
-        ``resume`` / ``initial_population`` exactly as :meth:`run`
-        always has; ``rng`` is mutated to the resumed state."""
+        ``resume`` / ``initial_population``; ``rng`` is mutated to the
+        resumed state."""
         if resume is not None:
             if initial_population is not None:
                 raise ValueError(
@@ -356,96 +356,6 @@ class GAEngine:
                 )
             return population, [], 0, 0
         return self._initial_population(isa, rng), [], 0, 0
-
-    def _run_generations(
-        self,
-        population: List[LoopProgram],
-        rng: np.random.Generator,
-        history: List[GenerationRecord],
-        evaluations: int,
-        start_gen: int,
-        stop_gen: int,
-        breed_final: bool,
-        evaluator: ParallelEvaluator,
-        log: EventLog,
-        progress: Optional[Callable[[GenerationRecord], None]],
-        checkpoint_path: Optional[Union[str, Path]],
-        checkpoint_every: int,
-    ) -> Tuple[List[LoopProgram], int]:
-        """The generational loop shared by :meth:`run` and
-        :meth:`run_segment`.
-
-        Evaluates generations ``start_gen .. stop_gen - 1``, appending
-        to ``history`` in place.  ``breed_final`` controls whether the
-        last evaluated generation is bred into a successor population
-        (a segment boundary needs the next population; a finished
-        campaign does not).  Returns the final population and the
-        updated evaluation count.
-        """
-        for gen in range(start_gen, stop_gen):
-            log.emit(
-                "generation_start",
-                generation=gen,
-                population_size=len(population),
-            )
-            with collect_kernel_timings() as timings:
-                evals, fresh = self._evaluate_generation(
-                    population, evaluator
-                )
-            evaluations += fresh
-            scores = [e.score for e in evals]
-            best_idx = int(np.argmax(scores))
-            record = GenerationRecord(
-                generation=gen,
-                best_program=population[best_idx],
-                best=evals[best_idx],
-                mean_score=float(np.mean(scores)),
-            )
-            history.append(record)
-            log.emit(
-                "generation_end",
-                generation=gen,
-                best_score=record.best.score,
-                mean_score=record.mean_score,
-                best_droop_v=record.best.max_droop_v,
-                dominant_frequency_hz=(
-                    record.best.dominant_frequency_hz
-                ),
-                best_ipc=record.best.ipc,
-                fresh_evaluations=fresh,
-                cache_hits=len(population) - fresh,
-                cache_size=len(self._cache),
-                dispatched_workers=(
-                    evaluator.workers if evaluator.parallel else 1
-                ),
-                quarantined=len(evaluator.quarantined) or None,
-                kernel_timings=timings.snapshot() or None,
-                worker_cache_stats=evaluator.worker_stats() or None,
-            )
-            if progress is not None:
-                progress(record)
-            if gen == stop_gen - 1 and not breed_final:
-                break
-            population = self._next_generation(
-                population, scores, rng, best_idx
-            )
-            if checkpoint_path is not None and (
-                (gen + 1) % checkpoint_every == 0
-            ):
-                saved = self._save_checkpoint_resilient(
-                    self._make_checkpoint(
-                        gen + 1, population, rng, history, evaluations
-                    ),
-                    checkpoint_path,
-                    log,
-                )
-                log.emit(
-                    "checkpoint_saved",
-                    generation=gen + 1,
-                    path=str(saved),
-                    cache_size=len(self._cache),
-                )
-        return population, evaluations
 
     def run(
         self,
@@ -507,20 +417,71 @@ class GAEngine:
         # front so the first generation is not charged for it.
         evaluator.warm_up()
         try:
-            population, evaluations = self._run_generations(
-                population,
-                rng,
-                history,
-                evaluations,
-                start_gen,
-                cfg.generations,
-                False,
-                evaluator,
-                log,
-                progress,
-                checkpoint_path,
-                checkpoint_every,
-            )
+            for gen in range(start_gen, cfg.generations):
+                log.emit(
+                    "generation_start",
+                    generation=gen,
+                    population_size=len(population),
+                )
+                with collect_kernel_timings() as timings:
+                    evals, fresh = self._evaluate_generation(
+                        population, evaluator
+                    )
+                evaluations += fresh
+                scores = [e.score for e in evals]
+                best_idx = int(np.argmax(scores))
+                record = GenerationRecord(
+                    generation=gen,
+                    best_program=population[best_idx],
+                    best=evals[best_idx],
+                    mean_score=float(np.mean(scores)),
+                )
+                history.append(record)
+                log.emit(
+                    "generation_end",
+                    generation=gen,
+                    best_score=record.best.score,
+                    mean_score=record.mean_score,
+                    best_droop_v=record.best.max_droop_v,
+                    dominant_frequency_hz=(
+                        record.best.dominant_frequency_hz
+                    ),
+                    best_ipc=record.best.ipc,
+                    fresh_evaluations=fresh,
+                    cache_hits=len(population) - fresh,
+                    cache_size=len(self._cache),
+                    dispatched_workers=(
+                        evaluator.workers if evaluator.parallel else 1
+                    ),
+                    quarantined=len(evaluator.quarantined) or None,
+                    kernel_timings=timings.snapshot() or None,
+                    worker_cache_stats=evaluator.worker_stats() or None,
+                )
+                if progress is not None:
+                    progress(record)
+                # The last generation is not bred: a finished campaign
+                # needs no successor population.
+                if gen == cfg.generations - 1:
+                    break
+                population = self._next_generation(
+                    population, scores, rng, best_idx
+                )
+                if checkpoint_path is not None and (
+                    (gen + 1) % checkpoint_every == 0
+                ):
+                    saved = self._save_checkpoint_resilient(
+                        self._make_checkpoint(
+                            gen + 1, population, rng, history, evaluations
+                        ),
+                        checkpoint_path,
+                        log,
+                    )
+                    log.emit(
+                        "checkpoint_saved",
+                        generation=gen + 1,
+                        path=str(saved),
+                        cache_size=len(self._cache),
+                    )
         finally:
             if owns_evaluator:
                 evaluator.close()
@@ -536,97 +497,6 @@ class GAEngine:
             best_score=best.best.score,
         )
         return result
-
-    def run_segment(
-        self,
-        isa,
-        until_generation: int,
-        initial_population: Optional[Sequence[LoopProgram]] = None,
-        progress: Optional[Callable[[GenerationRecord], None]] = None,
-        event_log: Optional[EventLog] = None,
-        checkpoint_path: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = 5,
-        resume: Optional[GACheckpoint] = None,
-        evaluator: Optional[ParallelEvaluator] = None,
-    ) -> GACheckpoint:
-        """Advance the optimization to ``until_generation`` and stop.
-
-        Identical to :meth:`run` over the covered generations -- same
-        RNG consumption, same cache/fitness-state evolution -- except
-        the run is cut at a *segment boundary*: the last evaluated
-        generation is still bred into its successor population, and the
-        full engine state is returned as a :class:`GACheckpoint` whose
-        ``generation`` equals ``until_generation``.  Feeding that
-        checkpoint back through ``resume`` (on this engine or a fresh
-        one) continues bit-identically to an uninterrupted :meth:`run`,
-        which is exactly the contract the island engine's migration
-        boundaries rely on: migrate by editing ``checkpoint.population``
-        between segments.
-
-        Emits ``ga_segment_start``/``ga_segment_end`` instead of the
-        run-level ``ga_run_start``/``ga_run_end`` events.
-        """
-        cfg = self.config
-        log = event_log if event_log is not None else NULL_LOG
-        check_checkpoint_every(checkpoint_every)
-        if not 1 <= until_generation <= cfg.generations:
-            raise ValueError(
-                "until_generation must be in [1, config.generations], "
-                f"got {until_generation}"
-            )
-        rng = np.random.default_rng(cfg.seed)
-        population, history, evaluations, start_gen = (
-            self._prepare_population(isa, rng, initial_population, resume)
-        )
-        if start_gen >= until_generation:
-            raise ValueError(
-                f"segment does not advance: resume is at generation "
-                f"{start_gen}, until_generation={until_generation}"
-            )
-        log.emit(
-            "ga_segment_start",
-            start_generation=start_gen,
-            until_generation=until_generation,
-            cache_size=len(self._cache),
-        )
-        owns_evaluator = evaluator is None
-        if owns_evaluator:
-            evaluator = ParallelEvaluator(
-                self._fitness,
-                cfg.workers,
-                retry_policy=self._retry_policy,
-                fault_injector=self._fault_injector,
-                event_log=log,
-            )
-        evaluator.warm_up()
-        try:
-            population, evaluations = self._run_generations(
-                population,
-                rng,
-                history,
-                evaluations,
-                start_gen,
-                until_generation,
-                True,
-                evaluator,
-                log,
-                progress,
-                checkpoint_path,
-                checkpoint_every,
-            )
-        finally:
-            if owns_evaluator:
-                evaluator.close()
-        checkpoint = self._make_checkpoint(
-            until_generation, population, rng, history, evaluations
-        )
-        log.emit(
-            "ga_segment_end",
-            generation=until_generation,
-            evaluations=evaluations,
-            best_score=history[-1].best.score if history else None,
-        )
-        return checkpoint
 
     def _config_dict(self) -> dict:
         from dataclasses import asdict

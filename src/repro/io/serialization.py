@@ -384,54 +384,6 @@ def checkpoint_from_dict(data: dict):
         raise SerializationError(f"malformed checkpoint: {exc}") from exc
 
 
-def island_meta_to_dict(config, island_config, generations: list) -> dict:
-    """Serialize the ``islands.json`` meta of an island checkpoint dir.
-
-    The meta records the distribution parameters (island count,
-    topology, migration interval, derived sizes/seeds are recomputable
-    from the base config) plus each island's checkpoint generation, so
-    a directory is self-describing without opening the island files.
-    """
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "island-checkpoint",
-        "config": ga_config_to_dict(config),
-        "islands": island_config.islands,
-        "topology": island_config.topology,
-        "migration_interval": island_config.migration_interval,
-        "generations": [int(g) for g in generations],
-    }
-
-
-def island_meta_from_dict(data: dict):
-    """Parse ``islands.json`` into ``(GAConfig, IslandConfig)``."""
-    from repro.ga.islands import IslandConfig
-
-    if data.get("kind") != "island-checkpoint":
-        raise SerializationError("not an island checkpoint meta")
-    if data.get("format_version") != FORMAT_VERSION:
-        raise SerializationError(
-            f"unsupported island checkpoint version "
-            f"{data.get('format_version')!r}"
-        )
-    try:
-        config = ga_config_from_dict(data["config"])
-        island_config = IslandConfig(
-            islands=int(data["islands"]),
-            topology=str(data["topology"]),
-            migration_interval=(
-                None
-                if data.get("migration_interval") is None
-                else int(data["migration_interval"])
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(
-            f"malformed island checkpoint meta: {exc}"
-        ) from exc
-    return config, island_config
-
-
 #: How many rotated generations a checkpoint keeps: ``c.json`` is the
 #: newest, ``c.json.1`` the previous save, ``c.json.2`` the one before.
 CHECKPOINT_ROTATIONS = 2

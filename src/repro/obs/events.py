@@ -35,19 +35,6 @@ and the GA engine folds each worker's latest cache counters into
 ``generation_end`` as ``worker_cache_stats`` (worker id keyed), so
 per-worker cache-hit rates are readable straight off the run log.
 
-The island-model GA (:mod:`repro.ga.islands`) adds the distributed
-vocabulary: ``island_run_start``/``island_run_end`` bracket the whole
-campaign (island count, topology, migration interval),
-``ga_segment_start``/``ga_segment_end`` bracket each island's
-generation segment between migration boundaries,
-``migration_start``/``migration_end`` bracket a champion exchange
-(epoch boundary generation plus the resolved ``(src, dst)`` link
-list), and ``island_recovered`` marks an island that died mid-segment
-and was rebuilt from its newest surviving checkpoint.  Every record an
-island emits carries an ``island`` index field, so one interleaved log
-remains attributable; the log itself is emit-locked because island
-segments run on concurrent threads.
-
 The determinism audit (:mod:`repro.audit`) contributes two more:
 ``audit_violation`` (a runtime invariant broke -- payload carries the
 violation ``kind``, ``site`` and message; the matching typed
@@ -173,8 +160,9 @@ class EventLog:
         self._sinks = list(sinks)
         self._seq = 0
         self._t0 = time.monotonic()
-        # Island segments emit from concurrent threads; the lock keeps
-        # sequence numbers unique and sink writes whole-record atomic.
+        # The service's worker thread emits beside its event loop; the
+        # lock keeps sequence numbers unique and sink writes
+        # whole-record atomic.
         self._lock = threading.Lock()
 
     @classmethod

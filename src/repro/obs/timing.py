@@ -17,9 +17,10 @@ worker times every shard in a collector of its own and ships its
 :meth:`KernelTimings.snapshot` back with the shard's results, and the
 parent folds it into its active collector (:meth:`KernelTimings.merge`),
 so a generation's ``kernel_timings`` cover the worker-side sections
-too.  The island engine (:mod:`repro.ga.islands`) runs one
-``GAEngine`` per thread, each with its own active collector -- a
-module global would cross-attribute their timings.  Timings are
+too.  The measurement service (:mod:`repro.service`) runs its jobs on
+a worker thread of its own, beside whatever other thread of the
+process is collecting -- a module global would cross-attribute their
+timings.  Timings are
 observability, not a determinism input -- they never feed back into
 the computation.
 """
@@ -71,7 +72,8 @@ class KernelTimings:
 
 # The active collector, one slot per thread; kernels check this one
 # thread-local per call, so the disabled path costs a lookup and a
-# comparison, and concurrent island threads never share a collector.
+# comparison, and the service's worker thread never shares a collector
+# with another thread.
 _STATE = threading.local()
 
 

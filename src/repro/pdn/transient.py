@@ -14,8 +14,8 @@ matrices (``_hist_mat``, ``_cap_inj``, ``_src_mat``, ``_b_vsrc``):
 each step of :meth:`TransientSolver.run` and
 :meth:`TransientStepper.step` assembles the RHS as two mat-vecs plus a
 vector add -- no per-element Python loops or ``layout.node()`` dict
-lookups.  :meth:`TransientSolver.run_reference` keeps the per-element
-formulation as the golden reference.
+lookups.  The per-element formulation it is checked against is in
+``tests/pdn/transient_reference.py``.
 """
 
 from __future__ import annotations
@@ -266,90 +266,6 @@ class TransientSolver:
             dv_new = cap_sel @ x_next
             cap_i = g_vec * dv_new - (g_vec * dv + cap_i)
             dv = dv_new
-            x = x_next
-            if step % record_every == 0:
-                times[rec] = t_next
-                traj[rec] = x
-                rec += 1
-
-        return self._package(times[:rec], traj[:rec])
-
-    def run_reference(
-        self,
-        duration: float,
-        initial: Optional[Dict[str, float]] = None,
-        record_every: int = 1,
-    ) -> TransientResult:
-        """Per-element formulation of :meth:`run` (golden reference).
-
-        Assembles each step's RHS by iterating the netlist and stamping
-        one element at a time -- the readable textbook loop the
-        vectorized kernel is checked against.
-        """
-        layout = self._layout
-        h = self._dt
-        steps = int(round(duration / h))
-        if steps <= 0:
-            raise ValueError("duration shorter than one step")
-
-        caps, inds, vsrcs = self._caps, self._inds, self._vsrcs
-        isrcs = self._isrcs
-
-        def node_v(state: np.ndarray, name: str) -> float:
-            idx = layout.node(name)
-            return 0.0 if idx < 0 else float(state[idx])
-
-        x = self._initial_state(initial)
-        cap_i = {e.name: 0.0 for e in caps}  # capacitor currents (a->b)
-
-        n_rec = steps // record_every + 1
-        times = np.empty(n_rec)
-        traj = np.empty((n_rec, layout.size))
-        times[0] = 0.0
-        traj[0] = x
-        rec = 1
-
-        g_cap = {e.name: 2.0 * e.capacitance / h for e in caps}
-        r_ind = {e.name: 2.0 * e.inductance / h for e in inds}
-
-        for step in range(1, steps + 1):
-            t_next = step * h
-            b = np.zeros(layout.size)
-            # Current sources (load convention: from node_a to node_b).
-            for s in isrcs:
-                i_now = s.value_at(t_next)
-                ia, ib = layout.node(s.node_a), layout.node(s.node_b)
-                if ia >= 0:
-                    b[ia] -= i_now
-                if ib >= 0:
-                    b[ib] += i_now
-            # Capacitor history: I_hist = g*v_n + i_n injected a->b.
-            for e in caps:
-                i_hist = g_cap[e.name] * (
-                    node_v(x, e.node_a) - node_v(x, e.node_b)
-                ) + cap_i[e.name]
-                ia, ib = layout.node(e.node_a), layout.node(e.node_b)
-                if ia >= 0:
-                    b[ia] += i_hist
-                if ib >= 0:
-                    b[ib] -= i_hist
-            # Inductor history: v_ab(n+1) - R i(n+1) = -R i(n) - v_ab(n).
-            for e in inds:
-                k = layout.branch(e.name)
-                v_ab = node_v(x, e.node_a) - node_v(x, e.node_b)
-                b[k] = -r_ind[e.name] * x[k] - v_ab
-            for e in vsrcs:
-                b[layout.branch(e.name)] = e.voltage
-
-            x_next = lu_solve(self._matrix_lu, b)
-
-            # Update capacitor currents for the next history term.
-            for e in caps:
-                v_new = node_v(x_next, e.node_a) - node_v(x_next, e.node_b)
-                v_old = node_v(x, e.node_a) - node_v(x, e.node_b)
-                i_hist = g_cap[e.name] * v_old + cap_i[e.name]
-                cap_i[e.name] = g_cap[e.name] * v_new - i_hist
-
             x = x_next
             if step % record_every == 0:
                 times[rec] = t_next

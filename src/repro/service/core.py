@@ -100,9 +100,8 @@ RESULT_FILENAME = "result.json"
 class _JobLog:
     """EventLog facade stamping chain/GA events with their job ids.
 
-    Mirrors :class:`repro.ga.islands._IslandLog`: the wrapped log's
-    ``emit`` is lock-protected, so stamping is safe from the worker
-    thread a batch executes on.
+    The wrapped log's ``emit`` is lock-protected, so stamping is safe
+    from the worker thread a batch executes on.
     """
 
     def __init__(self, base: EventLog, batch_id: str, job_ids: List[str]):

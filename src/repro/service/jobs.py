@@ -5,10 +5,12 @@ described by a typed, JSON-round-trippable spec.  Parsing a spec
 checks the type and range of every field (counts are integers of at
 least one, seeds non-negative integers, clocks and voltages finite
 positive numbers, virus fields within :class:`~repro.ga.engine.GAConfig`'s
-own bounds, and program lengths, sample counts and clock lists at most
-:data:`MAX_PROGRAM_LENGTH`, :data:`MAX_SAMPLES` and :data:`MAX_CLOCKS`),
-so a malformed request is rejected with one :class:`BadRequest` naming
-the field before it can occupy queue capacity; jobs that pass validation move through the lifecycle
+own bounds, and program lengths, sample counts, clock lists, virus
+populations and generation counts at most :data:`MAX_PROGRAM_LENGTH`,
+:data:`MAX_SAMPLES`, :data:`MAX_CLOCKS`, :data:`MAX_POPULATION` and
+:data:`MAX_GENERATIONS`), so a malformed request is rejected with one
+:class:`BadRequest` naming the field before it can occupy queue
+capacity; jobs that pass validation move through the lifecycle
 ``queued -> running -> done`` (or ``failed`` / ``timeout`` /
 ``cancelled``).
 
@@ -33,13 +35,17 @@ from repro.ga.engine import GAConfig
 JOB_KINDS = ("measure", "sweep", "virus")
 
 #: Upper bounds on a submission's sizes, far above the paper's values
-#: (50-instruction loops, 30 analyzer samples, 55 clock points).  The
-#: service builds a measure job's program on its event loop at submit
-#: time, and a coalesced batch draws ``samples`` noise sweeps of every
-#: item in one block, so an unbounded size would stall every client.
+#: (50-instruction loops, 30 analyzer samples, 55 clock points, a GA
+#: population of 50 over 60 generations).  The service builds a measure
+#: job's program on its event loop at submit time, a coalesced batch
+#: draws ``samples`` noise sweeps of every item in one block, and a
+#: virus job holds the single worker thread for its whole campaign, so
+#: an unbounded size would stall every client.
 MAX_PROGRAM_LENGTH = 1000
 MAX_SAMPLES = 1000
 MAX_CLOCKS = 1000
+MAX_POPULATION = 1000
+MAX_GENERATIONS = 1000
 
 #: Lifecycle states (terminal: done, failed, timeout, cancelled).
 QUEUED = "queued"
@@ -392,10 +398,16 @@ class VirusSpec:
         spec = cls(
             platform=_platform("virus", data),
             generations=_integer(
-                "generations", data.get("generations"), default=3
+                "generations",
+                data.get("generations"),
+                default=3,
+                maximum=MAX_GENERATIONS,
             ),
             population=_integer(
-                "population", data.get("population"), default=8
+                "population",
+                data.get("population"),
+                default=8,
+                maximum=MAX_POPULATION,
             ),
             loop_length=_integer(
                 "loop_length",

@@ -5,7 +5,8 @@ import pytest
 
 from repro.cpu.arm import ARM_ISA
 from repro.cpu.isa import InstructionClass
-from repro.ga.engine import GAConfig, GAEngine
+from repro.cpu.program import random_program
+from repro.ga.engine import GAConfig, GAEngine, GAResult, GenerationRecord
 from repro.ga.fitness import FitnessEvaluation
 
 
@@ -182,3 +183,40 @@ class TestMemoizeFlag:
         # every individual of every generation was measured afresh
         assert calls["count"] == 10 * 6
         assert engine.cache_size == 0
+
+
+def _record(generation, score, name="prog"):
+    """A minimal GenerationRecord for tie-break unit tests."""
+    program = random_program(
+        ARM_ISA, 1, np.random.default_rng(0), name=name
+    )
+    return GenerationRecord(
+        generation=generation,
+        best_program=program,
+        best=FitnessEvaluation(
+            score=score,
+            dominant_frequency_hz=1e8,
+            max_droop_v=0.01,
+            peak_to_peak_v=0.02,
+            ipc=1.0,
+            loop_frequency_hz=1e7,
+        ),
+        mean_score=score,
+    )
+
+
+class TestBestTieBreaks:
+    def test_ga_result_best_breaks_ties_to_earliest_generation(self):
+        history = [
+            _record(0, 0.5),
+            _record(1, 0.9),
+            _record(2, 0.9),
+        ]
+        result = GAResult(
+            config=GAConfig(
+                population_size=12, generations=6, loop_length=5, seed=42
+            ),
+            history=history,
+            evaluations=0,
+        )
+        assert result.best.generation == 1

@@ -154,61 +154,3 @@ class TestGAGolden:
             "best_generation": result.best.generation,
         }
         check_golden("a53_ga_history", produced, update_golden)
-
-
-class TestIslandGolden:
-    def test_a53_two_island_ring_history(self, a53, update_golden):
-        """2-island ring campaign over the real EM chain: per-island
-        and merged histories are pinned, so any change to migration
-        order, seed derivation or the exchange itself shows up as a
-        numeric diff."""
-        from repro.ga.islands import IslandConfig, IslandGAEngine
-
-        characterizer = _characterizer()
-        fitness = ClusterFitness(
-            EMAmplitudeFitness(
-                analyzer=characterizer.analyzer,
-                radiator=characterizer.radiator,
-                samples=3,
-                session=characterizer.session,
-            ),
-            a53,
-        )
-        config = GAConfig(
-            population_size=8, generations=3, loop_length=5, seed=7
-        )
-        result = IslandGAEngine(
-            fitness,
-            config,
-            IslandConfig(
-                islands=2, topology="ring", migration_interval=1
-            ),
-        ).run(a53.spec.isa)
-        merged = result.merged()
-        produced = {
-            "evaluations": result.evaluations,
-            "best_island": result.best_island,
-            "islands": [
-                {
-                    "seed": island.config.seed,
-                    "population_size": island.config.population_size,
-                    "history": [
-                        {
-                            "generation": r.generation,
-                            "best_score": r.best.score,
-                            "mean_score": r.mean_score,
-                            "dominant_frequency_hz": (
-                                r.best.dominant_frequency_hz
-                            ),
-                        }
-                        for r in island.history
-                    ],
-                }
-                for island in result.results
-            ],
-            "merged_best_generation": merged.best.generation,
-            "merged_scores": [
-                r.best.score for r in merged.history
-            ],
-        }
-        check_golden("a53_island_ga_history", produced, update_golden)

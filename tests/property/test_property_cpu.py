@@ -12,6 +12,8 @@ from repro.cpu.pipeline import InOrderPipeline, OutOfOrderPipeline
 from repro.cpu.program import random_program
 from repro.platforms import registry
 
+from tests.cpu.pipeline_reference import execute_reference
+
 program_seeds = st.integers(min_value=0, max_value=10_000)
 lengths = st.integers(min_value=2, max_value=60)
 
@@ -52,7 +54,7 @@ def assert_exit_is_exact(core, seed, length, iterations):
     program = random_program(isa, length, np.random.default_rng(seed))
     assert np.array_equal(
         pipeline.execute(program, iterations),
-        pipeline.execute_reference(program, iterations),
+        execute_reference(pipeline, program, iterations),
     )
 
 
@@ -93,7 +95,7 @@ def test_early_exit_exact_on_random_programs_at_default_iterations(
         program = random_program(isa, 50, rng)
         assert np.array_equal(
             pipeline.execute(program, 16),
-            pipeline.execute_reference(program, 16),
+            execute_reference(pipeline, program, 16),
         )
 
 

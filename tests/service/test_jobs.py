@@ -101,6 +101,10 @@ class TestSpecParsing:
             ("sweep", "samples", 1001),
             ("sweep", "clocks_hz", [1.0e9] * 1001),
             ("virus", "loop_length", 1001),
+            ("virus", "population", 1001),
+            ("virus", "population", 10**7),
+            ("virus", "generations", 1001),
+            ("virus", "generations", 10**6),
         ],
     )
     def test_malformed_field_named_in_one_bad_request(

@@ -243,6 +243,12 @@ class TestLifecycle:
         ("sweep", {"samples": 1001}, {}, "samples"),
         ("sweep", {"clocks_hz": [CLOCKS[0]] * 1001}, {}, "clocks_hz"),
         ("virus", {"loop_length": 1001}, {}, "loop_length"),
+        # A virus campaign holds the single worker thread: its size is
+        # capped too.
+        ("virus", {"population": 1001}, {}, "population"),
+        ("virus", {"population": 10**7}, {}, "population"),
+        ("virus", {"generations": 1001}, {}, "generations"),
+        ("virus", {"generations": 10**6}, {}, "generations"),
     ]
 
     @pytest.mark.parametrize(

@@ -231,101 +231,17 @@ class TestResumeFlow:
         assert f"error: cannot resume from {missing}" in err
         assert str(missing) in err
 
-    def test_resume_missing_island_dir_fails_with_one_line_error(
+    def test_resume_from_directory_fails_with_one_line_error(
         self, capsys, tmp_path
     ):
-        missing = tmp_path / "no-island-checkpoints"
-        args = VIRUS_ARGS + [
-            "--islands", "2", "--migration-interval", "1",
-            "--resume", str(missing),
-        ]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert f"error: cannot resume from {missing}" in err
-
-    def test_resume_empty_island_dir_fails_with_one_line_error(
-        self, capsys, tmp_path
-    ):
-        empty = tmp_path / "island-checkpoints"
+        """A directory is not a checkpoint file: one ``error:`` line
+        naming it, exit 2."""
+        empty = tmp_path / "checkpoints"
         empty.mkdir()
-        args = VIRUS_ARGS + [
-            "--islands", "2", "--migration-interval", "1",
-            "--resume", str(empty),
-        ]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert f"error: cannot resume from {empty}" in err
-        assert "islands.json" in err
-
-
-class TestIslandFlow:
-    ISLAND_ARGS = VIRUS_ARGS + [
-        "--islands", "2", "--migration-interval", "1",
-    ]
-
-    def test_island_run_archives_manifest_and_checkpoints(
-        self, capsys, tmp_path
-    ):
-        assert main(self.ISLAND_ARGS + ["--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        manifest = RunManifest.load(tmp_path)
-        assert manifest.extra["islands"] == {
-            "islands": 2, "topology": "ring", "migration_interval": 1,
-        }
-        ckpt_dir = tmp_path / "island-checkpoints"
-        assert (ckpt_dir / "islands.json").exists()
-        assert (ckpt_dir / "island-00.json").exists()
-        assert (ckpt_dir / "island-01.json").exists()
-        events = read_jsonl(tmp_path / manifest.event_log)
-        names = [e["event"] for e in events]
-        assert "island_run_start" in names
-        assert "migration_start" in names
-        assert "island_run_end" in names
-
-    def test_interrupted_island_run_resumes_identically(
-        self, capsys, tmp_path
-    ):
-        full_dir = tmp_path / "full"
-        part_dir = tmp_path / "part"
-        assert main(self.ISLAND_ARGS + ["--out", str(full_dir)]) == 0
-        # truncated campaign: two of three generations
-        assert main(
-            [
-                "virus", "--platform", "a53",
-                "--population", "6", "--generations", "2",
-                "--loop-length", "6",
-                "--islands", "2", "--migration-interval", "1",
-                "--out", str(part_dir),
-            ]
-        ) == 0
-        ckpt_dir = part_dir / "island-checkpoints"
-        assert (ckpt_dir / "islands.json").exists()
-        assert main(
-            self.ISLAND_ARGS
-            + ["--out", str(part_dir), "--resume", str(ckpt_dir)]
-        ) == 0
-        capsys.readouterr()
-
-        name = "cortex-a53-em-amplitude.summary.json"
-        full = (full_dir / name).read_text()
-        resumed = (part_dir / name).read_text()
-        assert resumed == full  # byte-identical continuation
-
-        manifest = RunManifest.load(part_dir)
-        assert manifest.extra["resumed_from"] == str(ckpt_dir)
-
-    def test_island_run_identical_under_audit(self, capsys, tmp_path):
-        plain_dir = tmp_path / "plain"
-        audit_dir = tmp_path / "audit"
-        assert main(self.ISLAND_ARGS + ["--out", str(plain_dir)]) == 0
-        assert main(
-            self.ISLAND_ARGS + ["--out", str(audit_dir), "--audit"]
-        ) == 0
-        capsys.readouterr()
-        name = "cortex-a53-em-amplitude.summary.json"
-        plain = (plain_dir / name).read_text()
-        audited = (audit_dir / name).read_text()
-        assert audited == plain
+        assert main(VIRUS_ARGS + ["--resume", str(empty)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot resume from {empty}")
 
 
 class TestFaultPlanFlow:
@@ -391,9 +307,9 @@ class TestFaultPlanFlow:
 
 
 #: (command, flags) pairs whose last flag carries a value out of the
-#: bounds GAConfig, IslandConfig, RetryPolicy, the engine, VminTester,
-#: ResonanceSweep, the cluster's core count or the impedance
-#: command's resonance band check.
+#: bounds GAConfig, RetryPolicy, the engine, VminTester, ResonanceSweep,
+#: the cluster's core count or the impedance command's resonance band
+#: check.
 BAD_NUMBERS = [
     ("virus", ["--workers", "0"]),
     ("virus", ["--population", "1"]),
@@ -402,9 +318,6 @@ BAD_NUMBERS = [
     ("virus", ["--mutation-rate", "2"]),
     ("virus", ["--checkpoint-every", "0"]),
     ("virus", ["--max-retries", "-1"]),
-    ("virus", ["--islands", "2", "--migration-interval", "-1"]),
-    ("virus", ["--islands", "0"]),
-    ("virus", ["--islands", "-3"]),
     ("virus", ["--seed", "-1"]),
     ("report", ["--population", "1"]),
     ("report", ["--seed", "-1"]),

@@ -1,7 +1,9 @@
-"""Vectorized kernels must match their preserved reference paths.
+"""Vectorized kernels must match their reference formulations.
 
-Each optimized hot path keeps its pre-refactor implementation as a
-``*_reference`` method; this suite pins them together:
+Each optimized hot path is checked against its readable
+implementation in ``tests/cpu/pipeline_reference.py``,
+``tests/cpu/current_reference.py`` or
+``tests/pdn/transient_reference.py``; this suite pins them together:
 
 * issue schedules are **cycle-exact** (integer equality),
 * current traces agree to ``rtol=1e-12`` (pure reordering of float
@@ -33,6 +35,13 @@ from repro.pdn.models import (
     PDNModel,
 )
 from repro.pdn.transient import TransientSolver
+
+from tests.cpu.current_reference import (
+    trace_reference,
+    window_trace_reference,
+)
+from tests.cpu.pipeline_reference import execute_reference
+from tests.pdn.transient_reference import run_reference
 
 WIDE_MEM_ISA = InstructionSet(
     name="armv8-wide-mem",
@@ -165,7 +174,7 @@ def pipeline(request):
 class TestScheduleEquivalence:
     def test_issue_schedules_are_cycle_exact(self, pipeline, program):
         fast = pipeline.execute(program, iterations=16)
-        ref = pipeline.execute_reference(program, iterations=16)
+        ref = execute_reference(pipeline, program, iterations=16)
         assert np.array_equal(fast, ref)
 
     def test_random_programs_are_cycle_exact(self, pipeline):
@@ -173,7 +182,7 @@ class TestScheduleEquivalence:
         for i in range(5):
             prog = random_program(ARM_ISA, 50, rng, name=f"rand{i}")
             fast = pipeline.execute(prog, iterations=16)
-            ref = pipeline.execute_reference(prog, iterations=16)
+            ref = execute_reference(pipeline, prog, iterations=16)
             assert np.array_equal(fast, ref)
 
     @pytest.mark.parametrize(
@@ -185,7 +194,7 @@ class TestScheduleEquivalence:
         prog = explicit_program(ARM_ISA, body, name=case)
         assert np.array_equal(
             pipeline.execute(prog, iterations=16),
-            pipeline.execute_reference(prog, iterations=16),
+            execute_reference(pipeline, prog, iterations=16),
         )
 
     def test_cache_path_preserves_rng_draw_order(self, pipeline):
@@ -199,8 +208,8 @@ class TestScheduleEquivalence:
             fast = pipeline.execute(
                 prog, 16, cache=cache, memory_rng=fast_rng
             )
-            ref = pipeline.execute_reference(
-                prog, 16, cache=cache, memory_rng=ref_rng
+            ref = execute_reference(
+                pipeline, prog, 16, cache=cache, memory_rng=ref_rng
             )
             assert np.array_equal(fast, ref)
             assert (
@@ -215,8 +224,8 @@ class TestScheduleEquivalence:
             windowed = pipeline.windowed_schedule(
                 prog, 16, cache=cache, memory_rng=window_rng
             )
-            ref = pipeline.execute_reference(
-                prog, 16, cache=cache, memory_rng=ref_rng
+            ref = execute_reference(
+                pipeline, prog, 16, cache=cache, memory_rng=ref_rng
             )
             assert np.array_equal(windowed.issue, ref)
             assert (
@@ -231,7 +240,7 @@ class TestCurrentEquivalence:
         model = CurrentModel()
         np.testing.assert_allclose(
             model.trace(sched),
-            model.trace_reference(sched),
+            trace_reference(model, sched),
             rtol=1e-12,
             atol=0,
         )
@@ -244,7 +253,7 @@ class TestCurrentEquivalence:
         model = CurrentModel(smoothing_cycles=8)
         np.testing.assert_allclose(
             model.trace(sched),
-            model.trace_reference(sched),
+            trace_reference(model, sched),
             rtol=1e-12,
             atol=0,
         )
@@ -258,7 +267,7 @@ class TestCurrentEquivalence:
         model = CurrentModel()
         np.testing.assert_allclose(
             model.window_trace(windowed),
-            model.window_trace_reference(windowed),
+            window_trace_reference(model, windowed),
             rtol=1e-12,
             atol=0,
         )
@@ -291,7 +300,7 @@ class TestTransientEquivalence:
     def test_run_matches_reference(self, pdn_circuit):
         solver = TransientSolver(pdn_circuit, dt=0.25e-9)
         fast = solver.run(320e-9)
-        ref = solver.run_reference(320e-9)
+        ref = run_reference(solver, 320e-9)
         np.testing.assert_allclose(fast.times, ref.times, rtol=0, atol=0)
         for node in fast.node_voltages:
             np.testing.assert_allclose(
