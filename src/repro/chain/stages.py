@@ -13,7 +13,8 @@ discipline: the execute stage draws only from per-item ``memory_rng``
 generators, the receive stage only from the analyzer RNG, and both
 consume items in request order -- so per-stream draw sequences match a
 sequential loop even though the stages are batched.  Timing jitter
-seeds a fresh generator per item, so it shares no stream at all.
+draws its tile shifts from a generator of its own seed, so it shares
+no stream at all.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def _jittered(trace: np.ndarray, jitter: TimingJitter) -> np.ndarray:
     # Data-dependent issue jitter low-pass filters the current spectrum
     # of real workloads; deterministic virus loops keep their sharp
     # edges.
-    w = max(1, jitter.smooth_cycles)
+    w = jitter.smooth_cycles
     if w > 1 and trace.size > w:
         kernel = np.ones(w) / w
         trace = np.convolve(
@@ -242,12 +243,9 @@ def _jittered(trace: np.ndarray, jitter: TimingJitter) -> np.ndarray:
         # untouched.
         mean = trace.mean()
         trace = mean + jitter.compression * (trace - mean)
-    rng = np.random.default_rng(jitter.seed)
-    n = trace.size
-    tiles = max(1, jitter.tiles)
-    return np.concatenate(
-        [np.roll(trace, int(rng.integers(n))) for _ in range(tiles)]
-    )
+    # Tiles at random phase shifts, in one gather through the index the
+    # jitter caches per trace length.
+    return trace[jitter.gather_index(trace.size)]
 
 
 class PDNStage:

@@ -15,6 +15,7 @@ exactly as it found it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -55,12 +56,56 @@ class TimingJitter:
     harmonic build-up a perfectly periodic loop enjoys at the PDN
     resonance.  dI/dt viruses are deliberately deterministic (Section
     3.3) and carry no jitter.
+
+    The phase shifts depend only on ``seed``, ``tiles`` and the trace
+    length, so :meth:`gather_index` draws them once per length and
+    caches the resulting read-only index on the (immutable) instance.
     """
 
     seed: int
     tiles: int = 16
     smooth_cycles: int = 12
     compression: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if not self.tiles >= 1:
+            raise ValueError(f"tiles must be >= 1, got {self.tiles!r}")
+        if not self.smooth_cycles >= 1:
+            raise ValueError(
+                f"smooth_cycles must be >= 1, got {self.smooth_cycles!r}"
+            )
+        if not (math.isfinite(self.compression) and self.compression >= 0):
+            raise ValueError(
+                "compression must be finite and >= 0, got "
+                f"{self.compression!r}"
+            )
+
+    def gather_index(self, n: int) -> np.ndarray:
+        """Read-only index that tiles an ``n``-sample trace with this
+        jitter's random phase shifts, in one gather.
+
+        ``trace[gather_index(n)]`` equals the concatenation of
+        ``np.roll(trace, s)`` over the ``tiles`` shifts ``s`` drawn one
+        at a time from ``np.random.default_rng(seed)``: element ``i``
+        of a tile rolled by ``s`` is ``trace[(i - s) % n]``.
+        """
+        indices = self.__dict__.get("_gather_indices")
+        if indices is None:
+            indices = {}
+            object.__setattr__(self, "_gather_indices", indices)
+        index = indices.get(n)
+        if index is None:
+            rng = np.random.default_rng(self.seed)
+            shifts = np.array(
+                [int(rng.integers(n)) for _ in range(self.tiles)]
+            )
+            index = (np.arange(n) - shifts[:, None]) % n
+            index = index.reshape(-1)
+            index.flags.writeable = False
+            indices[n] = index
+        return index
 
 
 @dataclass

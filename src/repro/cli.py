@@ -70,6 +70,7 @@ _FIELD_FLAGS = {
     "seed": "--seed",
     "virus_repeats": "--virus-repeats",
     "benchmark_repeats": "--repeats",
+    "workloads": "--workloads",
     "samples_per_point": "--samples",
     "samples": "--samples",
     "max_pending_jobs": "--max-pending",
@@ -389,7 +390,11 @@ def cmd_virus(args) -> int:
 
 def cmd_vmin(args) -> int:
     from repro.stability.failure import failure_model_for
-    from repro.stability.vmin import VminTester, check_repeat_counts
+    from repro.stability.vmin import (
+        VminTester,
+        check_repeat_counts,
+        check_workload_names,
+    )
     from repro.workloads.base import ProgramWorkload
     from repro.workloads.spec import SPEC_PROFILES, spec_workload
     from repro.workloads.stress import idle_workload
@@ -433,6 +438,10 @@ def cmd_vmin(args) -> int:
             ProgramWorkload("virus", program, jitter_seed=None)
         )
         virus_names = ("virus",)
+    try:
+        check_workload_names([workload.name for workload in workloads])
+    except ValueError as exc:
+        return _flag_error(args, exc)
 
     results = tester.compare(
         workloads,

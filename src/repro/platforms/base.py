@@ -14,14 +14,20 @@ fixed, so amperes scale with cycles per second) and supply voltage
 fast resonance sweep of Section 5.3 work: lowering the clock modulates
 the loop frequency *and* shrinks the current amplitude, yet the
 resonance peak dominates.
+
+Inside a :meth:`Cluster.memoized` scope, ``run`` and ``run_trace``
+solve each distinct input once per operating point: a V_MIN experiment
+repeats its descents, and only the failure classification between the
+steps is random.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,6 +127,9 @@ class Cluster:
             [ExecuteStage(), CurrentStage(), PDNStage()],
             session=SimulationSession(),
         )
+        # Results of run and run_trace by input and operating point,
+        # while a memoized() scope is open; None outside one.
+        self._memo: Optional[Dict[tuple, object]] = None
 
     # ------------------------------------------------------------------
     # platform controls (SCP / Overdrive equivalents)
@@ -214,6 +223,37 @@ class Cluster:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def memoized(self) -> Iterator[None]:
+        """Solve each distinct ``run`` / ``run_trace`` input once while
+        the block runs.
+
+        Inside the scope a call whose inputs were already solved at the
+        same :meth:`state` reuses that solution instead of running the
+        chain again.  ``run`` keys on the program's genome,
+        ``active_cores``, ``iterations``, ``phase_offsets`` and
+        ``jitter``, and each call still gets its own
+        :class:`~repro.chain.ChainItemResult` around the shared
+        execution and response; ``run_trace`` keys on the trace's
+        bytes and the sample rate, and returns the shared response.
+        A response is a deterministic function of those inputs, so
+        every result is bit for bit a fresh solve's.
+
+        Scopes nest.  The outermost one drops the memo when it exits,
+        also when the block raises, so the memo holds what one
+        experiment revisits and no more:
+        :meth:`repro.stability.vmin.VminTester.run` opens one per
+        workload, around its nominal run and every descent.
+        """
+        if self._memo is not None:
+            yield
+            return
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = None
+
     def current_scale(self, clock_hz: float, voltage: float) -> float:
         """Dynamic-current scaling for an operating point.
 
@@ -238,7 +278,8 @@ class Cluster:
         ``jitter`` models the data-dependent timing variation of a real
         (non-virus) workload (see :class:`repro.chain.TimingJitter`);
         dI/dt viruses are deliberately deterministic (Section 3.3) and
-        must pass ``None``.
+        must pass ``None``.  Inside a :meth:`memoized` scope, a repeat
+        of already solved inputs reuses their execution and response.
         """
         item = ChainItem(
             program=program,
@@ -247,24 +288,59 @@ class Cluster:
             phase_offsets=phase_offsets,
             jitter=jitter,
         )
+        memo = self._memo
+        if memo is not None:
+            key = (
+                "run",
+                self.state(),
+                program.genome(),
+                active_cores,
+                iterations,
+                None if phase_offsets is None else tuple(phase_offsets),
+                jitter,
+            )
+            solved = memo.get(key)
+            if solved is not None:
+                return replace(solved, item=item)
         request = ChainRequest(
             cluster=self,
             items=[item],
             want_amplitude=False,
             want_trace=False,
         )
-        return self._path.run(request).items[0]
+        result = self._path.run(request).items[0]
+        if memo is not None:
+            memo[key] = result
+        return result
 
     def run_trace(
         self, load_current: np.ndarray, sample_rate_hz: float
     ) -> PeriodicResponse:
-        """Rail response to an explicit current trace (SCL, idle, noise)."""
-        return self._path.session.pdn_solve(
+        """Rail response to an explicit current trace (SCL, idle, noise).
+
+        Inside a :meth:`memoized` scope, a repeat of an already solved
+        trace returns the same response object.
+        """
+        trace = np.asarray(load_current, dtype=float)
+        memo = self._memo
+        if memo is not None:
+            key = (
+                "trace",
+                self.state(),
+                trace.shape,
+                trace.tobytes(),
+                sample_rate_hz,
+            )
+            solved = memo.get(key)
+            if solved is not None:
+                return solved
+        response = self._path.session.pdn_solve(
             self,
             powered_cores=self._powered_cores,
             voltage=self._voltage,
-            load_current=np.asarray(load_current, dtype=float) * (
-                self._voltage / self.spec.nominal_voltage
-            ),
+            load_current=trace * (self._voltage / self.spec.nominal_voltage),
             sample_rate_hz=sample_rate_hz,
         )
+        if memo is not None:
+            memo[key] = response
+        return response

@@ -391,13 +391,15 @@ class MeasurementService:
 
         Virus jobs return ``(None, None)``: they are exclusive and
         build their generator at execution time (their GA settings
-        were checked when the spec was parsed).  Measure/sweep items
+        were checked when the spec was parsed; their ``resume_dir`` is
+        checked here, by :meth:`_resume_path`).  Measure/sweep items
         are dry-run through :func:`repro.chain.stages.resolve_request`,
         and the band must hold at least one analyzer bin, so an invalid
         operating point or band rejects the *submission* instead of
         failing the whole coalesced batch later.
         """
         if spec.kind == "virus":
+            self._resume_path(spec)
             return None, None
         band = spec.band or state.characterizer.band
         samples = (
@@ -428,6 +430,41 @@ class MeasurementService:
             samples=samples,
         )
         return items, key
+
+    def _resume_path(self, spec) -> Optional[Path]:
+        """The checkpoint file a virus job resumes from, or ``None``.
+
+        ``resume_dir`` names a checkpoint file relative to
+        ``state_dir``.  An absolute path, one that resolves outside
+        ``state_dir`` (through ``..`` or a symlink) or cannot be
+        resolved, or any path on a service without a ``state_dir``
+        raises one :class:`BadRequest` naming the field, so a client
+        can neither make the service open other files nor learn from
+        the error whether they exist.
+        """
+        if not spec.resume_dir:
+            return None
+        if self.state_dir is None:
+            raise BadRequest(
+                "resume_dir needs a service state directory, and this "
+                "service has none"
+            )
+        if Path(spec.resume_dir).is_absolute():
+            raise BadRequest(
+                "resume_dir must be relative to the service state "
+                "directory"
+            )
+        root = self.state_dir.resolve()
+        try:
+            path = (root / spec.resume_dir).resolve()
+        except (OSError, RuntimeError, ValueError):
+            # A NUL byte, a symlink loop or an unreadable component.
+            raise BadRequest("resume_dir is not a usable path") from None
+        if not path.is_relative_to(root):
+            raise BadRequest(
+                "resume_dir must stay inside the service state directory"
+            )
+        return path
 
     def _chain_items(
         self, spec, state: _PlatformState
@@ -714,10 +751,25 @@ class MeasurementService:
         spec = job.spec
         state = self._platform_state(spec.platform)
         resume = None
-        if spec.resume_dir:
+        resume_path = self._resume_path(spec)
+        if resume_path is not None:
+            from repro.faults.errors import CorruptArtifact
             from repro.io.serialization import load_checkpoint
 
-            resume = load_checkpoint(spec.resume_dir, event_log=job_log)
+            try:
+                resume = load_checkpoint(resume_path, event_log=job_log)
+            except (OSError, CorruptArtifact) as exc:
+                # Name the file as the client did: the loader's message
+                # carries the server's absolute path.
+                reason = (
+                    "no checkpoint found"
+                    if isinstance(exc, FileNotFoundError)
+                    else "no valid checkpoint"
+                )
+                raise BadRequest(
+                    f"cannot resume from resume_dir {spec.resume_dir!r}: "
+                    f"{reason}"
+                ) from None
         generator = VirusGenerator(
             state.cluster,
             state.characterizer,

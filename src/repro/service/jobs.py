@@ -359,7 +359,13 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class VirusSpec:
-    """A GA virus-generation campaign (never coalesced: exclusive)."""
+    """A GA virus-generation campaign (never coalesced: exclusive).
+
+    ``resume_dir`` names a checkpoint *file*, not a directory, relative
+    to the service's ``state_dir``; the service refuses it at
+    submission unless it resolves inside that directory (see
+    ``MeasurementService._resume_path``).
+    """
 
     platform: str
     generations: int = 3

@@ -8,13 +8,19 @@ at nominal voltage; the harness records the highest voltage at which
 and stops at the system crash.  For statistical confidence the paper
 repeats the test 30 times per virus and twice per benchmark; the
 reported V_MIN is the highest deviation voltage seen across repeats.
+
+On hardware the repeats differ because the failure point is random.
+Here the rail response at a rung depends only on the workload and the
+operating point, and only the failure classification draws random
+numbers, so an experiment runs inside a :meth:`Cluster.memoized` scope
+and solves each rung once, however many descents pass it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +61,18 @@ def check_repeat_counts(virus_repeats: int, benchmark_repeats: int) -> None:
     ):
         if repeats < 1:
             raise ValueError(f"{name} must be >= 1")
+
+
+def check_workload_names(names: Sequence[str]) -> None:
+    """Raise ``ValueError`` if ``names`` is empty or repeats a name:
+    :meth:`VminTester.compare` keys its results by workload name."""
+    if not names:
+        raise ValueError("workloads must name at least one workload")
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"workloads must not list {name!r} twice")
+        seen.add(name)
 
 
 def check_descent(
@@ -131,6 +149,8 @@ class VminTester:
     ) -> VminResult:
         """Full experiment: ``repeats`` descents, worst-case V_MIN.
 
+        The nominal run and every descent share one
+        :meth:`Cluster.memoized` scope, so each rung is solved once.
         Restores the cluster's previous voltage afterwards.
         """
         if repeats < 1:
@@ -140,32 +160,33 @@ class VminTester:
             self.cluster.spec.nominal_voltage
         )
         check_descent(start, self.step_v, floor_v)
-        try:
-            # Reference measurement at nominal voltage.
-            self.cluster.set_voltage(self.cluster.spec.nominal_voltage)
-            nominal_run = workload.run(
-                self.cluster, active_cores=active_cores
-            )
-            droop = nominal_run.max_droop
-            p2p = nominal_run.peak_to_peak
-
-            all_logs = []
-            deviations: List[float] = []
-            crashes: List[float] = []
-            for _ in range(repeats):
-                log = self._single_descent(
-                    workload, start, floor_v, active_cores
+        with self.cluster.memoized():
+            try:
+                # Reference measurement at nominal voltage.
+                self.cluster.set_voltage(self.cluster.spec.nominal_voltage)
+                nominal_run = workload.run(
+                    self.cluster, active_cores=active_cores
                 )
-                all_logs.append(log)
-                for v, outcome in log:
-                    if outcome.is_deviation:
-                        deviations.append(v)
-                    if outcome is Outcome.SYSTEM_CRASH:
-                        crashes.append(v)
-            vmin = max(deviations) if deviations else float("nan")
-            crash_v = max(crashes) if crashes else float("nan")
-        finally:
-            self.cluster.set_voltage(saved_voltage)
+                droop = nominal_run.max_droop
+                p2p = nominal_run.peak_to_peak
+
+                all_logs = []
+                deviations: List[float] = []
+                crashes: List[float] = []
+                for _ in range(repeats):
+                    log = self._single_descent(
+                        workload, start, floor_v, active_cores
+                    )
+                    all_logs.append(log)
+                    for v, outcome in log:
+                        if outcome.is_deviation:
+                            deviations.append(v)
+                        if outcome is Outcome.SYSTEM_CRASH:
+                            crashes.append(v)
+                vmin = max(deviations) if deviations else float("nan")
+                crash_v = max(crashes) if crashes else float("nan")
+            finally:
+                self.cluster.set_voltage(saved_voltage)
         return VminResult(
             workload_name=workload.name,
             vmin=vmin,
@@ -186,10 +207,11 @@ class VminTester:
         """V_MIN for a workload set (the Fig. 10/14/18 experiments).
 
         Viruses get more repeats than benchmarks, mirroring the paper's
-        30-vs-2 protocol.  Both counts are checked before any ladder
-        runs.
+        30-vs-2 protocol.  Both counts and the workload names are
+        checked before any ladder runs.
         """
         check_repeat_counts(virus_repeats, benchmark_repeats)
+        check_workload_names([workload.name for workload in workloads])
         results: Dict[str, VminResult] = {}
         for workload in workloads:
             repeats = (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -100,7 +100,8 @@ class IdleWorkload(Workload):
 
     A flat trace has zero AC content; real idle shows millivolt-level
     activity from background OS noise, modeled as low-amplitude
-    filtered noise on top of the per-core base current.
+    filtered noise on top of the per-core base current.  The noise is
+    drawn once per ``(seed, samples)`` and reused by later runs.
     """
 
     def __init__(
@@ -114,20 +115,29 @@ class IdleWorkload(Workload):
         self.wander_fraction = wander_fraction
         self.samples = samples
         self.seed = seed
+        self._noise: Optional[Tuple[Tuple[int, int], np.ndarray]] = None
+
+    def _wander(self) -> np.ndarray:
+        """The smoothed seeded noise, drawn once per (seed, samples)."""
+        key = (self.seed, self.samples)
+        if self._noise is None or self._noise[0] != key:
+            rng = np.random.default_rng(self.seed)
+            noise = rng.standard_normal(self.samples)
+            # Smooth to kill content near the resonance band.
+            kernel = np.ones(33) / 33.0
+            noise = np.convolve(noise, kernel, mode="same")
+            noise.flags.writeable = False
+            self._noise = (key, noise)
+        return self._noise[1]
 
     def run(
         self, cluster: Cluster, active_cores: Optional[int] = None
     ) -> WorkloadRun:
-        rng = np.random.default_rng(self.seed)
         base = (
             cluster.spec.current_model.base_current_a
             * cluster.powered_cores
             + cluster.spec.uncore_current_a
         )
-        noise = rng.standard_normal(self.samples)
-        # Smooth to kill content near the resonance band.
-        kernel = np.ones(33) / 33.0
-        noise = np.convolve(noise, kernel, mode="same")
-        trace = base * (1.0 + self.wander_fraction * noise)
+        trace = base * (1.0 + self.wander_fraction * self._wander())
         response = cluster.run_trace(trace, cluster.clock_hz)
         return WorkloadRun(workload_name=self.name, response=response)

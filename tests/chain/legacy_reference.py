@@ -140,6 +140,35 @@ def _active_cores(cluster, active_cores: Optional[int]) -> int:
     return active
 
 
+def reference_jitter(
+    trace: np.ndarray,
+    timing_jitter_rng: np.random.Generator,
+    jitter_tiles: int = 16,
+    jitter_smooth_cycles: int = 12,
+    activity_compression: float = 1.0,
+) -> np.ndarray:
+    """The jitter block of ``Cluster.run`` before the chain: smooth,
+    compress, then tile with one ``np.roll`` per random shift."""
+    w = max(1, jitter_smooth_cycles)
+    if w > 1 and trace.size > w:
+        kernel = np.ones(w) / w
+        trace = np.convolve(
+            np.concatenate([trace[-(w - 1):], trace]),
+            kernel,
+            mode="valid",
+        )
+    if activity_compression != 1.0:
+        mean = trace.mean()
+        trace = mean + activity_compression * (trace - mean)
+    n = trace.size
+    return np.concatenate(
+        [
+            np.roll(trace, int(timing_jitter_rng.integers(n)))
+            for _ in range(max(1, jitter_tiles))
+        ]
+    )
+
+
 def reference_run(
     cluster,
     program: LoopProgram,
@@ -165,23 +194,12 @@ def reference_run(
     if trace.size < 4:
         trace = np.tile(trace, int(np.ceil(4 / trace.size)))
     if timing_jitter_rng is not None:
-        w = max(1, jitter_smooth_cycles)
-        if w > 1 and trace.size > w:
-            kernel = np.ones(w) / w
-            trace = np.convolve(
-                np.concatenate([trace[-(w - 1):], trace]),
-                kernel,
-                mode="valid",
-            )
-        if activity_compression != 1.0:
-            mean = trace.mean()
-            trace = mean + activity_compression * (trace - mean)
-        n = trace.size
-        trace = np.concatenate(
-            [
-                np.roll(trace, int(timing_jitter_rng.integers(n)))
-                for _ in range(max(1, jitter_tiles))
-            ]
+        trace = reference_jitter(
+            trace,
+            timing_jitter_rng,
+            jitter_tiles=jitter_tiles,
+            jitter_smooth_cycles=jitter_smooth_cycles,
+            activity_compression=activity_compression,
         )
     return ReferenceRun(
         program=program,

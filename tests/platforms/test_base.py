@@ -124,3 +124,67 @@ class TestExecution:
         assert run.response.die_voltage.size == (
             4 * base.response.die_voltage.size
         )
+
+
+class TestMemoized:
+    def test_repeat_shares_execution_and_response(self, a72, hilo):
+        with a72.memoized():
+            first = a72.run(hilo)
+            second = a72.run(hilo)
+        assert second is not first
+        assert second.item is not first.item
+        assert second.execution is first.execution
+        assert second.response is first.response
+        fresh = a72.run(hilo)
+        np.testing.assert_array_equal(
+            fresh.response.die_voltage, first.response.die_voltage
+        )
+
+    def test_operating_point_and_inputs_are_in_the_key(self, a72, hilo):
+        jitter = TimingJitter(seed=3, tiles=2)
+        with a72.memoized():
+            base = a72.run(hilo)
+            jittered = a72.run(hilo, jitter=jitter)
+            assert jittered.response is not base.response
+            # An equal jitter built anew is the same input.
+            again = a72.run(hilo, jitter=TimingJitter(seed=3, tiles=2))
+            assert again.response is jittered.response
+            assert a72.run(hilo, jitter=TimingJitter(seed=4, tiles=2)
+                           ).response is not jittered.response
+            assert a72.run(hilo, active_cores=1).response is not (
+                base.response
+            )
+            assert a72.run(hilo, iterations=8).response is not (
+                base.response
+            )
+            a72.set_voltage(0.9)
+            lower = a72.run(hilo)
+            assert lower.response is not base.response
+            assert lower.voltage == 0.9
+            a72.set_voltage(a72.spec.nominal_voltage)
+            assert a72.run(hilo).response is base.response
+
+    def test_run_trace_keys_on_bytes_and_rate(self, a72):
+        trace = np.linspace(1.0, 2.0, 64)
+        with a72.memoized():
+            first = a72.run_trace(trace, 1.2e9)
+            assert a72.run_trace(list(trace), 1.2e9) is first
+            assert a72.run_trace(trace, 1.0e9) is not first
+            changed = trace.copy()
+            changed[-1] = np.nextafter(changed[-1], 3.0)
+            assert a72.run_trace(changed, 1.2e9) is not first
+
+    def test_scopes_nest_and_the_outermost_drops_the_memo(self, a72, hilo):
+        with a72.memoized():
+            first = a72.run(hilo)
+            with a72.memoized():
+                assert a72.run(hilo).response is first.response
+            assert a72.run(hilo).response is first.response
+        assert a72.run(hilo).response is not first.response
+
+    def test_memo_dropped_when_the_block_raises(self, a72, hilo):
+        with pytest.raises(RuntimeError):
+            with a72.memoized():
+                first = a72.run(hilo)
+                raise RuntimeError("experiment failed")
+        assert a72.run(hilo).response is not first.response

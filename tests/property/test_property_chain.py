@@ -15,12 +15,15 @@ A third property pins ``Cluster.run``, ``ProgramWorkload.run`` and
 ``IdleWorkload.run`` -- now chain calls through the cluster's own
 session -- bit for bit to the pre-chain per-call path in
 ``tests/chain/legacy_reference.py``, on a cache miss and a cache hit.
+A fourth pins the timing jitter's one-gather tiling to the
+``np.roll``-per-tile block of that path.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.chain import ChainItem, ChainRequest, OperatingPoint, TimingJitter
+from repro.chain.stages import _jittered
 from repro.core.characterizer import EMCharacterizer
 from repro.cpu.program import random_program
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
@@ -30,6 +33,7 @@ from repro.workloads.base import IdleWorkload, ProgramWorkload
 
 from tests.chain.legacy_reference import (
     reference_idle_response,
+    reference_jitter,
     reference_run,
 )
 
@@ -250,3 +254,53 @@ def test_idle_run_equals_the_reference_run_trace(point, seed):
     for _ in range(2):
         _assert_same_response(workload.run(cluster).response, expected)
 
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=5000),
+    ),
+    seed=st.integers(min_value=0, max_value=2**64),
+    tiles=st.integers(min_value=1, max_value=32),
+    smooth_cycles=st.integers(min_value=1, max_value=24),
+    compression=st.sampled_from([0.0, 0.2, 0.5, 1.0, 1.5]),
+    trace_seed=seeds,
+)
+@example(n=1, seed=0, tiles=16, smooth_cycles=12, compression=0.5,
+         trace_seed=0)
+@example(n=5, seed=2**64, tiles=32, smooth_cycles=12, compression=1.0,
+         trace_seed=1)
+@example(n=5000, seed=77, tiles=32, smooth_cycles=6, compression=0.8,
+         trace_seed=2)
+def test_jitter_gather_equals_rolled_tiles(
+    n, seed, tiles, smooth_cycles, compression, trace_seed
+):
+    """The cached gather index tiles a trace exactly like one
+    ``np.roll`` per shift drawn from ``default_rng(seed)``, including
+    one-sample traces and traces shorter than the smoothing window;
+    the index is read-only and drawn once per length."""
+    trace = np.random.default_rng(trace_seed).uniform(0.5, 3.0, n)
+    jitter = TimingJitter(
+        seed=seed,
+        tiles=tiles,
+        smooth_cycles=smooth_cycles,
+        compression=compression,
+    )
+    expected = reference_jitter(
+        trace,
+        np.random.default_rng(seed),
+        jitter_tiles=tiles,
+        jitter_smooth_cycles=smooth_cycles,
+        activity_compression=compression,
+    )
+    np.testing.assert_array_equal(_jittered(trace, jitter), expected)
+    index = jitter.gather_index(n)
+    assert index.shape == (tiles * n,)
+    assert not index.flags.writeable
+    assert jitter.gather_index(n) is index
+    rolled = reference_jitter(
+        trace, np.random.default_rng(seed), jitter_tiles=tiles,
+        jitter_smooth_cycles=1,
+    )
+    np.testing.assert_array_equal(trace[index], rolled)

@@ -140,6 +140,29 @@ class TestErrorMapping:
 
         _run(run())
 
+    def test_resume_dir_outside_state_dir_is_400(self, tmp_path):
+        async def run():
+            service, server, client = await _boot(state_dir=tmp_path)
+            try:
+                status, payload = await client.request(
+                    "POST",
+                    "/v1/jobs",
+                    {
+                        "kind": "virus",
+                        "params": {
+                            "platform": "a53",
+                            "resume_dir": "../../etc/passwd",
+                        },
+                    },
+                )
+                assert status == 400
+                assert "resume_dir" in payload["error"]
+            finally:
+                await server.close()
+                await service.close()
+
+        _run(run())
+
     def test_malformed_job_is_400_not_a_dropped_connection(self):
         async def run():
             service, server, client = await _boot(rate_per_s=100.0)

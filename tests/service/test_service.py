@@ -339,25 +339,109 @@ class TestVirusJobs:
     def test_virus_resume_from_missing_checkpoint_fails_cleanly(
         self, tmp_path
     ):
-        missing = tmp_path / "nope" / "checkpoint.json"
+        """``resume_dir`` names a checkpoint file under ``state_dir``."""
 
         async def run():
-            async with _service() as svc:
+            async with _service(state_dir=tmp_path) as svc:
                 job = svc.submit(
                     "virus",
                     {
                         "platform": "a53",
                         "generations": 1,
                         "population": 2,
-                        "resume_dir": str(missing),
+                        "resume_dir": "nope/checkpoint.json",
                     },
                 )
                 with pytest.raises(Exception):
                     await job.wait()
                 assert job.status == "failed"
-                # One-line error naming the path, not a traceback.
-                assert str(missing) in job.error
+                # One-line error naming the file as the client did, not
+                # a traceback, and not the server's own path.
+                assert "'nope/checkpoint.json': no checkpoint found" in (
+                    job.error
+                )
+                assert str(tmp_path) not in job.error
                 assert "\n" not in job.error
+
+        asyncio.run(run())
+
+    def test_virus_resume_from_corrupt_checkpoint_fails_cleanly(
+        self, tmp_path
+    ):
+        (tmp_path / "checkpoint.json").write_text("not a checkpoint")
+
+        async def run():
+            async with _service(state_dir=tmp_path) as svc:
+                job = svc.submit(
+                    "virus",
+                    {
+                        "platform": "a53",
+                        "generations": 1,
+                        "population": 2,
+                        "resume_dir": "checkpoint.json",
+                    },
+                )
+                with pytest.raises(Exception):
+                    await job.wait()
+                assert job.status == "failed"
+                assert job.error.endswith(
+                    "'checkpoint.json': no valid checkpoint"
+                )
+                assert str(tmp_path) not in job.error
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "resume_dir, reason",
+        [
+            ("/etc/hostname", "relative"),
+            ("../../etc/passwd", "inside"),
+            ("sub/../../outside.json", "inside"),
+            ("escape/checkpoint.json", "inside"),
+            ("loop/checkpoint.json", "usable"),
+            ("nul\x00byte.json", "usable"),
+        ],
+        ids=[
+            "absolute", "dotdot", "dotdot-after-subdir", "symlink",
+            "symlink-loop", "nul-byte",
+        ],
+    )
+    def test_bad_resume_dir_refused_at_submission(
+        self, tmp_path, resume_dir, reason
+    ):
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (state_dir / "escape").symlink_to(outside)
+        (state_dir / "loop").symlink_to(state_dir / "loop")
+
+        async def run():
+            async with _service(state_dir=state_dir) as svc:
+                with pytest.raises(BadRequest) as excinfo:
+                    svc.submit(
+                        "virus",
+                        {"platform": "a53", "resume_dir": resume_dir},
+                    )
+                message = str(excinfo.value)
+                assert excinfo.value.http_status == 400
+                assert message.startswith("resume_dir ")
+                assert reason in message
+                # The refusal says nothing about the file itself.
+                assert "etc" not in message and "\n" not in message
+                assert svc.counters["submitted"] == 0
+
+        asyncio.run(run())
+
+    def test_resume_dir_refused_without_state_dir(self):
+        async def run():
+            async with _service() as svc:
+                with pytest.raises(BadRequest, match="^resume_dir needs"):
+                    svc.submit(
+                        "virus",
+                        {"platform": "a53", "resume_dir": "c.json"},
+                    )
+                assert svc.counters["submitted"] == 0
 
         asyncio.run(run())
 

@@ -1,15 +1,21 @@
 """Unit tests for the V_MIN test harness."""
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.chain import SignalPath, SimulationSession
 from repro.cpu.program import program_from_mnemonics
+from repro.platforms import registry
 from repro.stability.failure import failure_model_for
-from repro.stability.vmin import VminTester
-from repro.workloads.base import ProgramWorkload
+from repro.stability.vmin import VminTester, check_workload_names
+from repro.workloads.base import ProgramWorkload, Workload
+from repro.workloads.loops import high_low_program
 from repro.workloads.spec import spec_workload
 from repro.workloads.stress import idle_workload
+
+from tests.stability.vmin_reference import reference_compare
 
 
 @pytest.fixture
@@ -117,3 +123,138 @@ class TestVminOrdering:
         """SDC/app-crash appears at or above the crash voltage."""
         result = tester.run(resonant_virus, repeats=5)
         assert result.vmin >= result.crash_voltage
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _workload_set(cluster):
+    """Idle, one SPEC workload and a deterministic virus stand-in."""
+    isa = cluster.spec.isa
+    return [
+        idle_workload(),
+        spec_workload(isa, "lbm"),
+        ProgramWorkload("virus", high_low_program(isa), jitter_seed=None),
+    ]
+
+
+class _Counter:
+    """Wraps a method on a class and counts its calls."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.calls = 0
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+class _FailsAtCall(Workload):
+    """Delegates to ``inner`` but raises on its ``fail_at``-th run."""
+
+    def __init__(self, inner: Workload, fail_at: int):
+        super().__init__(inner.name)
+        self.inner = inner
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def run(self, cluster, active_cores=None):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("workload crashed mid-descent")
+        return self.inner.run(cluster, active_cores=active_cores)
+
+
+class TestMemoizedLadder:
+    """A ladder solves each rung once and still matches, bit for bit,
+    the same ladder solved afresh at every step."""
+
+    @pytest.mark.parametrize("platform", ["a72", "a53", "amd"])
+    def test_equals_the_rung_by_rung_ladder(self, platform):
+        cluster = registry.make_cluster(platform)
+        model = failure_model_for(cluster.name)
+        kwargs = dict(
+            virus_repeats=5, benchmark_repeats=2, virus_names=("virus",)
+        )
+        got = VminTester(cluster, model, seed=11).compare(
+            _workload_set(cluster), **kwargs
+        )
+        expected = reference_compare(
+            cluster, model, 11, _workload_set(cluster), **kwargs
+        )
+        assert list(got) == list(expected)
+        for name, result in got.items():
+            want = expected[name]
+            for field in dataclasses.fields(result):
+                a = getattr(result, field.name)
+                b = getattr(want, field.name)
+                if isinstance(a, float):
+                    assert _same_float(a, b), (name, field.name)
+                else:
+                    assert a == b, (name, field.name)
+            assert result.repeats == (5 if name == "virus" else 2)
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["idle", "lbm", "virus"])
+    def test_solves_each_distinct_rung_once(self, monkeypatch, index):
+        cluster = registry.make_cluster("a53")
+        workload = _workload_set(cluster)[index]
+        solves = _Counter(monkeypatch, SimulationSession, "pdn_solve")
+        chain_runs = _Counter(monkeypatch, SignalPath, "run")
+        tester = VminTester(cluster, failure_model_for(cluster.name))
+        result = tester.run(workload, repeats=4)
+        rungs = {cluster.spec.nominal_voltage} | {
+            v for log in result.outcomes for v, _ in log
+        }
+        steps = 1 + sum(len(log) for log in result.outcomes)
+        assert solves.calls == len(rungs) < steps
+        expected_chain_runs = 0 if workload.name == "idle" else len(rungs)
+        assert chain_runs.calls == expected_chain_runs
+
+    def test_memo_dropped_after_run(self, monkeypatch, tester, a72):
+        program = high_low_program(a72.spec.isa)
+        workload = ProgramWorkload("virus", program, jitter_seed=None)
+        tester.run(workload, repeats=2)
+        chain_runs = _Counter(monkeypatch, SignalPath, "run")
+        first = a72.run(program)
+        second = a72.run(program)
+        assert chain_runs.calls == 2
+        assert second.response is not first.response
+
+    def test_memo_dropped_when_a_workload_raises(
+        self, monkeypatch, tester, a72
+    ):
+        a72.set_voltage(0.95)
+        inner = spec_workload(a72.spec.isa, "gcc")
+        # The nominal run, then five rungs of the first descent.
+        workload = _FailsAtCall(inner, fail_at=7)
+        with pytest.raises(RuntimeError, match="mid-descent"):
+            tester.run(workload, repeats=2)
+        assert workload.calls == 7
+        assert a72.voltage == 0.95
+        chain_runs = _Counter(monkeypatch, SignalPath, "run")
+        inner.run(a72)
+        inner.run(a72)
+        assert chain_runs.calls == 2
+
+
+class TestWorkloadNames:
+    def test_empty_list_rejected(self, tester):
+        with pytest.raises(ValueError, match="^workloads must name"):
+            tester.compare([])
+
+    def test_repeated_name_rejected_before_any_ladder(
+        self, monkeypatch, tester
+    ):
+        def no_ladder(*args, **kwargs):
+            raise AssertionError("a ladder ran before the name check")
+
+        monkeypatch.setattr(VminTester, "run", no_ladder)
+        with pytest.raises(ValueError, match="'idle' twice"):
+            tester.compare([idle_workload(), idle_workload()])
+
+    def test_distinct_names_pass(self):
+        check_workload_names(["idle", "gcc", "virus"])

@@ -118,6 +118,31 @@ class TestCommands:
             ["vmin", "--platform", "a72", "--workloads", "doom"]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [(",", "must name at least one"), ("idle,idle", "'idle' twice")],
+        ids=["empty", "repeated"],
+    )
+    def test_vmin_bad_workload_list(
+        self, capsys, monkeypatch, names, message
+    ):
+        """An empty or repeated workload list used to print an empty
+        or short table and exit 0; it fails before any ladder runs."""
+        from repro.stability.vmin import VminTester
+
+        def no_ladder(*args, **kwargs):
+            raise AssertionError("a ladder ran before the name check")
+
+        monkeypatch.setattr(VminTester, "run", no_ladder)
+        assert main(
+            ["vmin", "--platform", "a53", "--workloads", names]
+        ) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: bad --workloads {names}: ")
+        assert message in line
+
     def test_platforms(self, capsys):
         assert main(["platforms"]) == 0
         out = capsys.readouterr().out

@@ -25,6 +25,28 @@ class TestIdleWorkload:
         b = IdleWorkload(seed=5).run(a72)
         assert a.max_droop == pytest.approx(b.max_droop)
 
+    def test_repeated_runs_equal_a_fresh_instance(self, a72):
+        workload = IdleWorkload(seed=5)
+        runs = [workload.run(a72) for _ in range(3)]
+        fresh = IdleWorkload(seed=5).run(a72)
+        for run in runs:
+            np.testing.assert_array_equal(
+                run.response.die_voltage, fresh.response.die_voltage
+            )
+
+    @pytest.mark.parametrize("change", [{"seed": 6}, {"samples": 2048}])
+    def test_changed_settings_after_a_run_change_the_trace(
+        self, a72, change
+    ):
+        workload = IdleWorkload(seed=5)
+        before = workload.run(a72).response.die_voltage
+        for name, value in change.items():
+            setattr(workload, name, value)
+        after = workload.run(a72).response.die_voltage
+        fresh = IdleWorkload(**{"seed": 5, **change}).run(a72)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, fresh.response.die_voltage)
+
 
 class TestProgramWorkload:
     @pytest.fixture
