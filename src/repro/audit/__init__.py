@@ -5,9 +5,8 @@ the simulator assumes:
 
 * **Static** -- ``python -m repro.audit lint src/`` applies the AST
   rules of :mod:`repro.audit.rules` (unseeded RNGs, wall-clock reads,
-  ``id()`` cache keys, mutable defaults, missing ``state_version``
-  bumps, over-broad ``except``) and exits nonzero on any unsuppressed
-  finding.
+  ``id()`` cache keys, mutable defaults, over-broad ``except``) and
+  exits nonzero on any unsuppressed finding.
 * **Runtime** -- an opt-in :class:`DeterminismTracker`
   (``SimulationSession(audit=...)`` / CLI ``--audit``) shadow-recomputes
   a seeded sample of session cache hits and keeps an RNG draw ledger

@@ -31,8 +31,8 @@ class CacheShadowMismatch(AuditViolation):
 
     The :class:`repro.chain.SimulationSession` contract is that every
     cached value is a pure function of its key; a mismatch means either
-    the key omits an input the value depends on (aliasing, missing
-    ``state_version`` bump) or the entry was mutated in place.
+    the key omits an input the value depends on (aliasing) or the entry
+    was mutated in place.
     """
 
     kind = "cache_shadow_mismatch"

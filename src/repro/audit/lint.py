@@ -9,8 +9,8 @@ fail the run; any unsuppressed finding makes the exit status nonzero.
 
 The checks are deliberately project-shaped, not a general linter: they
 encode the specific discipline the bit-identity guarantees of this
-repo rest on (seeded RNG streams, ``state_version`` bumps, stable
-cache keys, fault errors that propagate).
+repo rest on (seeded RNG streams, stable cache keys, fault errors
+that propagate).
 """
 
 from __future__ import annotations
@@ -113,33 +113,6 @@ def _reraises(body: Sequence[ast.stmt]) -> bool:
     return False
 
 
-def _self_attr_target(node: ast.AST) -> Optional[str]:
-    """Attribute name for a ``self.<attr>`` store target, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def _assigned_self_attrs(func: ast.AST) -> Set[str]:
-    """Every ``self.<attr>`` a function assigns or augments."""
-    attrs: Set[str] = set()
-    for node in ast.walk(func):
-        targets: List[ast.AST] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        for target in targets:
-            name = _self_attr_target(target)
-            if name is not None:
-                attrs.add(name)
-    return attrs
-
-
 class _RuleVisitor(ast.NodeVisitor):
     """Applies every rule to one module's AST."""
 
@@ -235,56 +208,6 @@ class _RuleVisitor(ast.NodeVisitor):
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_defaults(node)
         self.generic_visit(node)
-
-    # -- R5 ------------------------------------------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._check_state_version(node)
-        self.generic_visit(node)
-
-    def _check_state_version(self, node: ast.ClassDef) -> None:
-        """Classes with a ``state()`` snapshot and a ``_state_version``
-        counter must bump the counter in every method that writes a
-        field ``state()`` reads."""
-        methods = [
-            stmt
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        state_method = next(
-            (m for m in methods if m.name == "state"), None
-        )
-        tracks_version = any(
-            "_state_version" in _assigned_self_attrs(m) for m in methods
-        )
-        if state_method is None or not tracks_version:
-            return
-        # Only plain ``self._x`` reads count as state fields; a nested
-        # ``self._pdn.solver`` read still registers ``_pdn`` via the
-        # inner Attribute node, so nothing is lost by requiring one dot.
-        state_fields = {
-            dotted[len("self."):]
-            for n in ast.walk(state_method)
-            if isinstance(n, ast.Attribute)
-            and isinstance(n.ctx, ast.Load)
-            and (dotted := _dotted(n)) is not None
-            and dotted.startswith("self._")
-            and dotted.count(".") == 1
-        }
-        state_fields.discard("_state_version")
-        if not state_fields:
-            return
-        for method in methods:
-            if method.name in ("__init__", "state"):
-                continue
-            assigned = _assigned_self_attrs(method)
-            if assigned & state_fields and "_state_version" not in assigned:
-                self._flag(
-                    method,
-                    "R5",
-                    f"{node.name}.{method.name}() writes "
-                    f"{sorted(assigned & state_fields)} without bumping "
-                    "_state_version",
-                )
 
     # -- R6 ------------------------------------------------------------
     def visit_Try(self, node: ast.Try) -> None:

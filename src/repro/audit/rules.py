@@ -74,9 +74,8 @@ RULES: Dict[str, Rule] = {
                 "key can silently alias a dead object's entries"
             ),
             fixit=(
-                "key by a stable monotonic token (Cluster.uid, a "
-                "session token registry holding a strong reference) "
-                "or by a weakref, never by id()"
+                "key by a stable monotonic token (Cluster.uid) or by a "
+                "weakref, never by id()"
             ),
         ),
         Rule(
@@ -90,20 +89,6 @@ RULES: Dict[str, Rule] = {
                 "default to None and construct the container inside "
                 "the function (or use dataclasses.field("
                 "default_factory=...))"
-            ),
-        ),
-        Rule(
-            id="R5",
-            name="state-version-bump",
-            summary=(
-                "Cluster mutator does not bump state_version: a "
-                "method writes an operating-state field read by "
-                "state() without incrementing _state_version, so "
-                "session caches keep serving the stale snapshot"
-            ),
-            fixit=(
-                "add `self._state_version += 1` after the last state "
-                "field write in the mutator"
             ),
         ),
         Rule(

@@ -9,9 +9,9 @@ invariants everything else assumes:
 pure function of its key.  The tracker samples cache *hits* with a
 seeded PRNG (independent of every measurement stream), recomputes the
 value from scratch and asserts bitwise equality with the cached copy.
-A mismatch means key aliasing (the pre-fix ``id(cluster)`` bug), a
-missing ``state_version`` bump, or in-place mutation of a cached
-array -- raised as :class:`~repro.audit.errors.CacheShadowMismatch`.
+A mismatch means key aliasing (the pre-fix ``id(cluster)`` bug) or
+in-place mutation of a cached array -- raised as
+:class:`~repro.audit.errors.CacheShadowMismatch`.
 
 **RNG draw ledger.**  The batch-equivalence contract pins which chain
 stage may drain which RNG stream: ``execute`` the per-item

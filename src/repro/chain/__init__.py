@@ -10,8 +10,8 @@ This package reifies it once as a composable, batch-first pipeline:
   operating points, :class:`ChainResult` with per-item responses /
   emissions / amplitudes) so a whole resonance sweep or GA generation
   is one chain call;
-- a :class:`SimulationSession` owning cross-call caches keyed by the
-  cluster state version (clock, voltage, powered cores).
+- a :class:`SimulationSession` caching schedules and transfer-function
+  grids across calls.
 
 Every run of a program goes through this layer.  ``Cluster.run`` is a
 one-item, response-only call (execute -> current -> pdn) through a

@@ -72,12 +72,11 @@ def resolve_request(
 
     Per-item overrides are validated with the same checks (and error
     messages) as the platform setters; unset fields fall back to the
-    cluster's live state, read once through the session's
-    version-tracked snapshot.  After this point the chain never touches
-    the cluster's mutable state.
+    cluster's live state, read once.  After this point the chain never
+    touches the cluster's mutable state.
     """
     cluster = request.cluster
-    base = session.cluster_state(cluster)
+    base = cluster.state()
     batch = ChainBatch(request=request, session=session)
     for item in request.items:
         item.validate()
@@ -279,14 +278,7 @@ class RadiateStage:
         if not batch.request.want_emission:
             return
         for w in batch.work:
-            grid_key = (w.load_current.size, w.result.clock_hz)
-            freqs = w.result.response.harmonic_frequencies_hz[1:]
-            tilt = batch.session.radiator_tilt(
-                self.radiator, freqs, grid_key
-            )
-            w.result.emission = self.radiator.emission(
-                w.result.response, tilt=tilt
-            )
+            w.result.emission = self.radiator.emission(w.result.response)
 
 
 class PropagateStage:
@@ -307,13 +299,8 @@ class PropagateStage:
         if not batch.request.want_emission:
             return
         for w in batch.work:
-            grid_key = (w.load_current.size, w.result.clock_hz)
-            lines = self.analyzer.banded_lines(w.result.emission)
-            gains = batch.session.line_gains(
-                self.analyzer, lines.frequencies_hz, grid_key
-            )
             w.result.signal_w = self.analyzer.received_power_w(
-                w.result.emission, gains=gains
+                w.result.emission
             )
 
 
@@ -337,13 +324,11 @@ class ReceiveStage:
             return
         for w in batch.work:
             if request.want_amplitude:
-                mask = batch.session.band_mask(self.analyzer, request.band)
                 w.result.amplitude_w = (
                     self.analyzer.max_amplitude_from_power(
                         w.result.signal_w,
                         band=request.band,
                         samples=request.samples,
-                        mask=mask,
                     )
                 )
             if request.want_trace:

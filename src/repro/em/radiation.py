@@ -72,34 +72,21 @@ class DieRadiator:
     tilt_exponent: float = 0.4
 
     def tilt(self, frequencies_hz: np.ndarray) -> np.ndarray:
-        """Frequency tilt of the radiator over a harmonic grid.
-
-        Exposed separately so a :class:`repro.chain.SimulationSession`
-        can cache it per grid -- it depends only on the frequencies,
-        not on the current amplitudes.
-        """
+        """Frequency tilt of the radiator over a harmonic grid."""
         return np.power(
             np.maximum(frequencies_hz, 1.0) / self.f_ref_hz,
             self.tilt_exponent,
         )
 
-    def emission(
-        self,
-        response: PeriodicResponse,
-        tilt: np.ndarray = None,
-    ) -> EmissionSpectrum:
-        """Emission lines from a steady-state PDN response.
-
-        ``tilt`` optionally supplies a precomputed :meth:`tilt` array for
-        the response's non-DC harmonic grid.
-        """
+    def emission(self, response: PeriodicResponse) -> EmissionSpectrum:
+        """Emission lines from a steady-state PDN response."""
         freqs, i_amps = response.current_spectrum()
         # Drop the DC component: a constant current does not radiate.
         freqs = freqs[1:]
         i_amps = i_amps[1:]
-        if tilt is None:
-            tilt = self.tilt(freqs)
-        return EmissionSpectrum(freqs, self.field_per_amp * tilt * i_amps)
+        return EmissionSpectrum(
+            freqs, self.field_per_amp * self.tilt(freqs) * i_amps
+        )
 
 
 def combine_emissions(

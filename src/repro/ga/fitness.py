@@ -98,11 +98,10 @@ class ClusterFitness:
 
     # Warm-cache protocol: persistent GA workers (repro.ga.parallel)
     # call warm_up() once at pool start and session_stats() after each
-    # shard; delegate both, binding this fitness's cluster so the
-    # session can prime its operating-state snapshot.
+    # shard; delegate both.
     def warm_up(self) -> Optional[dict]:
         warm = getattr(self.fitness, "warm_up", None)
-        return warm(cluster=self.cluster) if warm is not None else None
+        return warm() if warm is not None else None
 
     def session_stats(self) -> Optional[dict]:
         stats = getattr(self.fitness, "session_stats", None)
@@ -163,26 +162,23 @@ class EMAmplitudeFitness:
         state["session"] = None
         return state
 
-    def warm_up(self, cluster: object = None) -> Optional[dict]:
-        """Build the chain and prime its session caches, once.
+    def warm_up(self) -> Optional[dict]:
+        """Build the session and the chain, once.
 
         Persistent GA workers call this at pool start: the
         :class:`~repro.chain.session.SimulationSession` (created here
-        if the pickling round-trip dropped it), the stage pipeline,
-        and -- given a ``cluster`` -- the operating-state snapshot and
-        analyzer band mask are all derived before the first shard
-        arrives, so no generation pays cold-start costs.  Everything
-        warmed is a pure RNG-free derivation; the analyzer's noise
-        stream is untouched (bit-identity contract).  Returns the
-        session's stats snapshot for the ``worker_warmup`` event.
+        if the pickling round-trip dropped it) and the stage pipeline
+        exist before the first shard arrives.  Building them draws no
+        random numbers; the analyzer's noise stream is untouched
+        (bit-identity contract).  Returns the session's stats snapshot
+        for the ``worker_warmup`` event.
         """
         if self.session is None:
             from repro.chain import SimulationSession
 
             self.session = SimulationSession()
         self._chain_path()
-        self.session.band_mask(self.analyzer, self.band)
-        return self.session.warm_up(cluster=cluster)
+        return self.session.stats.snapshot()
 
     def session_stats(self) -> Optional[dict]:
         """Current session cache counters (None before any session).

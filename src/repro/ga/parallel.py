@@ -51,7 +51,7 @@ keeps advancing instead of dying with the instrument.
 
 Observability: the pool emits one ``worker_warmup`` event per (re)spawn
 -- worker id, pid, warm-up wall time, whether it replaced a crashed
-worker, and the cache stats its warm-up primed -- and records each
+worker, and its session cache counters after warm-up -- and records each
 worker's latest session cache counters (``worker_stats``) so the GA
 engine can fold per-worker cache-hit rates into ``generation_end``.
 Each worker times its shards' kernel sections
@@ -698,8 +698,8 @@ class ParallelEvaluator:
 
         Spawns the workers and blocks until every worker finished its
         fitness ``warm_up()`` hook, so the first ``evaluate`` call --
-        and anything the caller times around it -- runs against warm
-        caches.  Emits one ``worker_warmup`` event per worker.
+        and anything the caller times around it -- runs against a
+        started pool.  Emits one ``worker_warmup`` event per worker.
         """
         if self.parallel:
             self._ensure_pool()

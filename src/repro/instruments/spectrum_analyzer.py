@@ -17,6 +17,7 @@ maximum can land.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -162,6 +163,29 @@ class SpectrumAnalyzer:
             self._bin_cache[key] = centers
         return centers
 
+    def band_mask(self, band: Sequence[float]) -> np.ndarray:
+        """Boolean mask of the bins whose centers lie inside ``band``.
+
+        Raises :class:`ValueError` for an inverted band
+        (``band[0] > band[1]``) or non-finite endpoints: both would
+        otherwise yield an all-false mask that downstream code reads
+        as "no power in band", mirroring the
+        :meth:`SpectrumTrace.power_at` out-of-span contract.
+        """
+        lo, hi = float(band[0]), float(band[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(
+                f"band endpoints must be finite, got ({band[0]!r}, "
+                f"{band[1]!r})"
+            )
+        if lo > hi:
+            raise ValueError(
+                f"inverted band: {lo / 1e6:.3f} MHz > {hi / 1e6:.3f} "
+                f"MHz (need band[0] <= band[1])"
+            )
+        centers = self.bin_centers()
+        return (centers >= band[0]) & (centers <= band[1])
+
     # ------------------------------------------------------------------
     def banded_lines(self, emission: EmissionSpectrum) -> EmissionSpectrum:
         """Emission lines close enough to the span to land in a bin."""
@@ -171,22 +195,11 @@ class SpectrumAnalyzer:
         )
 
     def line_gains(self, frequencies_hz: np.ndarray) -> np.ndarray:
-        """Coupling x antenna amplitude gain per emission line.
-
-        Exposed separately so a :class:`repro.chain.SimulationSession`
-        can cache the propagation scaling per harmonic grid.
-        """
+        """Coupling x antenna amplitude gain per emission line."""
         return self.coupling.gain() * self.antenna.response(frequencies_hz)
 
-    def received_power_w(
-        self,
-        emission: EmissionSpectrum,
-        gains: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def received_power_w(self, emission: EmissionSpectrum) -> np.ndarray:
         """Noiseless per-bin signal power for an emission spectrum.
-
-        ``gains`` optionally supplies precomputed :meth:`line_gains` for
-        ``banded_lines(emission)``; its shape must match those lines.
 
         Each line spreads through the Gaussian RBW filter, normalized
         to unit total weight over the span.  Only bins within
@@ -203,15 +216,9 @@ class SpectrumAnalyzer:
         power = np.zeros_like(centers)
         lines = self.banded_lines(emission)
         freqs = lines.frequencies_hz
-        if gains is not None and np.shape(gains) != freqs.shape:
-            raise ValueError(
-                f"gains shape {np.shape(gains)} does not match the "
-                f"{freqs.size} banded emission lines"
-            )
         if freqs.size == 0:
             return power
-        gain = gains if gains is not None else self.line_gains(freqs)
-        v_rx = lines.amplitudes * gain
+        v_rx = lines.amplitudes * self.line_gains(freqs)
         p_lines = v_rx * v_rx / (2.0 * _PORT_OHMS)
         sigma = self.rbw_hz / 2.355  # FWHM = RBW
         bins = centers.size
@@ -237,12 +244,10 @@ class SpectrumAnalyzer:
         self, band: Optional[Sequence[float]] = None
     ) -> float:
         """Wall time of one sweep over ``band`` (default: full span)."""
-        centers = self.bin_centers()
-        if band is not None:
-            mask = (centers >= band[0]) & (centers <= band[1])
-            bins = int(mask.sum())
+        if band is None:
+            bins = self.bin_centers().size
         else:
-            bins = centers.size
+            bins = int(self.band_mask(band).sum())
         return bins * self.dwell_s_per_bin
 
     def trace_from_power(self, signal_w: np.ndarray) -> SpectrumTrace:
@@ -266,7 +271,6 @@ class SpectrumAnalyzer:
         signal_w: np.ndarray,
         band: Optional[Sequence[float]] = None,
         samples: int = 30,
-        mask: Optional[np.ndarray] = None,
     ) -> float:
         """RMS-of-``samples`` band maximum from precomputed signal power.
 
@@ -274,9 +278,7 @@ class SpectrumAnalyzer:
         :meth:`max_amplitude`; splitting the deterministic propagation
         (:meth:`received_power_w`) from the noisy readout lets the chain
         layer compute the signal once per item and reuse it for both
-        the amplitude metric and the displayed trace.  ``mask``
-        optionally supplies the precomputed boolean bin mask for
-        ``band`` (must match what :meth:`bin_centers` would produce).
+        the amplitude metric and the displayed trace.
 
         All ``samples`` sweeps of the band are drawn as one
         ``(samples, bins)`` block of standard normals, which fills row
@@ -295,9 +297,7 @@ class SpectrumAnalyzer:
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         band = band or (self.start_hz, self.stop_hz)
-        if mask is None:
-            centers = self.bin_centers()
-            mask = (centers >= band[0]) & (centers <= band[1])
+        mask = self.band_mask(band)
         if not mask.any():
             raise ValueError(f"no bins inside band {band}")
         signal = signal_w[mask]
@@ -311,8 +311,11 @@ class SpectrumAnalyzer:
         keep = ~(signal + ceiling < reach)
         noise = noise_w(np.compress(keep, normals, axis=1))
         maxima = np.max(signal[keep] + noise, axis=1)
-        # A banded measurement only dwells on the requested bins.
-        self.total_measurement_time_s += samples * self.sweep_time_s(band)
+        # A banded measurement only dwells on the requested bins: the
+        # same bits as ``samples * self.sweep_time_s(band)``.
+        self.total_measurement_time_s += samples * (
+            int(mask.sum()) * self.dwell_s_per_bin
+        )
         return float(np.sqrt(np.mean(maxima**2)))
 
     def max_amplitude(

@@ -30,7 +30,7 @@ checkpoint was skipped in favor of an older rotation).  See
 The persistent GA worker pool (:mod:`repro.ga.parallel`) emits one
 ``worker_warmup`` event per worker (re)spawn -- worker id, pid,
 warm-up wall time, whether it replaced a crashed worker
-(``respawned``), and the session cache stats its warm-up primed --
+(``respawned``), and its session cache counters after warm-up --
 and the GA engine folds each worker's latest cache counters into
 ``generation_end`` as ``worker_cache_stats`` (worker id keyed), so
 per-worker cache-hit rates are readable straight off the run log.

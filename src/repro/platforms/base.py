@@ -52,8 +52,8 @@ from repro.pdn.steady_state import PeriodicResponse
 
 class ClusterState(NamedTuple):
     """One cluster operating point: the mutable platform state that
-    affects the measurement chain.  Used as a cache key by
-    :class:`repro.chain.SimulationSession`."""
+    affects the measurement chain.  Part of every memo key of
+    :meth:`Cluster.memoized`."""
 
     clock_hz: float
     voltage: float
@@ -114,7 +114,6 @@ class Cluster:
         self._clock_hz = spec.nominal_clock_hz
         self._voltage = spec.nominal_voltage
         self._powered_cores = spec.num_cores
-        self._state_version = 0
         # Stable identity token for cache keys.  Unlike id(self), a uid
         # is never reused after this cluster is garbage collected, so a
         # session outliving the cluster cannot alias a newer object's
@@ -159,16 +158,6 @@ class Cluster:
         """The core pipeline model (shared by every core in the cluster)."""
         return self._pipeline
 
-    @property
-    def state_version(self) -> int:
-        """Monotonic counter bumped by every platform-state mutation.
-
-        Session-scoped caches (see :class:`repro.chain.SimulationSession`)
-        compare this against their last-seen value to detect operating
-        point changes without re-reading every field.
-        """
-        return self._state_version
-
     def state(self) -> ClusterState:
         """The present operating point as a hashable cache key."""
         return ClusterState(
@@ -200,25 +189,21 @@ class Cluster:
         """Set core clock; must be a multiplier-reachable point."""
         self.validate_clock(clock_hz)
         self._clock_hz = clock_hz
-        self._state_version += 1
 
     def set_voltage(self, volts: float) -> None:
         self.validate_voltage(volts)
         self._voltage = volts
-        self._state_version += 1
 
     def power_gate(self, powered_cores: int) -> None:
         """Leave ``powered_cores`` cores powered; gate the rest off."""
         self.validate_powered_cores(powered_cores)
         self._powered_cores = powered_cores
-        self._state_version += 1
 
     def reset(self) -> None:
         """Back to nominal V/F with all cores powered."""
         self._clock_hz = self.spec.nominal_clock_hz
         self._voltage = self.spec.nominal_voltage
         self._powered_cores = self.spec.num_cores
-        self._state_version += 1
 
     # ------------------------------------------------------------------
     # execution

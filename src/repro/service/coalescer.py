@@ -6,9 +6,8 @@ what makes results independent of *how* requests happened to arrive.
 Coalescing exploits the chain's batch-first design on top of that
 order: the dispatcher takes the longest **contiguous prefix** of the
 pending queue whose jobs share a :class:`CompatKey` -- same platform,
-same cluster state version, same analyzer settings, same band and
-sample count -- and folds their items into a single
-:class:`~repro.chain.ChainRequest`.
+same analyzer settings, same band and sample count -- and folds their
+items into a single :class:`~repro.chain.ChainRequest`.
 
 Only a contiguous prefix is eligible: skipping over an incompatible
 job to batch a later compatible one would reorder the analyzer RNG
@@ -31,15 +30,15 @@ from repro.service.jobs import Job
 class CompatKey(NamedTuple):
     """Everything two jobs must share to ride one chain request.
 
-    ``state_version`` keys the cluster's live operating state (the
-    fallback for unset per-item overrides); ``analyzer_key`` is the
-    analyzer's front-panel settings tuple; ``band`` / ``samples`` are
-    request-level readout settings of the folded
-    :class:`~repro.chain.ChainRequest`, so they cannot vary per item.
+    ``analyzer_key`` is the analyzer's front-panel settings tuple;
+    ``band`` / ``samples`` are request-level readout settings of the
+    folded :class:`~repro.chain.ChainRequest`, so they cannot vary per
+    item.  The cluster's operating state needs no field: no job
+    mutates a cluster (measure and sweep jobs carry per-item operating
+    points), so every job of a platform sees the same state.
     """
 
     platform: str
-    state_version: int
     analyzer_key: Tuple
     band: Tuple[float, float]
     samples: int

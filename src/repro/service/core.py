@@ -6,9 +6,9 @@ requests into single batched :class:`~repro.chain.ChainRequest` runs
 (see :mod:`repro.service.coalescer`) and executes them on a
 single-thread worker executor against one shared, long-lived
 :class:`~repro.chain.SimulationSession` per platform -- so the event
-loop stays responsive while the numeric chain runs, and every cache
-(transfer-function grids, schedules, band masks) stays warm across
-requests from *different* clients.
+loop stays responsive while the numeric chain runs, and both caches
+(transfer-function grids, schedules) stay warm across requests from
+*different* clients.
 
 Determinism contract: jobs execute in strict submission order on one
 worker, per-item RNG streams advance in item order inside a batch (the
@@ -418,13 +418,10 @@ class MeasurementService:
             )
         except ValueError as exc:
             raise BadRequest(str(exc)) from exc
-        if not state.session.band_mask(
-            state.characterizer.analyzer, band
-        ).any():
+        if not state.characterizer.analyzer.band_mask(band).any():
             raise BadRequest(f"no analyzer bins inside band {tuple(band)}")
         key = CompatKey(
             platform=spec.platform,
-            state_version=state.cluster.state_version,
             analyzer_key=state.characterizer.analyzer._settings_key(),
             band=tuple(band),
             samples=samples,

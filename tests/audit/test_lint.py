@@ -125,69 +125,6 @@ class TestR4MutableDefault:
 
 
 # ---------------------------------------------------------------------------
-# R5: state_version bumps
-# ---------------------------------------------------------------------------
-_R5_TEMPLATE = """\
-class Cluster:
-    def __init__(self):
-        self._clock = 1.0
-        self._state_version = 0
-
-    def state(self):
-        return (self._clock,)
-
-    def set_clock(self, hz):
-        self._clock = hz
-{bump}
-"""
-
-
-class TestR5StateVersion:
-    def test_missing_bump_flagged(self):
-        findings = lint_source(_R5_TEMPLATE.format(bump=""))
-        assert rules_of(findings) == ["R5"]
-        assert "set_clock" in findings[0].message
-
-    def test_fixit_bump_clean(self):
-        source = _R5_TEMPLATE.format(bump="        self._state_version += 1\n")
-        assert lint_source(source) == []
-
-    def test_class_without_version_counter_ignored(self):
-        source = (
-            "class Plain:\n"
-            "    def state(self):\n"
-            "        return self._x\n"
-            "    def set_x(self, v):\n"
-            "        self._x = v\n"
-        )
-        assert lint_source(source) == []
-
-    def test_nested_attribute_reads_are_not_state_fields(self):
-        # state() reading self._pdn.solver makes _pdn a state field,
-        # but "_pdn.solver" itself must not become an (unmatchable)
-        # field name that hides real violations or invents fake ones.
-        source = (
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._pdn = object()\n"
-            "        self._state_version = 0\n"
-            "    def state(self):\n"
-            "        return self._pdn.solver\n"
-            "    def set_other(self, v):\n"
-            "        self._other = v\n"
-        )
-        assert lint_source(source) == []
-
-    def test_suppressed(self):
-        source = _R5_TEMPLATE.format(bump="").replace(
-            "    def set_clock(self, hz):",
-            "    def set_clock(self, hz):  # audit: ignore[R5]",
-        )
-        findings = lint_source(source)
-        assert rules_of(findings, suppressed=True) == ["R5"]
-
-
-# ---------------------------------------------------------------------------
 # R6: over-broad except
 # ---------------------------------------------------------------------------
 class TestR6OverbroadExcept:

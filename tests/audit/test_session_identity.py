@@ -3,19 +3,16 @@
 The session used to key per-object caches by ``id(...)``; CPython
 reuses addresses after garbage collection, so a session outliving a
 cluster could serve the dead cluster's entries to a newly allocated
-one.  Keys now come from ``Cluster.uid`` (process-monotonic) and a
-strong-reference analyzer token registry.  Every cache is also
-FIFO-bounded, including the previously crashing ``max_executions=0``
-edge.
+one.  Keys now come from ``Cluster.uid`` (process-monotonic).  Both
+caches are also FIFO-bounded.
 """
 
 import gc
 
 import numpy as np
-import pytest
 
+from repro.chain import session as session_module
 from repro.chain.session import SimulationSession
-from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.platforms.registry import make_cluster
 from repro.workloads.loops import high_low_program
 
@@ -37,108 +34,36 @@ class TestClusterUid:
             gc.collect()
 
 
+def solve_args(cluster, samples=64):
+    """``pdn_solve`` arguments whose grid key differs only by cluster:
+    one powered core and a fixed sample rate on every platform."""
+    return dict(
+        powered_cores=1,
+        voltage=cluster.voltage,
+        load_current=np.linspace(1.0, 2.0, samples),
+        sample_rate_hz=1.0e9,
+    )
+
+
 class TestAliasingRegression:
     def test_session_outliving_clusters_never_aliases(self):
         """Allocate/drop clusters in a loop against one long-lived
-        session: each fresh cluster must get its own state snapshot,
-        never a dead predecessor's (the historical ``id()`` key bug
-        required only an address reuse plus a matching
-        ``state_version``, both of which this loop provokes)."""
+        session: each fresh cluster must get its own transfer-function
+        grid, never a dead predecessor's.  The historical ``id()`` key
+        bug needed only an address reuse, which this loop provokes; the
+        grid keys differ only by cluster, and a53, a72 and amd grids
+        differ."""
         session = SimulationSession()
         for name in ["a53", "a72", "amd"] * 3:
             cluster = make_cluster(name)
-            cluster.set_clock(cluster.spec.allowed_clocks_hz()[0])
-            assert session.cluster_state(cluster) == cluster.state()
-            del cluster
+            args = solve_args(cluster)
+            response = session.pdn_solve(cluster, **args)
+            fresh = SimulationSession().pdn_solve(cluster, **args)
+            np.testing.assert_array_equal(
+                response.die_voltage, fresh.die_voltage
+            )
+            del cluster, response, fresh
             gc.collect()
-
-    def test_distinct_analyzers_get_distinct_tokens(self):
-        session = SimulationSession()
-        a = SpectrumAnalyzer(rng=np.random.default_rng(1))
-        b = SpectrumAnalyzer(rng=np.random.default_rng(1))
-        # Same settings, same seed -- still distinct instruments.
-        assert a._settings_key() == b._settings_key()
-        assert session._analyzer_token(a) != session._analyzer_token(b)
-        assert session._analyzer_token(a) == session._analyzer_token(a)
-
-    def test_analyzer_registry_is_weak_and_never_reissues(self):
-        """A dead analyzer's registry entry is dropped (no leak), but
-        its token is never minted again: the counter is monotonic, so
-        an address-reusing successor gets a strictly newer token."""
-        session = SimulationSession()
-        issued = set()
-        for _ in range(50):
-            analyzer = SpectrumAnalyzer(rng=np.random.default_rng(2))
-            token = session._analyzer_token(analyzer)
-            assert token not in issued  # never re-issued
-            issued.add(token)
-            # Stable while alive.
-            assert session._analyzer_token(analyzer) == token
-            del analyzer
-            gc.collect()
-        # Bounded: every dropped analyzer's entry self-removed.
-        assert len(session._analyzer_tokens) == 0
-        assert session._next_analyzer_token == 50
-
-    def test_registry_bounded_under_churn_with_survivors(self):
-        """Long-lived-session profile: many analyzers come and go
-        through the public cache API while a few survive.  The
-        registry must end bounded by the survivors, with the
-        survivors' tokens stable throughout."""
-        session = SimulationSession()
-        survivors = [
-            SpectrumAnalyzer(rng=np.random.default_rng(i))
-            for i in range(3)
-        ]
-        tokens = [session._analyzer_token(a) for a in survivors]
-        for _ in range(100):
-            transient = SpectrumAnalyzer(rng=np.random.default_rng(9))
-            session.band_mask(transient, (60e6, 80e6))
-            del transient
-            gc.collect()
-        assert len(session._analyzer_tokens) == len(survivors)
-        assert [
-            session._analyzer_token(a) for a in survivors
-        ] == tokens
-
-
-class TestBandMaskValidation:
-    """band_mask must reject bands that would silently mask nothing."""
-
-    def setup_method(self):
-        self.session = SimulationSession()
-        self.analyzer = SpectrumAnalyzer(rng=np.random.default_rng(0))
-
-    def test_inverted_band_raises(self):
-        with pytest.raises(ValueError, match="inverted band"):
-            self.session.band_mask(self.analyzer, (200.0e6, 50.0e6))
-
-    @pytest.mark.parametrize(
-        "band",
-        [
-            (float("nan"), 200.0e6),
-            (50.0e6, float("nan")),
-            (float("nan"), float("nan")),
-            (float("inf"), 200.0e6),
-            (50.0e6, float("-inf")),
-        ],
-    )
-    def test_non_finite_endpoints_raise(self, band):
-        with pytest.raises(ValueError, match="finite"):
-            self.session.band_mask(self.analyzer, band)
-
-    def test_valid_band_unchanged(self):
-        mask = self.session.band_mask(self.analyzer, (60.0e6, 80.0e6))
-        centers = self.analyzer.bin_centers()
-        np.testing.assert_array_equal(
-            mask, (centers >= 60.0e6) & (centers <= 80.0e6)
-        )
-        assert mask.any()
-
-    def test_degenerate_equal_endpoints_allowed(self):
-        # lo == hi is a legal (if narrow) band, not an inversion.
-        mask = self.session.band_mask(self.analyzer, (70.0e6, 70.0e6))
-        assert mask.sum() <= 1
 
 
 class TestFifoEviction:
@@ -149,9 +74,10 @@ class TestFifoEviction:
             clock_hz=cluster.clock_hz,
         )
 
-    def test_executions_evict_in_insertion_order(self):
+    def test_executions_evict_in_insertion_order(self, monkeypatch):
+        monkeypatch.setattr(session_module, "MAX_EXECUTIONS", 2)
         cluster = make_cluster("a53")
-        session = SimulationSession(max_executions=2)
+        session = SimulationSession()
         args = self.exec_args(cluster)
         for iterations in (16, 17, 18):
             session.execution(cluster, iterations=iterations, **args)
@@ -159,9 +85,10 @@ class TestFifoEviction:
         kept_iterations = [key[3] for key in session._executions]
         assert kept_iterations == [17, 18]  # 16 was first in, first out
 
-    def test_post_eviction_recompute_is_identical(self):
+    def test_post_eviction_recompute_is_identical(self, monkeypatch):
+        monkeypatch.setattr(session_module, "MAX_EXECUTIONS", 2)
         cluster = make_cluster("a53")
-        session = SimulationSession(max_executions=2)
+        session = SimulationSession()
         args = self.exec_args(cluster)
         first = session.execution(cluster, iterations=16, **args)
         before = session.stats.execute_misses
@@ -174,33 +101,25 @@ class TestFifoEviction:
         )
         assert first.clock_hz == again.clock_hz
 
-    def test_zero_capacity_disables_cache_without_crashing(self):
-        # The pre-fix eviction popped from an empty dict at cap 0.
+    def test_grid_caches_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(session_module, "MAX_GRIDS", 1)
         cluster = make_cluster("a53")
-        session = SimulationSession(max_executions=0)
-        args = self.exec_args(cluster)
-        first = session.execution(cluster, iterations=16, **args)
-        second = session.execution(cluster, iterations=16, **args)
-        assert session._executions == {}
-        assert session.stats.execute_hits == 0
-        np.testing.assert_array_equal(
-            first.load_current, second.load_current
-        )
+        session = SimulationSession()
+        session.pdn_solve(cluster, **solve_args(cluster, samples=64))
+        session.pdn_solve(cluster, **solve_args(cluster, samples=96))
+        assert len(session._tf_grids) == 1
+        (key,) = session._tf_grids
+        assert key[2] == 96  # FIFO kept the newest
 
-    def test_grid_caches_are_bounded(self):
-        session = SimulationSession(max_grids=1)
-        analyzer = SpectrumAnalyzer(rng=np.random.default_rng(3))
-        session.band_mask(analyzer, (50e6, 200e6))
-        session.band_mask(analyzer, (60e6, 150e6))
-        assert len(session._band_masks) == 1
-        (key,) = session._band_masks
-        assert key[2] == (60e6, 150e6)  # FIFO kept the newest
-
-    def test_bounded_mask_still_correct_after_eviction(self):
-        session = SimulationSession(max_grids=1)
-        analyzer = SpectrumAnalyzer(rng=np.random.default_rng(3))
-        reference = session.band_mask(analyzer, (50e6, 200e6)).copy()
-        session.band_mask(analyzer, (60e6, 150e6))
+    def test_bounded_grid_still_correct_after_eviction(self, monkeypatch):
+        monkeypatch.setattr(session_module, "MAX_GRIDS", 1)
+        cluster = make_cluster("a53")
+        session = SimulationSession()
+        args = solve_args(cluster, samples=64)
+        reference = session.pdn_solve(cluster, **args)
+        session.pdn_solve(cluster, **solve_args(cluster, samples=96))
+        again = session.pdn_solve(cluster, **args)
+        assert session.stats.tf_misses == 3  # evicted, then recomputed
         np.testing.assert_array_equal(
-            session.band_mask(analyzer, (50e6, 200e6)), reference
+            again.die_voltage, reference.die_voltage
         )

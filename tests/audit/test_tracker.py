@@ -99,18 +99,6 @@ class TestShadowRecompute:
                 a53, program, active_cores=1, clock_hz=a53.clock_hz
             )
 
-    def test_corrupted_state_snapshot_caught(self, a53):
-        tracker = paranoid_tracker()
-        session = SimulationSession(audit=tracker)
-        session.cluster_state(a53)
-        version, state = session._cluster_states[a53.uid]
-        session._cluster_states[a53.uid] = (
-            version,
-            state._replace(voltage=state.voltage + 0.1),
-        )
-        with pytest.raises(CacheShadowMismatch):
-            session.cluster_state(a53)
-
     def test_corrupted_tf_grid_caught(self, a53):
         tracker = paranoid_tracker()
         session = SimulationSession(audit=tracker)
@@ -146,18 +134,22 @@ class TestShadowRecompute:
         sink = MemorySink()
         tracker = paranoid_tracker(event_log=EventLog([sink]))
         session = SimulationSession(audit=tracker)
-        session.cluster_state(a53)
-        version, state = session._cluster_states[a53.uid]
-        session._cluster_states[a53.uid] = (
-            version,
-            state._replace(clock_hz=state.clock_hz * 2),
+        solve = dict(
+            powered_cores=a53.powered_cores,
+            voltage=a53.voltage,
+            load_current=np.linspace(1.0, 2.0, 64),
+            sample_rate_hz=a53.clock_hz,
         )
+        session.pdn_solve(a53, **solve)
+        (key,) = session._tf_grids
+        z, h_i = session._tf_grids[key]
+        session._tf_grids[key] = (z * 2.0, h_i)
         with pytest.raises(CacheShadowMismatch):
-            session.cluster_state(a53)
+            session.pdn_solve(a53, **solve)
         events = [r for r in sink.records if r["event"] == "audit_violation"]
         assert len(events) == 1
         assert events[0]["kind"] == "cache_shadow_mismatch"
-        assert events[0]["site"] == "session.cluster_states"
+        assert events[0]["site"] == "session.tf_grids"
 
 
 # ---------------------------------------------------------------------------

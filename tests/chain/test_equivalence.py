@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import EMCharacterizer, make_juno_board
+from repro.chain import ChainItem, OperatingPoint
 from repro.core.resonance import ResonanceSweep
 from repro.ga.engine import GAConfig, GAEngine
 from repro.ga.fitness import (
@@ -167,12 +168,55 @@ class TestSweepEquivalence:
             for p in result.points
         ] == expected
 
-    def test_sweep_never_mutates_the_cluster(self, a53):
-        version = a53.state_version
-        sweep = ResonanceSweep(fresh_characterizer(), samples_per_point=2)
-        sweep.run(RunContext(cluster=a53), clocks_hz=self._clocks(a53))
-        assert a53.state_version == version
-        assert a53.clock_hz == a53.spec.nominal_clock_hz
+    @pytest.mark.parametrize(
+        "entry_point", ["sweep", "measure_batch", "evaluate_batch"]
+    )
+    def test_sweep_never_mutates_the_cluster(
+        self, a53, monkeypatch, entry_point
+    ):
+        """No chain entry point calls a cluster setter, not even to
+        restore what it changed: every setter raises during the call."""
+        program = high_low_program(a53.spec.isa)
+        clocks = self._clocks(a53)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a chain run mutated the cluster")
+
+        with monkeypatch.context() as patch:
+            for name in ("set_clock", "set_voltage", "power_gate", "reset"):
+                patch.setattr(a53, name, forbidden)
+            if entry_point == "sweep":
+                sweep = ResonanceSweep(
+                    fresh_characterizer(), samples_per_point=2
+                )
+                sweep.run(RunContext(cluster=a53), clocks_hz=clocks)
+            elif entry_point == "measure_batch":
+                points = [
+                    OperatingPoint(clock_hz=clocks[-1]),
+                    OperatingPoint(voltage=0.9),
+                    OperatingPoint(powered_cores=1),
+                ]
+                fresh_characterizer().measure_batch(
+                    a53,
+                    [],
+                    items=[
+                        ChainItem(program=program, operating_point=point)
+                        for point in points
+                    ],
+                )
+            else:
+                fitness = EMAmplitudeFitness(
+                    analyzer=SpectrumAnalyzer(
+                        rng=np.random.default_rng(3)
+                    ),
+                    samples=2,
+                )
+                fitness.evaluate_batch(a53, [program, program])
+        assert a53.state() == (
+            a53.spec.nominal_clock_hz,
+            a53.spec.nominal_voltage,
+            a53.spec.num_cores,
+        )
 
     def test_one_tf_analysis_per_distinct_cluster_state(self):
         # A fresh board: its solvers count this test's analyses only.

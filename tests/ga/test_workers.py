@@ -318,19 +318,6 @@ class TestDeterminism:
 # warm-up hooks
 # ---------------------------------------------------------------------------
 class TestWarmUpHooks:
-    def test_session_warm_up_primes_cluster_state(self):
-        from repro.chain import SimulationSession
-        from repro.platforms.juno import make_juno_board
-
-        cluster = make_juno_board().a72
-        session = SimulationSession()
-        stats = session.warm_up(cluster=cluster)
-        assert stats["invalidations"] == 0
-        # The snapshot is memoized: same object back, no version bump.
-        assert session.cluster_state(cluster) is session.cluster_state(
-            cluster
-        )
-
     def test_fitness_warm_up_does_not_perturb_scores(self):
         from repro.ga.fitness import ClusterFitness, EMAmplitudeFitness
         from repro.instruments.spectrum_analyzer import SpectrumAnalyzer

@@ -133,18 +133,6 @@ class TestReceivedPower:
             v * v / 100.0, rel=1e-12
         )
 
-    def test_misaligned_gains_rejected(self):
-        sa = analyzer()
-        two = EmissionSpectrum(
-            np.array([60e6, 150e6]), np.array([1e-3, 2e-3])
-        )
-        with pytest.raises(ValueError, match="2 banded emission lines"):
-            sa.received_power_w(two, gains=np.array([2.0]))
-        with pytest.raises(ValueError, match="gains shape"):
-            sa.received_power_w(two, gains=np.float64(2.0))
-        with pytest.raises(ValueError, match="0 banded emission lines"):
-            sa.received_power_w(single_line(freq=1e9), gains=np.ones(1))
-
     def test_memory_stays_within_a_few_line_blocks(self):
         """A long jittered emission is spread block by block: the peak
         allocation is a few (LINE_BLOCK x bins) arrays, not one row
@@ -166,6 +154,71 @@ class TestReceivedPower:
         block_bytes = LINE_BLOCK * bins * 8
         assert lines > 10 * LINE_BLOCK
         assert peak < 3 * block_bytes
+
+
+BAD_BANDS = [
+    ((200.0e6, 50.0e6), "inverted band"),
+    ((float("nan"), 80.0e6), "finite"),
+]
+
+
+class TestBandMask:
+    """band_mask must reject bands that would silently mask nothing,
+    and every readout that takes a band goes through it."""
+
+    def setup_method(self):
+        self.analyzer = analyzer()
+
+    def test_inverted_band_raises(self):
+        with pytest.raises(ValueError, match="inverted band"):
+            self.analyzer.band_mask((200.0e6, 50.0e6))
+
+    @pytest.mark.parametrize(
+        "band",
+        [
+            (float("nan"), 200.0e6),
+            (50.0e6, float("nan")),
+            (float("nan"), float("nan")),
+            (float("inf"), 200.0e6),
+            (50.0e6, float("-inf")),
+        ],
+    )
+    def test_non_finite_endpoints_raise(self, band):
+        with pytest.raises(ValueError, match="finite"):
+            self.analyzer.band_mask(band)
+
+    def test_valid_band_unchanged(self):
+        mask = self.analyzer.band_mask((60.0e6, 80.0e6))
+        centers = self.analyzer.bin_centers()
+        np.testing.assert_array_equal(
+            mask, (centers >= 60.0e6) & (centers <= 80.0e6)
+        )
+        assert mask.any()
+
+    def test_degenerate_equal_endpoints_allowed(self):
+        # lo == hi is a legal (if narrow) band, not an inversion.
+        mask = self.analyzer.band_mask((70.0e6, 70.0e6))
+        assert mask.sum() <= 1
+
+    @pytest.mark.parametrize(
+        "band, message", BAD_BANDS, ids=["inverted", "nan"]
+    )
+    def test_sweep_time_refuses_bad_band(self, band, message):
+        with pytest.raises(ValueError, match=message):
+            self.analyzer.sweep_time_s(band)
+
+    @pytest.mark.parametrize(
+        "band, message", BAD_BANDS, ids=["inverted", "nan"]
+    )
+    def test_max_amplitude_refuses_bad_band(self, band, message):
+        sa = self.analyzer
+        signal = sa.received_power_w(single_line())
+        state = sa.rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            sa.max_amplitude_from_power(signal, band=band, samples=2)
+        # Refused before any draw or time accounting.
+        assert sa.rng.bit_generator.state == state
+        assert sa.total_measurement_time_s == 0.0
 
 
 class TestMaxAmplitude:

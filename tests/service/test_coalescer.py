@@ -4,10 +4,9 @@ from repro.service.coalescer import Coalescer, CompatKey
 from repro.service.jobs import Job, MeasureSpec
 
 
-def _key(samples=10, state_version=0):
+def _key(samples=10):
     return CompatKey(
         platform="a53",
-        state_version=state_version,
         analyzer_key=("sa", 1.0),
         band=(50e6, 200e6),
         samples=samples,
@@ -59,14 +58,6 @@ def test_item_budget_caps_batch_size():
         c.push(_job(n), _key(), 2)
     assert [j.id for j in c.take_batch()] == ["job-0", "job-1"]
     assert [j.id for j in c.take_batch()] == ["job-2"]
-
-
-def test_state_version_change_splits_batches():
-    c = Coalescer(max_pending_jobs=10, max_batch_items=10)
-    c.push(_job(0), _key(state_version=0), 1)
-    c.push(_job(1), _key(state_version=1), 1)
-    assert len(c.take_batch()) == 1
-    assert len(c.take_batch()) == 1
 
 
 def test_remove_drops_queued_job():
