@@ -19,7 +19,7 @@ def regenerate_impedance():
     model = PDNModel(CORTEX_A72_PDN)
     freqs = np.logspace(3.5, 8.7, 400)
     analysis = model.impedance_analysis(freqs, powered_cores=2)
-    return freqs, analysis.impedance_magnitude("die")
+    return freqs, analysis.impedance_magnitude()
 
 
 def test_fig1b_impedance_spectrum(benchmark):

@@ -219,12 +219,12 @@ def cmd_impedance(args) -> int:
     except ValueError as exc:
         return _flag_error(args, exc, "--points")
     analysis = cluster.pdn.impedance_analysis(freqs, cores)
-    mag = analysis.impedance_magnitude("die")
+    mag = analysis.impedance_magnitude()
     print(f"# {cluster.name}, {cores} powered cores")
     print(f"# {'frequency_hz':>14} {'z_mohm':>10}")
     for f, z in zip(freqs, mag):
         print(f"{f:>16.1f} {z * 1e3:>10.4f}")
-    peak = analysis.peak_frequency_hz("die", FIRST_ORDER_BAND_HZ)
+    peak = analysis.peak_frequency_hz(FIRST_ORDER_BAND_HZ)
     print(f"# first-order resonance: {peak / 1e6:.1f} MHz")
     return 0
 

@@ -55,6 +55,22 @@ def dbm_to_watts(dbm: float) -> float:
     return 1.0e-3 * 10.0 ** (dbm / 10.0)
 
 
+def check_band(band: Sequence[float]) -> None:
+    """Refuse an inverted band (``band[0] > band[1]``) or non-finite
+    endpoints with :class:`ValueError`: either would select no bin,
+    which downstream code reads as "no power in band"."""
+    lo, hi = float(band[0]), float(band[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(
+            f"band endpoints must be finite, got ({band[0]!r}, {band[1]!r})"
+        )
+    if lo > hi:
+        raise ValueError(
+            f"inverted band: {lo / 1e6:.3f} MHz > {hi / 1e6:.3f} "
+            f"MHz (need band[0] <= band[1])"
+        )
+
+
 @dataclass
 class SpectrumTrace:
     """One displayed sweep: bin centers and per-bin power."""
@@ -68,6 +84,7 @@ class SpectrumTrace:
         """(frequency_hz, dbm) of the peak marker, optionally banded."""
         freqs, dbm = self.frequencies_hz, self.power_dbm
         if band is not None:
+            check_band(band)
             mask = (freqs >= band[0]) & (freqs <= band[1])
             if not mask.any():
                 raise ValueError(f"no bins inside band {band}")
@@ -166,23 +183,11 @@ class SpectrumAnalyzer:
     def band_mask(self, band: Sequence[float]) -> np.ndarray:
         """Boolean mask of the bins whose centers lie inside ``band``.
 
-        Raises :class:`ValueError` for an inverted band
-        (``band[0] > band[1]``) or non-finite endpoints: both would
-        otherwise yield an all-false mask that downstream code reads
-        as "no power in band", mirroring the
+        Raises :class:`ValueError` for an inverted band or non-finite
+        endpoints (:func:`check_band`), mirroring the
         :meth:`SpectrumTrace.power_at` out-of-span contract.
         """
-        lo, hi = float(band[0]), float(band[1])
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(
-                f"band endpoints must be finite, got ({band[0]!r}, "
-                f"{band[1]!r})"
-            )
-        if lo > hi:
-            raise ValueError(
-                f"inverted band: {lo / 1e6:.3f} MHz > {hi / 1e6:.3f} "
-                f"MHz (need band[0] <= band[1])"
-            )
+        check_band(band)
         centers = self.bin_centers()
         return (centers >= band[0]) & (centers <= band[1])
 

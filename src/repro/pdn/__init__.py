@@ -7,8 +7,11 @@ measurements.  This package provides the equivalent in pure Python:
 - :mod:`repro.pdn.elements` / :mod:`repro.pdn.netlist` -- a small
   modified-nodal-analysis (MNA) circuit builder supporting R, L, C,
   voltage sources and (time-varying) current sources.
-- :mod:`repro.pdn.impedance` -- complex AC analysis producing the input
-  impedance :math:`Z(f)` seen by the die (Fig. 1b).
+- :mod:`repro.pdn.ladder` -- the PDN as an ordered ladder of series and
+  shunt R-L-C sections, described once; it stamps the MNA netlist.
+- :mod:`repro.pdn.impedance` -- AC analysis that folds a ladder into the
+  input impedance :math:`Z(f)` seen by the die (Fig. 1b) and the die
+  current transfer :math:`H_I(f)`, plus DC helpers on the netlist.
 - :mod:`repro.pdn.transient` -- trapezoidal time-domain integration for
   step and pulsed current excitations (Figs. 1c and 2).
 - :mod:`repro.pdn.steady_state` -- exact periodic steady-state solver
@@ -26,7 +29,8 @@ from repro.pdn.elements import (
     VoltageSource,
 )
 from repro.pdn.netlist import Circuit, GROUND
-from repro.pdn.impedance import ACAnalysis, input_impedance
+from repro.pdn.ladder import Ladder, Section
+from repro.pdn.impedance import ACAnalysis, analyze_ac
 from repro.pdn.transient import TransientResult, TransientSolver
 from repro.pdn.steady_state import PeriodicResponse, SteadyStateSolver
 from repro.pdn.models import PDNModel, PDNParameters, first_order_resonance_hz
@@ -39,8 +43,10 @@ __all__ = [
     "CurrentSource",
     "Circuit",
     "GROUND",
+    "Ladder",
+    "Section",
     "ACAnalysis",
-    "input_impedance",
+    "analyze_ac",
     "TransientSolver",
     "TransientResult",
     "SteadyStateSolver",

@@ -28,14 +28,20 @@ import numpy as np
 
 from repro.pdn.elements import VoltageSource
 from repro.pdn.impedance import ACAnalysis, analyze_ac
-from repro.pdn.models import DIE_NODE, PDNParameters
-from repro.pdn.netlist import Circuit
+from repro.pdn.ladder import Ladder, Section
+from repro.pdn.models import (
+    PKG_NODE,
+    VRM_NODE,
+    PDNParameters,
+    package_sections,
+)
+from repro.pdn.netlist import GROUND, Circuit
 
 MID_NODE = "mid"
 BULK_NODE = "bulk"
 
 
-def build_detailed_board_circuit(
+def detailed_board_ladder(
     params: PDNParameters,
     powered_cores: int,
     mid_c: float = 4.7e-6,
@@ -47,60 +53,33 @@ def build_detailed_board_circuit(
     l_vrm: float = 400.0e-9,
     plane_r: float = 0.5e-3,
     plane_l: float = 2.0e-9,
-) -> Circuit:
-    """Assemble the detailed die/package/board netlist.
+) -> Ladder:
+    """The detailed die/package/board network as a ladder.
 
     Everything from the package node to the die copies the calibrated
     preset verbatim; only the board side is elaborated.
     """
     p = params
-    c = Circuit(f"{p.name}-detailed-{powered_cores}c")
-    c.add(VoltageSource("vdd", "vrm", "0", voltage=p.nominal_voltage))
-    c.add_series_rlc(
-        "vrm_out", "vrm", BULK_NODE, resistance=0.5e-3, inductance=l_vrm
+    return Ladder(
+        f"{p.name}-detailed-{powered_cores}c",
+        VoltageSource("vdd", VRM_NODE, GROUND, voltage=p.nominal_voltage),
+        (
+            Section("vrm_out", BULK_NODE, 0.5e-3, l_vrm),
+            Section("bulk_cap", GROUND, bulk_esr, bulk_esl, bulk_c),
+            Section("plane", MID_NODE, plane_r, plane_l),
+            Section("mid_cap", GROUND, mid_esr, mid_esl, mid_c),
+            Section("pcb_trace", PKG_NODE, 4.0e-3, 1.0e-9),
+            *package_sections(p, powered_cores),
+        ),
     )
-    c.add_series_rlc(
-        "bulk_cap",
-        BULK_NODE,
-        "0",
-        resistance=bulk_esr,
-        inductance=bulk_esl,
-        capacitance=bulk_c,
-    )
-    c.add_series_rlc(
-        "plane", BULK_NODE, MID_NODE, resistance=plane_r, inductance=plane_l
-    )
-    c.add_series_rlc(
-        "mid_cap",
-        MID_NODE,
-        "0",
-        resistance=mid_esr,
-        inductance=mid_esl,
-        capacitance=mid_c,
-    )
-    c.add_series_rlc(
-        "pcb_trace", MID_NODE, "pkg", resistance=4.0e-3, inductance=1.0e-9
-    )
-    # Package-and-up: identical to the calibrated preset.
-    c.add_series_rlc(
-        "pkg_cap",
-        "pkg",
-        "0",
-        resistance=p.esr_pkg,
-        inductance=p.esl_pkg,
-        capacitance=p.c_pkg,
-    )
-    c.add_series_rlc(
-        "pkg_trace", "pkg", DIE_NODE, resistance=p.r_pkg, inductance=p.l_pkg
-    )
-    c.add_series_rlc(
-        "die_cap",
-        DIE_NODE,
-        "0",
-        resistance=p.r_die,
-        capacitance=p.die_capacitance(powered_cores),
-    )
-    return c
+
+
+def build_detailed_board_circuit(
+    params: PDNParameters, powered_cores: int, **board_kwargs
+) -> Circuit:
+    """The MNA netlist of :func:`detailed_board_ladder`."""
+    ladder = detailed_board_ladder(params, powered_cores, **board_kwargs)
+    return ladder.circuit()
 
 
 def detailed_impedance_analysis(
@@ -110,10 +89,8 @@ def detailed_impedance_analysis(
     **board_kwargs,
 ) -> ACAnalysis:
     """AC analysis of the detailed board, seen from the die."""
-    circuit = build_detailed_board_circuit(
-        params, powered_cores, **board_kwargs
-    )
-    return analyze_ac(circuit, DIE_NODE, frequencies_hz)
+    ladder = detailed_board_ladder(params, powered_cores, **board_kwargs)
+    return analyze_ac(ladder, frequencies_hz)
 
 
 def impedance_peaks(

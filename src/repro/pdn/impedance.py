@@ -1,11 +1,14 @@
-"""Frequency-domain (AC) analysis of a PDN netlist.
+"""Frequency-domain (AC) analysis of a PDN ladder.
 
 The central quantity is the input impedance :math:`Z(f)` seen by the die
-(Fig. 1b of the paper): with all independent sources zeroed, inject a
-1 A phasor at the die node and read back the node voltage.  The same
-solve also yields the transfer function from load current to any branch
-current, which the EM radiation model consumes (the emanating antenna is
-fed by the oscillatory component of the die/package current).
+(Fig. 1b of the paper): with the supply shorted, draw 1 A at the die and
+read back the die voltage.  The same fold yields H_I(f), the current
+through the die's feed (the package trace) per ampere of load, which
+the EM radiation model consumes: the emanating antenna is fed by the
+oscillatory component of the die/package current.
+
+The DC helpers at the end of the module solve the MNA netlist of any
+:class:`~repro.pdn.netlist.Circuit`.
 """
 
 from __future__ import annotations
@@ -16,40 +19,34 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.pdn.elements import Capacitor, Inductor, Resistor, VoltageSource
+from repro.pdn.ladder import Ladder
 from repro.pdn.netlist import Circuit
 
 
 @dataclass
 class ACAnalysis:
-    """Small-signal AC solution of a circuit over a frequency grid.
+    """Small-signal response of a ladder to 1 A drawn at its die.
 
     Attributes
     ----------
     frequencies_hz:
         The analysis grid.
-    node_voltages:
-        Mapping node name -> complex response array (volts per ampere of
-        injected stimulus).
-    branch_currents:
-        Mapping branch-element name (inductors, voltage sources) ->
-        complex branch current response.
+    impedance:
+        Z(f): complex die voltage per ampere of load.
+    die_current:
+        H_I(f): complex current through the die's feed, the ladder's
+        last series section, per ampere of load; 1 at DC.
     """
 
     frequencies_hz: np.ndarray
-    node_voltages: Dict[str, np.ndarray]
-    branch_currents: Dict[str, np.ndarray]
+    impedance: np.ndarray
+    die_current: np.ndarray
 
-    def impedance(self, node: str) -> np.ndarray:
-        """Complex impedance at ``node`` (stimulus was 1 A into it)."""
-        return self.node_voltages[node]
-
-    def impedance_magnitude(self, node: str) -> np.ndarray:
-        return np.abs(self.node_voltages[node])
+    def impedance_magnitude(self) -> np.ndarray:
+        return np.abs(self.impedance)
 
     def peak_frequency_hz(
-        self,
-        node: str,
-        band: Optional[Sequence[float]] = None,
+        self, band: Optional[Sequence[float]] = None
     ) -> float:
         """Frequency of the largest impedance magnitude, optionally in ``band``.
 
@@ -57,7 +54,7 @@ class ACAnalysis:
         resonance peaks: the first-order resonance is the peak in the
         50-200 MHz band.
         """
-        mag = self.impedance_magnitude(node)
+        mag = self.impedance_magnitude()
         freqs = self.frequencies_hz
         if band is not None:
             mask = points_in_band(freqs, band)
@@ -78,75 +75,46 @@ def points_in_band(
     return mask
 
 
-#: Frequencies per batched solve.  One ``np.linalg.solve`` call per block
-#: amortizes the per-call cost, while the block's ``(AC_BLOCK, n, n)``
-#: matrices stay small however long the grid is.
-AC_BLOCK = 32
+def analyze_ac(ladder: Ladder, frequencies_hz: Sequence[float]) -> ACAnalysis:
+    """Fold ``ladder`` into Z(f) and H_I(f) over the whole grid.
 
-
-def analyze_ac(
-    circuit: Circuit,
-    inject_node: str,
-    frequencies_hz: Sequence[float],
-) -> ACAnalysis:
-    """Solve the circuit at each frequency with a 1 A injection.
-
-    Independent voltage sources are shorted (zeroed) as usual for
-    small-signal analysis; the current injection enters ``inject_node``
-    and returns through ground.  The grid is solved in blocks of
-    :data:`AC_BLOCK` frequencies, each as one stacked linear system;
-    every frequency's solution is the same bits as a solve of its own
-    ``circuit.ac_matrix``.
+    Starting from the shorted supply, a series section adds its
+    impedance and a shunt section is put in parallel with what lies
+    upstream of it.  ``Z_up``, the value after the last series section,
+    is the impedance the die sees upstream through its feed; the shunts
+    at the die then give ``Z``, and the feed carries ``H_I = Z / Z_up``
+    of the load current.  Each section costs a few array operations
+    over the grid.  Frequencies must be positive and finite: at DC a
+    capacitor is an open circuit.
     """
     freqs = np.asarray(frequencies_hz, dtype=float)
     if freqs.ndim != 1 or freqs.size == 0:
         raise ValueError("frequencies_hz must be a non-empty 1-D sequence")
-    stamps = circuit.stamps()
-    layout = stamps.layout
-    if inject_node != "0" and inject_node not in layout.node_index:
-        raise KeyError(f"unknown node {inject_node!r}")
-
-    omegas = 2.0 * np.pi * freqs
-    solutions = np.empty((freqs.size, layout.size), dtype=complex)
-    rhs = circuit.ac_rhs(layout, {inject_node: 1.0 + 0.0j})[:, None]
-    for start in range(0, freqs.size, AC_BLOCK):
-        a = stamps.matrices(omegas[start:start + AC_BLOCK])
-        b = np.broadcast_to(rhs, (a.shape[0],) + rhs.shape)
-        solutions[start:start + a.shape[0]] = np.linalg.solve(a, b)[..., 0]
-
-    node_voltages = {
-        name: solutions[:, idx] for name, idx in layout.node_index.items()
-    }
-    offset = layout.num_nodes
-    branch_currents = {
-        name: solutions[:, offset + idx]
-        for name, idx in layout.branch_index.items()
-    }
+    if not (0.0 < freqs.min() and freqs.max() < np.inf):
+        raise ValueError("frequencies_hz must be positive and finite")
+    omega = 2.0 * np.pi * freqs
+    r, l, elastance, shunts = ladder.section_values
+    reactance = np.multiply.outer(l, omega) - np.divide.outer(elastance, omega)
+    z = z_up = np.zeros(freqs.shape, dtype=complex)
+    for z_section, shunt in zip(r + 1j * reactance, shunts):
+        if shunt:
+            z = z * z_section / (z + z_section)
+        else:
+            z = z_up = z + z_section
     return ACAnalysis(
-        frequencies_hz=freqs,
-        node_voltages=node_voltages,
-        branch_currents=branch_currents,
+        frequencies_hz=freqs, impedance=z, die_current=z / z_up
     )
-
-
-def input_impedance(
-    circuit: Circuit,
-    node: str,
-    frequencies_hz: Sequence[float],
-) -> np.ndarray:
-    """Convenience wrapper: complex input impedance Z(f) at ``node``."""
-    return analyze_ac(circuit, node, frequencies_hz).impedance(node)
 
 
 def dc_operating_point(circuit: Circuit) -> Dict[str, float]:
     """DC node voltages with all sources at their nominal values.
 
-    Inductors are shorts and capacitors are opens at DC, which the MNA
-    stamps handle naturally at ``omega = 0``.  Used to initialize
+    Inductors are shorts and capacitors are opens at DC, which
+    :meth:`~repro.pdn.netlist.Circuit.dc_matrix` stamps.  Used to initialize
     transient analyses at the quiescent point.
     """
     layout = circuit.layout()
-    a = circuit.ac_matrix(0.0)
+    a = circuit.dc_matrix()
     injections: Dict[str, complex] = {}
     for src in circuit.current_sources():
         i0 = src.value_at(0.0)
@@ -170,7 +138,7 @@ def dc_operating_point(circuit: Circuit) -> Dict[str, float]:
 def total_series_resistance(circuit: Circuit, from_node: str) -> float:
     """DC (IR) resistance seen from ``from_node`` back to the supply."""
     layout = circuit.layout()
-    a = circuit.ac_matrix(0.0)
+    a = circuit.dc_matrix()
     a = a + np.diag(
         np.concatenate(
             [np.full(layout.num_nodes, 1e-12), np.zeros(layout.num_branches)]

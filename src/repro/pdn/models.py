@@ -22,20 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.pdn.elements import VoltageSource
 from repro.pdn.impedance import ACAnalysis, analyze_ac
-from repro.pdn.netlist import Circuit
+from repro.pdn.ladder import Ladder, Section
+from repro.pdn.netlist import GROUND, Circuit
 from repro.pdn.steady_state import SteadyStateSolver
 
 DIE_NODE = "die"
 PKG_NODE = "pkg"
 PCB_NODE = "pcb"
 VRM_NODE = "vrm"
-SENSE_BRANCH = "pkg_trace.l"
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,20 @@ class PDNParameters:
         return self.c_die_base + powered_cores * self.c_die_per_core
 
 
+def package_sections(
+    params: PDNParameters, powered_cores: int
+) -> Tuple[Section, ...]:
+    """The package bank, package trace and die capacitance, from the
+    package node to the die: the first-order tank and its neighbour."""
+    p = params
+    c_die = p.die_capacitance(powered_cores)
+    return (
+        Section("pkg_cap", GROUND, p.esr_pkg, p.esl_pkg, p.c_pkg),
+        Section("pkg_trace", DIE_NODE, p.r_pkg, p.l_pkg),
+        Section("die_cap", GROUND, p.r_die, capacitance=c_die),
+    )
+
+
 def first_order_resonance_hz(
     params: PDNParameters, powered_cores: int
 ) -> float:
@@ -102,55 +116,30 @@ class PDNModel:
     def nominal_voltage(self) -> float:
         return self.params.nominal_voltage
 
-    def build_circuit(self, powered_cores: int) -> Circuit:
-        """Assemble the Fig. 1(a) netlist for a power-gating state."""
+    def ladder(self, powered_cores: int) -> Ladder:
+        """The Fig. 1(a) network for a power-gating state, from the VRM
+        to the die."""
         p = self.params
-        c = Circuit(f"{p.name}-pdn-{powered_cores}c")
-        c.add(VoltageSource("vdd", VRM_NODE, "0", voltage=p.nominal_voltage))
-        c.add_series_rlc(
-            "vrm_out", VRM_NODE, PCB_NODE, resistance=p.r_vrm, inductance=p.l_vrm
+        return Ladder(
+            f"{p.name}-pdn-{powered_cores}c",
+            VoltageSource("vdd", VRM_NODE, GROUND, voltage=p.nominal_voltage),
+            (
+                Section("vrm_out", PCB_NODE, p.r_vrm, p.l_vrm),
+                Section("bulk_cap", GROUND, p.esr_pcb, p.esl_pcb, p.c_pcb),
+                Section("pcb_trace", PKG_NODE, p.r_pcb, p.l_pcb),
+                *package_sections(p, powered_cores),
+            ),
         )
-        c.add_series_rlc(
-            "bulk_cap",
-            PCB_NODE,
-            "0",
-            resistance=p.esr_pcb,
-            inductance=p.esl_pcb,
-            capacitance=p.c_pcb,
-        )
-        c.add_series_rlc(
-            "pcb_trace", PCB_NODE, PKG_NODE, resistance=p.r_pcb, inductance=p.l_pcb
-        )
-        c.add_series_rlc(
-            "pkg_cap",
-            PKG_NODE,
-            "0",
-            resistance=p.esr_pkg,
-            inductance=p.esl_pkg,
-            capacitance=p.c_pkg,
-        )
-        c.add_series_rlc(
-            "pkg_trace", PKG_NODE, DIE_NODE, resistance=p.r_pkg, inductance=p.l_pkg
-        )
-        c.add_series_rlc(
-            "die_cap",
-            DIE_NODE,
-            "0",
-            resistance=p.r_die,
-            capacitance=p.die_capacitance(powered_cores),
-        )
-        return c
+
+    def build_circuit(self, powered_cores: int) -> Circuit:
+        """The MNA netlist of :meth:`ladder`."""
+        return self.ladder(powered_cores).circuit()
 
     def solver(self, powered_cores: int) -> SteadyStateSolver:
         """Cached periodic steady-state solver for a power-gating state."""
         solver = self._solvers.get(powered_cores)
         if solver is None:
-            solver = SteadyStateSolver(
-                self.build_circuit(powered_cores),
-                die_node=DIE_NODE,
-                sense_branch=SENSE_BRANCH,
-                nominal_voltage=self.params.nominal_voltage,
-            )
+            solver = SteadyStateSolver(self.ladder(powered_cores))
             self._solvers[powered_cores] = solver
         return solver
 
@@ -158,9 +147,7 @@ class PDNModel:
         self, frequencies_hz: Sequence[float], powered_cores: int
     ) -> ACAnalysis:
         """AC analysis (impedance seen by the die) for Fig. 1(b) style plots."""
-        return analyze_ac(
-            self.build_circuit(powered_cores), DIE_NODE, frequencies_hz
-        )
+        return analyze_ac(self.ladder(powered_cores), frequencies_hz)
 
     def analytic_resonance_hz(self, powered_cores: int) -> float:
         return first_order_resonance_hz(self.params, powered_cores)
@@ -174,7 +161,7 @@ class PDNModel:
         """First-order resonance located on the full network's Z(f) peak."""
         freqs = np.linspace(band[0], band[1], points)
         analysis = self.impedance_analysis(freqs, powered_cores)
-        return analysis.peak_frequency_hz(DIE_NODE)
+        return analysis.peak_frequency_hz()
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,19 @@ The :class:`Circuit` collects elements and assigns MNA indices:
 - one unknown per *branch element* (inductors and voltage sources),
   whose current is solved explicitly.
 
-The same index layout is shared by the AC, transient and steady-state
-solvers so that results can be cross-referenced by element name.
+The transient solver and the DC helpers share this index layout, so
+results can be cross-referenced by element name.  The frequency-domain
+analysis does not solve the netlist: it folds the PDN's
+:class:`~repro.pdn.ladder.Ladder`, which stamps this circuit.
 
-The matrix is stamped once per circuit into :class:`MNAStamps`, which
-splits it by frequency dependence, so an AC grid builds ``A(omega)``
-for many frequencies with array arithmetic instead of a per-frequency
-element loop.
+The DC part of the matrix is stamped once per circuit into
+:class:`MNAStamps`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,19 +32,6 @@ from repro.pdn.elements import (
 )
 
 GROUND = "0"
-
-
-def _admittance_entries(ia: int, ib: int) -> List[Tuple[int, int, float]]:
-    """``(row, col, sign)`` of a two-terminal admittance stamp between
-    node indices ``ia`` and ``ib`` (-1 is ground), in stamp order."""
-    entries = []
-    if ia >= 0:
-        entries.append((ia, ia, 1.0))
-    if ib >= 0:
-        entries.append((ib, ib, 1.0))
-    if ia >= 0 and ib >= 0:
-        entries += [(ia, ib, -1.0), (ib, ia, -1.0)]
-    return entries
 
 
 @dataclass(frozen=True)
@@ -84,31 +71,15 @@ class MNALayout:
 
 @dataclass(frozen=True)
 class MNAStamps:
-    """A circuit's MNA matrix, split by frequency dependence.
+    """A circuit's MNA layout and its matrix at DC (``omega = 0``).
 
-    ``conductance`` holds the resistor and +-1 branch entries.  The
-    reactive values (``C`` on capacitor admittances, ``-L`` on inductor
-    branch equations) are kept per matrix entry in element order:
-    ``reactance[r]`` holds each entry's ``r``-th value, zero where the
-    entry has fewer.  ``A(omega) = G + 1j * (omega * B_0 + omega * B_1
-    + ...)`` summed rank by rank therefore repeats the per-element
-    accumulation of a stamp loop bit for bit.
+    ``conductance`` holds the resistor admittances and the +-1 entries
+    that tie each branch element's current to its terminals.  At DC an
+    inductor is a short and a capacitor an open, so neither adds more.
     """
 
     layout: MNALayout
     conductance: np.ndarray
-    reactance: np.ndarray
-
-    def matrices(self, omegas: Sequence[float]) -> np.ndarray:
-        """``A(omega)`` for each angular frequency: ``(F, n, n)`` complex."""
-        w = np.asarray(omegas, dtype=float)[:, None, None]
-        imag = np.zeros((w.shape[0],) + self.conductance.shape)
-        for rank in self.reactance:
-            imag += w * rank
-        a = np.empty(imag.shape, dtype=complex)
-        a.real = self.conductance
-        a.imag = imag
-        return a
 
 
 class Circuit:
@@ -210,7 +181,7 @@ class Circuit:
         return self.stamps().layout
 
     def stamps(self) -> MNAStamps:
-        """The MNA stamps, computed on first use after the last :meth:`add`."""
+        """The DC stamps, computed on first use after the last :meth:`add`."""
         if self._stamps is None:
             self._stamps = self._stamp()
         return self._stamps
@@ -226,19 +197,17 @@ class Circuit:
         layout = MNALayout(node_index=node_index, branch_index=branch_index)
         n = layout.size
         g = np.zeros((n, n))
-        # Each entry's reactive values, in element order.
-        reactive: Dict[Tuple[int, int], List[float]] = {}
         for e in self._elements:
             ia, ib = layout.node(e.node_a), layout.node(e.node_b)
             if isinstance(e, Resistor):
                 y = 1.0 / e.resistance
-                for i, j, sign in _admittance_entries(ia, ib):
-                    g[i, j] += sign * y
-            elif isinstance(e, Capacitor):
-                for i, j, sign in _admittance_entries(ia, ib):
-                    reactive.setdefault((i, j), []).append(
-                        sign * e.capacitance
-                    )
+                if ia >= 0:
+                    g[ia, ia] += y
+                if ib >= 0:
+                    g[ib, ib] += y
+                if ia >= 0 and ib >= 0:
+                    g[ia, ib] -= y
+                    g[ib, ia] -= y
             elif isinstance(e, (Inductor, VoltageSource)):
                 k = layout.branch(e.name)
                 if ia >= 0:
@@ -247,21 +216,14 @@ class Circuit:
                 if ib >= 0:
                     g[ib, k] -= 1.0
                     g[k, ib] -= 1.0
-                if isinstance(e, Inductor):
-                    reactive.setdefault((k, k), []).append(-e.inductance)
-            # CurrentSource stamps only the RHS.
-        ranks = max((len(v) for v in reactive.values()), default=0)
-        b = np.zeros((ranks, n, n))
-        for (i, j), values in reactive.items():
-            b[: len(values), i, j] = values
-        # Every later analysis of this circuit shares these arrays.
+            # Capacitors are open at DC; CurrentSource stamps only the RHS.
+        # Every later analysis of this circuit shares the array.
         g.flags.writeable = False
-        b.flags.writeable = False
-        return MNAStamps(layout=layout, conductance=g, reactance=b)
+        return MNAStamps(layout=layout, conductance=g)
 
-    def ac_matrix(self, omega: float) -> np.ndarray:
-        """Complex MNA matrix at angular frequency ``omega`` (rad/s)."""
-        return self.stamps().matrices([omega])[0]
+    def dc_matrix(self) -> np.ndarray:
+        """A writable copy of the real MNA matrix at DC."""
+        return self.stamps().conductance.copy()
 
     def ac_rhs(
         self,

@@ -16,13 +16,14 @@ grids, bounded, and passes them back in through ``solve(transfer=...)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.timing import timed_kernel
 from repro.pdn.impedance import analyze_ac
-from repro.pdn.netlist import Circuit
+from repro.pdn.ladder import Ladder
 
 
 @dataclass
@@ -47,18 +48,20 @@ class PeriodicResponse:
     def period_s(self) -> float:
         return self.die_voltage.size / self.sample_rate_hz
 
+    @cached_property
+    def min_voltage(self) -> float:
+        """Lowest rail voltage over the period, computed once per
+        response."""
+        return float(np.min(self.die_voltage))
+
     @property
     def max_droop(self) -> float:
         """Largest dip below the nominal supply voltage, in volts."""
-        return float(self.nominal_voltage - np.min(self.die_voltage))
+        return self.nominal_voltage - self.min_voltage
 
     @property
     def peak_to_peak(self) -> float:
-        return float(np.max(self.die_voltage) - np.min(self.die_voltage))
-
-    @property
-    def min_voltage(self) -> float:
-        return float(np.min(self.die_voltage))
+        return float(np.max(self.die_voltage)) - self.min_voltage
 
     def voltage_spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
         """(frequencies_hz, amplitude) of the AC voltage harmonics."""
@@ -88,33 +91,16 @@ class PeriodicResponse:
 
 
 class SteadyStateSolver:
-    """Periodic steady-state analysis of a circuit's die rail.
+    """Periodic steady-state analysis of a ladder's die rail.
 
-    Parameters
-    ----------
-    circuit:
-        PDN netlist.  Independent voltage sources supply the rail.
-    die_node:
-        Node where the CPU load current is drawn.
-    sense_branch:
-        Name of the inductor whose current represents the die feed
-        current (the package inductor): its oscillation amplitude drives
-        the EM radiation model.
-    nominal_voltage:
-        Ideal supply voltage (the voltage-source value).
+    The ladder's supply voltage is the nominal rail.  The die current
+    is the current through the ladder's last series section (the
+    package trace), which drives the EM radiation model.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        die_node: str,
-        sense_branch: str,
-        nominal_voltage: float,
-    ):
-        self._circuit = circuit
-        self._die_node = die_node
-        self._sense_branch = sense_branch
-        self._nominal = nominal_voltage
+    def __init__(self, ladder: Ladder):
+        self._ladder = ladder
+        self._nominal = ladder.supply.voltage
         #: Number of AC analyses this solver has performed through
         #: :meth:`transfer_functions`.  The chain layer's cache-hit
         #: assertions ("at most one analysis per distinct cluster
@@ -147,19 +133,13 @@ class SteadyStateSolver:
         # Bin 0 is solved at Z(0+), 1 Hz, in the same analysis as the
         # harmonics.
         freqs[0] = 1.0
-        analysis = analyze_ac(self._circuit, self._die_node, freqs)
-        # Copies, so a cached grid does not keep every node's solution.
-        z = analysis.impedance(self._die_node).copy()
-        h_i = analysis.branch_currents[self._sense_branch].copy()
+        # The benchmark's tracer wraps this module's ``analyze_ac`` and
+        # reads the grid from ``frequencies_hz=``.
+        analysis = analyze_ac(self._ladder, frequencies_hz=freqs)
+        z, h_i = analysis.impedance, analysis.die_current
         # DC transfer: resistive path for voltage, unity for current.
         z[0] = z[0].real
         h_i[0] = h_i[0].real
-        # Orient the sense branch so die current follows load at DC
-        # (positive mean load -> positive mean die current), regardless
-        # of how the inductor's terminals were declared in the netlist.
-        if h_i[0] < 0.0:
-            h_i = -h_i
-            h_i[0] = abs(h_i[0])
         return z, h_i
 
     @timed_kernel("pdn.steady_state.solve")

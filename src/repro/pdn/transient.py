@@ -94,7 +94,7 @@ class TransientSolver:
     def _build_matrix(self) -> None:
         layout = self._layout
         h = self._dt
-        a = self._circuit.ac_matrix(0.0).real.astype(float)
+        a = self._circuit.dc_matrix()
         # Capacitor companion: conductance 2C/h.
         for e in self._circuit.elements:
             if isinstance(e, Capacitor):
@@ -111,8 +111,8 @@ class TransientSolver:
                 # Branch equation becomes  v_ab - (2L/h) i = v_hist.
                 k = layout.branch(e.name)
                 a[k, k] -= 2.0 * e.inductance / h
-                # ac_matrix at omega=0 left the L term absent (it stamps
-                # -j*omega*L = 0); the -2L/h replaces it.
+                # The DC matrix has no L term (an inductor is a short at
+                # DC); the -2L/h supplies it.
         self._matrix = a
         self._matrix_lu = lu_factor(a)
 
@@ -303,7 +303,7 @@ class TransientSolver:
     def _dc_state(self) -> np.ndarray:
         """Full DC MNA solution (node voltages and branch currents)."""
         layout = self._layout
-        a = self._circuit.ac_matrix(0.0).real.astype(float)
+        a = self._circuit.dc_matrix()
         a += np.diag(
             np.concatenate(
                 [
@@ -370,7 +370,7 @@ class TransientStepper:
     def reset(self, initial_load_a: float = 0.0) -> None:
         """Initialize at the DC operating point with the given load."""
         layout = self._layout
-        a = self._circuit.ac_matrix(0.0).real.astype(float)
+        a = self._circuit.dc_matrix()
         a += np.diag(
             np.concatenate(
                 [

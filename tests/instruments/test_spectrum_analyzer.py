@@ -164,7 +164,7 @@ BAD_BANDS = [
 
 class TestBandMask:
     """band_mask must reject bands that would silently mask nothing,
-    and every readout that takes a band goes through it."""
+    and every readout that takes a band checks it the same way."""
 
     def setup_method(self):
         self.analyzer = analyzer()
@@ -206,6 +206,14 @@ class TestBandMask:
     def test_sweep_time_refuses_bad_band(self, band, message):
         with pytest.raises(ValueError, match=message):
             self.analyzer.sweep_time_s(band)
+
+    @pytest.mark.parametrize(
+        "band, message", BAD_BANDS, ids=["inverted", "nan"]
+    )
+    def test_trace_peak_refuses_bad_band(self, band, message):
+        trace = self.analyzer.sweep(single_line(freq=70e6))
+        with pytest.raises(ValueError, match=message):
+            trace.peak(band)
 
     @pytest.mark.parametrize(
         "band, message", BAD_BANDS, ids=["inverted", "nan"]

@@ -1,13 +1,15 @@
 """Reference MNA assembly and AC solves: one element loop and one
 ``np.linalg.solve`` per frequency.
 
-``Circuit.stamps`` and the blocked ``analyze_ac`` must reproduce these
-bit for bit; ``transfer_functions_reference`` is the steady-state
-solver's transfer-function grid as two analyses, the harmonics and a
-separate 1 Hz DC point.
+This is the oracle for the ladder fold in ``repro.pdn.impedance``,
+run on the netlist a ladder stamps.  ``Circuit.dc_matrix`` must equal
+``ac_matrix_reference`` at ``omega = 0`` bit for bit;
+``transfer_functions_reference`` is the steady-state solver's
+transfer-function grid as two analyses, the harmonics and a separate
+1 Hz DC point.
 """
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -95,19 +97,6 @@ def transfer_functions_reference(
         h_i = -h_i
         h_i[0] = abs(h_i[0])
     return z, h_i
-
-
-def solution_matrix(analysis, layout: MNALayout) -> np.ndarray:
-    """An :class:`~repro.pdn.impedance.ACAnalysis` as ``(F, n)`` in MNA
-    order."""
-    columns: Dict[int, np.ndarray] = {
-        layout.node(name): v for name, v in analysis.node_voltages.items()
-    }
-    columns.update(
-        (layout.branch(name), i)
-        for name, i in analysis.branch_currents.items()
-    )
-    return np.stack([columns[k] for k in range(layout.size)], axis=1)
 
 
 def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:

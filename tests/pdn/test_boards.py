@@ -15,7 +15,7 @@ from repro.pdn.models import PDNModel, CORTEX_A72_PDN
 def detailed_z():
     freqs = np.logspace(3, 8.7, 1200)
     analysis = detailed_impedance_analysis(CORTEX_A72_PDN, 2, freqs)
-    return freqs, analysis.impedance_magnitude("die")
+    return freqs, analysis.impedance_magnitude()
 
 
 class TestDetailedBoard:
@@ -30,7 +30,7 @@ class TestDetailedBoard:
             simple.measured_resonance_hz(2), rel=0.01
         )
         sf = np.logspace(7.5, 8.5, 400)
-        zs = simple.impedance_analysis(sf, 2).impedance_magnitude("die")
+        zs = simple.impedance_analysis(sf, 2).impedance_magnitude()
         assert z1 == pytest.approx(zs.max(), rel=0.05)
 
     def test_third_order_near_10khz(self, detailed_z):

@@ -101,7 +101,7 @@ class TestImpedanceStructure:
         m = PDNModel(CORTEX_A72_PDN)
         freqs = np.logspace(3.5, 8.7, 500)
         analysis = m.impedance_analysis(freqs, 2)
-        return freqs, analysis.impedance_magnitude("die")
+        return freqs, analysis.impedance_magnitude()
 
     def test_first_order_peak_is_global_structure_peak(self, z_curve):
         freqs, mag = z_curve

@@ -11,6 +11,7 @@ from repro.pdn.elements import (
     VoltageSource,
 )
 from repro.pdn.netlist import Circuit, GROUND
+from tests.pdn.mna_reference import ac_matrix_reference
 
 
 def simple_divider() -> Circuit:
@@ -85,7 +86,7 @@ class TestDCCorrectness:
     def test_voltage_divider_dc(self):
         c = simple_divider()
         layout = c.layout()
-        a = c.ac_matrix(0.0)
+        a = c.dc_matrix()
         b = c.ac_rhs(layout, {}, source_voltages=True)
         x = np.linalg.solve(a, b)
         assert x[layout.node("in")].real == pytest.approx(2.0)
@@ -98,7 +99,7 @@ class TestDCCorrectness:
         c.add(Resistor("r1", "out", GROUND, resistance=2.0))
         layout = c.layout()
         x = np.linalg.solve(
-            c.ac_matrix(0.0),
+            c.dc_matrix(),
             c.ac_rhs(layout, {}, source_voltages=True),
         )
         assert x[layout.node("out")].real == pytest.approx(1.0)
@@ -110,19 +111,23 @@ class TestDCCorrectness:
         c.add(Resistor("r1", "a", GROUND, resistance=4.0))
         layout = c.layout()
         x = np.linalg.solve(
-            c.ac_matrix(0.0), c.ac_rhs(layout, {"a": 1.0})
+            c.dc_matrix(), c.ac_rhs(layout, {"a": 1.0})
         )
         assert x[layout.node("a")].real == pytest.approx(4.0)
 
 
 class TestACCorrectness:
+    """The per-frequency MNA matrix that tests/pdn/mna_reference.py
+    solves as the AC oracle, against textbook impedances."""
+
     def test_capacitor_impedance(self):
         c = Circuit()
         c.add(Capacitor("c1", "a", GROUND, capacitance=1e-9))
         layout = c.layout()
         f = 1e6
         x = np.linalg.solve(
-            c.ac_matrix(2 * np.pi * f), c.ac_rhs(layout, {"a": 1.0})
+            ac_matrix_reference(c, 2 * np.pi * f, layout),
+            c.ac_rhs(layout, {"a": 1.0}),
         )
         expected = 1.0 / (2 * np.pi * f * 1e-9)
         assert abs(x[layout.node("a")]) == pytest.approx(expected, rel=1e-9)
@@ -134,7 +139,8 @@ class TestACCorrectness:
         layout = c.layout()
         f = 1e6
         x = np.linalg.solve(
-            c.ac_matrix(2 * np.pi * f), c.ac_rhs(layout, {"a": 1.0})
+            ac_matrix_reference(c, 2 * np.pi * f, layout),
+            c.ac_rhs(layout, {"a": 1.0}),
         )
         expected = 2 * np.pi * f * 1e-6
         assert abs(x[layout.node("a")]) == pytest.approx(expected, rel=1e-3)
@@ -151,7 +157,7 @@ class TestACCorrectness:
         mags = []
         for f in (f0 / 2, f0, f0 * 2):
             x = np.linalg.solve(
-                c.ac_matrix(2 * np.pi * f),
+                ac_matrix_reference(c, 2 * np.pi * f, layout),
                 c.ac_rhs(layout, {"a": 1.0}),
             )
             mags.append(abs(x[layout.node("a")]))

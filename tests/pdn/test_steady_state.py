@@ -110,3 +110,39 @@ class TestTransferFunctions:
         r3 = solver.solve(wave, 1.2e9, transfer=grid)
         np.testing.assert_array_equal(r3.die_voltage, r1.die_voltage)
         assert solver.tf_analyses - before == 3
+
+
+class TestRailMinimum:
+    def test_min_voltage_is_computed_once_per_response(
+        self, solver, monkeypatch
+    ):
+        """``min_voltage``, ``max_droop`` and ``peak_to_peak`` share one
+        ``np.min`` over the rail, with the bits of a fresh one."""
+        resp = solver.solve(np.random.default_rng(5).random(64), 1.2e9)
+        real_min = np.min
+        expected = float(real_min(resp.die_voltage))
+        calls = []
+
+        def counted_min(*args, **kwargs):
+            calls.append(args)
+            return real_min(*args, **kwargs)
+
+        monkeypatch.setattr(np, "min", counted_min)
+        for _ in range(3):
+            assert resp.min_voltage == expected
+            assert resp.max_droop == resp.nominal_voltage - expected
+            assert resp.peak_to_peak == (
+                float(np.max(resp.die_voltage)) - expected
+            )
+        assert len(calls) == 1
+
+    def test_recentered_response_computes_its_own_minimum(self, solver):
+        from repro.chain.session import _recentered
+
+        resp = solver.solve(np.random.default_rng(6).random(64), 1.2e9)
+        low = resp.min_voltage
+        shifted = _recentered(resp, resp.nominal_voltage - 0.1)
+        assert shifted is not resp
+        assert shifted.min_voltage == float(np.min(shifted.die_voltage))
+        assert shifted.min_voltage < low
+

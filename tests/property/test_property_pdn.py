@@ -1,26 +1,27 @@
 """Property-based tests on the PDN solvers (hypothesis)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.pdn.elements import Capacitor, Inductor, Resistor
-from repro.pdn.impedance import AC_BLOCK, analyze_ac
-from repro.pdn.models import (
-    CORTEX_A72_PDN,
-    DIE_NODE,
-    SENSE_BRANCH,
-    PDNModel,
-)
-from repro.pdn.netlist import GROUND, Circuit
+from repro.pdn.elements import Inductor, VoltageSource
+from repro.pdn.impedance import analyze_ac, total_series_resistance
+from repro.pdn.ladder import Ladder, Section
+from repro.pdn.models import CORTEX_A72_PDN, DIE_NODE, PDNModel
+from repro.pdn.netlist import GROUND
 from repro.platforms import registry
 from tests.pdn.mna_reference import (
     ac_matrix_reference,
     analyze_ac_reference,
     assert_same_bits,
-    solution_matrix,
     transfer_functions_reference,
+)
+from tests.pdn.test_oracles import (
+    closed_form_die_current,
+    closed_form_impedance,
 )
 
 SOLVER = PDNModel(CORTEX_A72_PDN).solver(2)
@@ -100,13 +101,22 @@ def test_mean_die_current_conservation(n):
 
 
 # ---------------------------------------------------------------------------
-# The stamped, blocked AC solve is the per-element, per-frequency loop
+# The ladder fold is the MNA solve of the netlist the ladder stamps
 # ---------------------------------------------------------------------------
 
-NODES = ("a", "b", "c", "d")
-
-#: Grid sizes on both sides of the solve's block size.
-GRID_SIZES = (1, AC_BLOCK - 1, AC_BLOCK, AC_BLOCK + 1, 2 * AC_BLOCK + 3)
+#: Agreement between the fold and the per-frequency MNA solve on random
+#: ladders, ``|fold - mna| <= RTOL * |mna| + ATOL``.  A wrong topology
+#: (a section folded on the wrong side, the wrong feed current) is off
+#: by order one.  The MNA solve itself loses digits on ill-conditioned
+#: draws: at 10 GHz, behind a series section of 1 ohm, 100 nH and
+#: 50 uF (condition number 1.6e11), it read 6346.0355j ohm where the
+#: fold and a 50-digit solve agree on 6346.0172j, and over 12,000
+#: draws at the ends of these value ranges its die current was off by
+#: up to 2.7e-4 relative where that current is small (in one such case
+#: a 60-digit solve put the MNA 2.2e-4 and the fold 3.2e-10 off).  The
+#: presets are held to 1e-12 in tests/pdn/test_oracles.py.
+RANDOM_LADDER_RTOL = 1e-2
+RANDOM_LADDER_ATOL = 1e-12
 
 
 def _log_values(low, high):
@@ -114,118 +124,106 @@ def _log_values(low, high):
 
 
 @st.composite
-def rlc_circuits(draw):
-    """Random R/L/C netlists on up to four nodes; few nodes make
-    parallel elements and several capacitors per node common."""
-    nodes = list(NODES[: draw(st.integers(min_value=1, max_value=4))])
-    terminals = st.sampled_from(nodes + [GROUND])
-    circuit = Circuit("random")
-    # A leak to ground on every node keeps every A(omega > 0) regular.
-    for node in nodes:
-        circuit.add(Resistor(
-            f"leak.{node}", node, GROUND, resistance=draw(_log_values(-3, 3))
-        ))
-    for i in range(draw(st.integers(min_value=0, max_value=10))):
-        a = draw(terminals)
-        b = draw(terminals.filter(lambda n: n != a))
-        kind = draw(st.sampled_from("rcl"))
-        if kind == "r":
-            element = Resistor(
-                f"r{i}", a, b, resistance=draw(_log_values(-3, 3))
-            )
-        elif kind == "c":
-            element = Capacitor(
-                f"c{i}", a, b, capacitance=draw(_log_values(-12, -3))
-            )
-        else:
-            element = Inductor(
-                f"l{i}", a, b, inductance=draw(_log_values(-12, -6))
-            )
-        circuit.add(element)
-    return circuit, draw(st.sampled_from(nodes))
+def sections(draw, index, shunt):
+    """One section with one to three of R, L and C."""
+    kinds = draw(
+        st.sets(st.sampled_from("rlc"), min_size=1, max_size=3)
+    )
+    return Section(
+        f"s{index}",
+        GROUND if shunt else f"n{index}",
+        resistance=draw(_log_values(-3, 1)) if "r" in kinds else 0.0,
+        inductance=draw(_log_values(-12, -7)) if "l" in kinds else 0.0,
+        capacitance=draw(_log_values(-10, -3)) if "c" in kinds else 0.0,
+    )
 
 
-def _assert_matches_reference(circuit, node, freqs):
-    layout, expected = analyze_ac_reference(circuit, node, freqs)
-    analysis = analyze_ac(circuit, node, freqs)
-    assert_same_bits(solution_matrix(analysis, layout), expected)
+@st.composite
+def ladders(draw):
+    """Random ladders of up to eight sections: any mix upstream
+    (including shunts at the supply, consecutive series sections and
+    several shunts on one node), then the die's feed, then zero to two
+    shunts at the die.  The feed carries an inductor, as every package
+    trace does, so the MNA solve has its current as a branch unknown.
+    Returns the ladder and the feed's index."""
+    upstream = draw(st.lists(st.booleans(), max_size=5))
+    shunts = upstream + [False] + [True] * draw(st.integers(0, 2))
+    drawn = [draw(sections(i, shunt)) for i, shunt in enumerate(shunts)]
+    feed = len(upstream)
+    drawn[feed] = replace(
+        drawn[feed], inductance=drawn[feed].inductance or 1e-9
+    )
+    supply = VoltageSource("vdd", "vrm", GROUND, voltage=1.0)
+    return Ladder("random", supply, tuple(drawn)), feed
+
+
+def _max_rel_err(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+def _assert_close_to_mna(got, want):
+    excess = np.abs(got - want) - RANDOM_LADDER_RTOL * np.abs(want)
+    assert float(np.max(excess)) <= RANDOM_LADDER_ATOL
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    drawn=rlc_circuits(),
-    freqs=st.integers(min_value=1, max_value=3 * AC_BLOCK).flatmap(
-        lambda size: hnp.arrays(
-            np.float64, size, elements=st.floats(min_value=1.0, max_value=1e10)
-        )
+    drawn=ladders(),
+    freqs=hnp.arrays(
+        np.float64,
+        st.integers(min_value=1, max_value=40),
+        elements=st.floats(min_value=1.0, max_value=1e10),
     ),
 )
-def test_analyze_ac_is_the_per_frequency_loop_bit_for_bit(drawn, freqs):
-    circuit, node = drawn
-    _assert_matches_reference(circuit, node, freqs)
-    omega = 2.0 * np.pi * freqs[0]
+def test_analyze_ac_matches_the_mna_loop_on_random_ladders(drawn, freqs):
+    """Z(f) and H_I(f) of the fold match one MNA solve per frequency of
+    the stamped netlist, and the stamped DC matrix is the element loop
+    at omega = 0 bit for bit."""
+    ladder, feed = drawn
+    circuit = ladder.circuit()
+    die = ladder.sections[feed].to
+    layout, solutions = analyze_ac_reference(circuit, die, freqs)
+    analysis = analyze_ac(ladder, freqs)
+    _assert_close_to_mna(analysis.impedance, solutions[:, layout.node(die)])
+    # The reference injects 1 A into the die, against the feed's
+    # declared direction.
+    branch = layout.branch(f"{ladder.sections[feed].name}.l")
+    _assert_close_to_mna(analysis.die_current, -solutions[:, branch])
     assert_same_bits(
-        circuit.ac_matrix(omega),
-        ac_matrix_reference(circuit, omega, circuit.layout()),
-    )
-
-
-def _multi_rank_circuit():
-    c = Circuit("parallel-caps")
-    c.add(Resistor("r_in", "a", GROUND, resistance=50.0))
-    c.add(Capacitor("c1", "a", GROUND, capacitance=1e-9))
-    c.add(Capacitor("c2", "a", GROUND, capacitance=2.2e-9))
-    c.add(Inductor("l1", "a", "b", inductance=1e-9))
-    c.add(Capacitor("c3", "a", "b", capacitance=4.7e-12))
-    c.add(Resistor("r_b", "b", GROUND, resistance=0.1))
-    c.add(Capacitor("c4", "b", GROUND, capacitance=1e-6))
-    return c
-
-
-def _resistive_circuit():
-    c = Circuit("resistive")
-    c.add(Resistor("r1", "a", "b", resistance=2.0))
-    c.add(Resistor("r2", "b", GROUND, resistance=3.0))
-    c.add(Resistor("r3", "a", GROUND, resistance=5.0))
-    return c
-
-
-@pytest.mark.parametrize("size", GRID_SIZES)
-@pytest.mark.parametrize(
-    "build, ranks", [(_multi_rank_circuit, 3), (_resistive_circuit, 0)]
-)
-def test_edge_circuits_match_reference(build, ranks, size):
-    """Several capacitors on one node use one rank each; a circuit
-    with no C or L uses none."""
-    circuit = build()
-    assert circuit.stamps().reactance.shape[0] == ranks
-    _assert_matches_reference(
-        circuit, "a", np.logspace(0.0, 9.5, size)
+        circuit.dc_matrix(),
+        ac_matrix_reference(circuit, 0.0, circuit.layout()).real,
     )
 
 
 def test_add_after_analysis_restamps():
-    circuit = _multi_rank_circuit()
-    freqs = np.logspace(3.0, 9.0, AC_BLOCK + 5)
-    first = analyze_ac(circuit, "a", freqs)
+    """Adding an element after a DC analysis replaces the cached stamps."""
+    circuit = PDNModel(CORTEX_A72_PDN).build_circuit(2)
+    first = total_series_resistance(circuit, DIE_NODE)
     stamps = circuit.stamps()
-    circuit.add(Inductor("l_late", "b", GROUND, inductance=3e-9))
+    circuit.add(Inductor("l_late", DIE_NODE, GROUND, inductance=3e-9))
     assert circuit.stamps() is not stamps
     assert circuit.layout().size == stamps.layout.size + 1
-    _assert_matches_reference(circuit, "a", freqs)
-    second = analyze_ac(circuit, "a", freqs)
-    assert not np.array_equal(first.impedance("a"), second.impedance("a"))
+    assert_same_bits(
+        circuit.dc_matrix(),
+        ac_matrix_reference(circuit, 0.0, circuit.layout()).real,
+    )
+    # The late inductor shorts the die to ground at DC.
+    assert total_series_resistance(circuit, DIE_NODE) < first
 
 
 #: (n_samples, sample_rate_hz) grids: 2, 31, 32, 33 and 321 bins.
 TF_GRIDS = ((2, 1.0e9), (60, 1.2e9), (62, 2.4e9), (64, 0.9e9),
             (640, 1.6e9))
 
+#: Both oracles agree with the fold to within this, on every preset.
+TF_REL_TOL = 1e-12
+
 
 @pytest.mark.parametrize("platform", registry.platform_keys())
 def test_transfer_functions_are_the_two_call_composition(platform):
-    """Folding the 1 Hz DC point into the harmonic analysis changes no
-    bit of any platform's transfer functions, in any gating state."""
+    """Folding the 1 Hz DC point into the harmonic analysis matches the
+    two-analysis MNA composition on the ladder's netlist, and the closed
+    form, on every gating state."""
     params = registry.make_cluster(platform).pdn.params
     model = PDNModel(params)
     for cores in range(1, params.num_cores + 1):
@@ -233,8 +231,16 @@ def test_transfer_functions_are_the_two_call_composition(platform):
         for n_samples, rate in TF_GRIDS:
             z, h_i = solver.compute_transfer_functions(n_samples, rate)
             z_ref, h_ref = transfer_functions_reference(
-                model.build_circuit(cores), DIE_NODE, SENSE_BRANCH,
+                model.ladder(cores).circuit(), DIE_NODE, "pkg_trace.l",
                 n_samples, rate,
             )
-            assert_same_bits(z, z_ref)
-            assert_same_bits(h_i, h_ref)
+            assert _max_rel_err(z, z_ref) < TF_REL_TOL
+            assert _max_rel_err(h_i, h_ref) < TF_REL_TOL
+            freqs = np.fft.rfftfreq(n_samples, d=1.0 / rate)
+            freqs[0] = 1.0
+            z_cf = closed_form_impedance(params, cores, freqs)
+            h_cf = closed_form_die_current(params, cores, freqs)
+            assert _max_rel_err(z[1:], z_cf[1:]) < TF_REL_TOL
+            assert _max_rel_err(h_i[1:], h_cf[1:]) < TF_REL_TOL
+            # Bin 0 is the real DC transfer, read at 1 Hz.
+            assert z[0].imag == 0.0 and h_i[0].imag == 0.0
