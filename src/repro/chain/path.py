@@ -3,8 +3,9 @@
 ``SignalPath.em_chain(radiator, analyzer)`` builds the paper's full
 measurement chain; ``run(request)`` pushes N items through it and
 returns a :class:`ChainResult` with per-item artifacts, per-stage wall
-times and the session cache-counter deltas.  Stage bodies are wrapped
-in ``kernel_section("chain.<stage>")`` so an enclosing
+times and the session cache-counter deltas.  Each stage's wall time
+also goes into the active kernel-timing collector as the
+``chain.<stage>`` section, so an enclosing
 :func:`repro.obs.timing.collect_kernel_timings` block -- e.g. the GA
 engine's per-generation collector -- sees the chain-stage breakdown
 without any extra plumbing.
@@ -29,7 +30,7 @@ from repro.chain.stages import (
 from repro.chain.types import ChainRequest, ChainResult
 from repro.faults.plan import NULL_INJECTOR, FaultInjector
 from repro.obs.events import NULL_LOG, EventLog
-from repro.obs.timing import kernel_section
+from repro.obs.timing import active_kernel_timings
 
 
 class SignalPath:
@@ -88,14 +89,19 @@ class SignalPath:
         )
         before = self.session.stats.snapshot()
         stage_times = {}
+        # Looked up once: a stage's time is measured once, for both
+        # the run's stage times and the collector's section.
+        collector = active_kernel_timings()
         for stage in self.stages:
-            self.injector.visit(f"chain.{stage.name}")
-            with kernel_section(f"chain.{stage.name}"):
-                # Inside the section, so the stage time excludes the
-                # section's own enter and exit.
-                start = time.monotonic()
+            section = f"chain.{stage.name}"
+            self.injector.visit(section)
+            start = time.monotonic()
+            try:
                 stage.run(batch)
+            finally:
                 elapsed = time.monotonic() - start
+                if collector is not None:
+                    collector.add(section, elapsed)
             stage_times[stage.name] = round(elapsed, 6)
             if ledger is not None:
                 # Outside the timing section so audit overhead never

@@ -31,13 +31,12 @@ mutation at the moment they corrupt a result.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.pdn.steady_state import PeriodicResponse
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.pdn.steady_state import PeriodicResponse
     from repro.audit.tracker import DeterminismTracker
     from repro.cpu.program import LoopProgram
     from repro.cpu.multicore import ClusterExecution
@@ -87,7 +86,9 @@ class SimulationSession:
         self.audit = audit
         # (cluster.uid, genome, active, iterations) -> ClusterExecution
         self._executions: Dict[Tuple, "ClusterExecution"] = {}
-        # (cluster.uid, powered_cores, n_samples, sample_rate) -> (Z, H_I)
+        # (cluster.uid, powered_cores, n_samples, sample_rate) -> the
+        # grid's (2, harmonics) stack of (-Z, H_I) and its harmonic
+        # frequencies, as SteadyStateSolver.transfer_functions gives it
         self._tf_grids: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
     @staticmethod
@@ -120,33 +121,30 @@ class SimulationSession:
         """
         from repro.cpu.multicore import CoreModel, execute_on_cluster
 
-        core = CoreModel(
-            pipeline=cluster.pipeline,
-            current_model=cluster.spec.current_model,
-            clock_hz=clock_hz,
-        )
-        if phase_offsets is not None:
-            # Phase studies are rare and offset-specific; don't cache.
+        def execute(**offsets):
+            core = CoreModel(
+                pipeline=cluster.pipeline,
+                current_model=cluster.spec.current_model,
+                clock_hz=clock_hz,
+            )
             return execute_on_cluster(
                 core,
                 program,
                 active_cores=active_cores,
-                phase_offsets=phase_offsets,
                 uncore_current_a=cluster.spec.uncore_current_a,
                 iterations=iterations,
+                **offsets,
             )
+
+        if phase_offsets is not None:
+            # Phase studies are rare and offset-specific; don't cache.
+            return execute(phase_offsets=phase_offsets)
         key = (cluster.uid, program.genome(), active_cores, iterations)
         cached = self._executions.get(key)
         hit = cached is not None
         if cached is None:
             self.stats.execute_misses += 1
-            cached = execute_on_cluster(
-                core,
-                program,
-                active_cores=active_cores,
-                uncore_current_a=cluster.spec.uncore_current_a,
-                iterations=iterations,
-            )
+            cached = execute()
             self._bounded_put(self._executions, key, cached, MAX_EXECUTIONS)
         else:
             self.stats.execute_hits += 1
@@ -155,18 +153,7 @@ class SimulationSession:
         if hit and self.audit is not None:
             # Compare post-restamp so both sides carry this call's
             # clock (the cache stores the first-seen clock by design).
-            self.audit.check_hit(
-                "executions",
-                key,
-                cached,
-                lambda: execute_on_cluster(
-                    core,
-                    program,
-                    active_cores=active_cores,
-                    uncore_current_a=cluster.spec.uncore_current_a,
-                    iterations=iterations,
-                ),
-            )
+            self.audit.check_hit("executions", key, cached, execute)
         return cached
 
     # ------------------------------------------------------------------
@@ -180,57 +167,97 @@ class SimulationSession:
         load_current: np.ndarray,
         sample_rate_hz: float,
     ) -> "PeriodicResponse":
-        """Steady-state rail response at an explicit operating point.
+        """Steady-state rail response at an explicit operating point:
+        the one-row call of :meth:`pdn_responses`."""
+        return self.pdn_responses(
+            cluster, [(powered_cores, voltage, load_current, sample_rate_hz)]
+        )[0]
+
+    def pdn_responses(
+        self,
+        cluster: "Cluster",
+        points: Sequence[Tuple[int, float, np.ndarray, float]],
+    ) -> List["PeriodicResponse"]:
+        """Steady-state rail responses, one per
+        ``(powered_cores, voltage, load_current, sample_rate_hz)`` point.
 
         The AC transfer-function grid is cached here, keyed by
         ``(cluster, powered_cores, n_samples, sample_rate)`` -- i.e. by
         the distinct cluster states a campaign visits -- so repeated
         solves at a revisited state never re-run the AC analysis.
+        Keys are looked up in request order, with a missed grid taking
+        its cache slot at once, so the hit and miss counts, the FIFO
+        evictions and the audited hits are those of one lookup per
+        point.  Each solver then folds all of its missed grids in one
+        AC analysis, and points of equal trace length on one solver
+        are solved together.
         """
-        solver = cluster.pdn.solver(powered_cores)
-        key = (
-            cluster.uid,
-            powered_cores,
-            load_current.size,
-            sample_rate_hz,
-        )
-        transfer = self._tf_grids.get(key)
-        if transfer is None:
-            self.stats.tf_misses += 1
-            transfer = solver.transfer_functions(
-                load_current.size, sample_rate_hz
-            )
-            self._bounded_put(self._tf_grids, key, transfer, MAX_GRIDS)
-        else:
-            self.stats.tf_hits += 1
-            if self.audit is not None:
+        grids = self._tf_grids
+        stats = self.stats
+        uid = cluster.uid
+        transfers: List = []
+        misses: Dict[int, List] = {}
+        hits: List[Tuple[Tuple, int]] = []
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for i, (powered, _, trace, rate) in enumerate(points):
+            key = (uid, powered, trace.size, rate)
+            transfer = grids.get(key)
+            if transfer is None:
+                stats.tf_misses += 1
+                # A cell the fold fills; later points of this request
+                # at the same key hit it.
+                transfer = [None]
+                misses.setdefault(powered, []).append((key, transfer))
+                self._bounded_put(grids, key, transfer, MAX_GRIDS)
+            else:
+                stats.tf_hits += 1
+                hits.append((key, i))
+            transfers.append(transfer)
+            groups.setdefault((powered, trace.size), []).append(i)
+        if misses:
+            self._fold_missed(cluster, misses)
+            transfers = [
+                t[0] if type(t) is list else t for t in transfers
+            ]
+        if self.audit is not None:
+            for key, i in hits:
+                solver = cluster.pdn.solver(key[1])
                 self.audit.check_hit(
                     "tf_grids",
                     key,
-                    transfer,
+                    transfers[i],
                     lambda: solver.compute_transfer_functions(
-                        load_current.size, sample_rate_hz
-                    ),
+                        [(key[2], key[3])]
+                    )[0],
                 )
-        response = solver.solve(
-            load_current, sample_rate_hz, transfer=transfer
-        )
-        return _recentered(response, voltage)
+        responses: List = [None] * len(points)
+        for (powered, _), rows in groups.items():
+            solved = cluster.pdn.solver(powered).solve_batch(
+                np.array([points[i][2] for i in rows]),
+                [points[i][3] for i in rows],
+                transfers=[transfers[i] for i in rows],
+                supply_voltages=[points[i][1] for i in rows],
+            )
+            for i, response in zip(rows, solved):
+                responses[i] = response
+        return responses
 
-
-def _recentered(
-    response: PeriodicResponse, supply_voltage: float
-) -> PeriodicResponse:
-    """Shift a response to a non-nominal supply voltage setting."""
-    if supply_voltage == response.nominal_voltage:
-        return response
-    delta = supply_voltage - response.nominal_voltage
-    return PeriodicResponse(
-        sample_rate_hz=response.sample_rate_hz,
-        nominal_voltage=supply_voltage,
-        die_voltage=response.die_voltage + delta,
-        die_current=response.die_current,
-        harmonic_frequencies_hz=response.harmonic_frequencies_hz,
-        die_voltage_harmonics=response.die_voltage_harmonics,
-        die_current_harmonics=response.die_current_harmonics,
-    )
+    def _fold_missed(self, cluster: "Cluster", misses: Dict[int, List]) -> None:
+        """Fill the cells of :meth:`pdn_responses`' missed grids, one
+        fold per solver, and put each grid in its cell's cache slot."""
+        grids = self._tf_grids
+        try:
+            for powered, missed in misses.items():
+                folded = cluster.pdn.solver(powered).transfer_functions(
+                    [(key[2], key[3]) for key, _ in missed]
+                )
+                for (key, cell), transfer in zip(missed, folded):
+                    cell[0] = transfer
+                    if grids.get(key) is cell:
+                        grids[key] = transfer
+        finally:
+            # A fold that raised leaves none of its cells behind.
+            for missed in misses.values():
+                for key, cell in missed:
+                    if grids.get(key) is cell:
+                        del grids[key]

@@ -5,10 +5,15 @@ Each stage transforms every item of a batch in request order:
     execute -> current -> pdn-steady-state -> radiate -> propagate -> receive
 
 Every run of a program goes through these stages: ``Cluster.run`` is a
-response-only chain call (execute -> current -> pdn), and the receive
-stages make the same floating-point operations, in the same order, as
-the per-call ``SpectrumAnalyzer.max_amplitude`` / ``sweep`` helpers,
-so batched results are bit-identical to a per-call loop.  RNG
+response-only chain call (execute -> current -> pdn).  The pdn,
+propagate and receive stages each make one batch-kernel call per
+request (:meth:`SimulationSession.pdn_responses`,
+:meth:`SpectrumAnalyzer.spread_lines`,
+:meth:`SpectrumAnalyzer.readout`), which work array-at-a-time and
+give every item the bits it gets alone; the per-call helpers
+(``SimulationSession.pdn_solve``, ``SpectrumAnalyzer.max_amplitude`` /
+``sweep``) are one-row calls of the same kernels, so batched results
+are bit-identical to a per-call loop whatever the batch holds.  RNG
 discipline: the execute stage draws only from per-item ``memory_rng``
 generators, the receive stage only from the analyzer RNG, and both
 consume items in request order -- so per-stream draw sequences match a
@@ -26,6 +31,8 @@ import numpy as np
 
 from repro.chain.session import SimulationSession
 from repro.chain.types import ChainItemResult, ChainRequest, TimingJitter
+from repro.em.radiation import strongest_lines
+from repro.instruments.spectrum_analyzer import SpectrumTrace, peak_markers
 
 
 @dataclass
@@ -44,6 +51,8 @@ class ChainBatch:
     request: ChainRequest
     session: SimulationSession
     work: List[ItemWork] = field(default_factory=list)
+    #: Per-bin signal power of every item, one row each (propagate).
+    signal_w: Optional[np.ndarray] = None
 
     @property
     def cluster(self):
@@ -248,21 +257,27 @@ def _jittered(trace: np.ndarray, jitter: TimingJitter) -> np.ndarray:
 
 
 class PDNStage:
-    """Periodic steady-state rail response through the PDN model."""
+    """Periodic steady-state rail response through the PDN model, for
+    the whole batch in one :meth:`SimulationSession.pdn_responses`."""
 
     name = "pdn"
     drains = ()
 
     def run(self, batch: ChainBatch) -> None:
-        cluster = batch.cluster
-        for w in batch.work:
-            w.result.response = batch.session.pdn_solve(
-                cluster,
-                powered_cores=w.result.powered_cores,
-                voltage=w.result.voltage,
-                load_current=w.load_current,
-                sample_rate_hz=w.result.clock_hz,
-            )
+        responses = batch.session.pdn_responses(
+            batch.cluster,
+            [
+                (
+                    w.result.powered_cores,
+                    w.result.voltage,
+                    w.load_current,
+                    w.result.clock_hz,
+                )
+                for w in batch.work
+            ],
+        )
+        for w, response in zip(batch.work, responses):
+            w.result.response = response
 
 
 class RadiateStage:
@@ -286,7 +301,9 @@ class PropagateStage:
 
     The deterministic half of the analyzer readout, computed once per
     item and shared by the amplitude metric and the displayed trace
-    (the legacy per-call path recomputed it for each).
+    (the legacy per-call path recomputed it for each).  One
+    :meth:`SpectrumAnalyzer.spread_lines` call spreads the lines of
+    the whole batch; each item's ``signal_w`` is its row.
     """
 
     name = "propagate"
@@ -296,20 +313,24 @@ class PropagateStage:
         self.analyzer = analyzer
 
     def run(self, batch: ChainBatch) -> None:
-        if not batch.request.want_emission:
+        if not (batch.request.want_emission and batch.work):
             return
-        for w in batch.work:
-            w.result.signal_w = self.analyzer.received_power_w(
-                w.result.emission
-            )
+        batch.signal_w = self.analyzer.spread_lines(
+            [w.result.emission for w in batch.work]
+        )
+        for w, signal_w in zip(batch.work, batch.signal_w):
+            w.result.signal_w = signal_w
 
 
 class ReceiveStage:
     """Noisy analyzer readout: amplitude metric and/or displayed trace.
 
-    Draws from the analyzer RNG in request order -- per item, amplitude
-    samples first, then the trace sweep -- matching the draw order of a
-    sequential ``max_amplitude`` + ``sweep`` loop bit for bit.
+    One :meth:`SpectrumAnalyzer.readout` call reads the whole batch.
+    It draws from the analyzer RNG in request order -- per item,
+    amplitude samples first, then the trace sweep -- matching the draw
+    order of a sequential ``max_amplitude`` + ``sweep`` loop bit for
+    bit.  The peak frequency is the trace's banded peak marker, or,
+    without a trace, the strongest emission line in the band.
     """
 
     name = "receive"
@@ -320,22 +341,28 @@ class ReceiveStage:
 
     def run(self, batch: ChainBatch) -> None:
         request = batch.request
-        if not request.want_emission:
+        if not (request.want_emission and batch.work):
             return
-        for w in batch.work:
-            if request.want_amplitude:
-                w.result.amplitude_w = (
-                    self.analyzer.max_amplitude_from_power(
-                        w.result.signal_w,
-                        band=request.band,
-                        samples=request.samples,
-                    )
-                )
-            if request.want_trace:
-                trace = self.analyzer.trace_from_power(w.result.signal_w)
-                w.result.trace = trace
-                w.result.peak_frequency_hz = trace.peak(request.band)[0]
-            elif w.result.emission is not None:
-                w.result.peak_frequency_hz = (
-                    w.result.emission.band(*request.band).peak()[0]
-                )
+        results = [w.result for w in batch.work]
+        analyzer = self.analyzer
+        amplitudes, power_dbm = analyzer.readout(
+            batch.signal_w,
+            band=request.band,
+            samples=request.samples,
+            amplitude=request.want_amplitude,
+            trace=request.want_trace,
+        )
+        if request.want_amplitude:
+            for r, amplitude_w in zip(results, amplitudes.tolist()):
+                r.amplitude_w = amplitude_w
+        if request.want_trace:
+            centers = analyzer.bin_centers()
+            peaks, _ = peak_markers(centers, power_dbm, request.band)
+            for r, row in zip(results, power_dbm):
+                r.trace = SpectrumTrace(centers, row)
+        else:
+            peaks, _ = strongest_lines(
+                [r.emission for r in results], request.band
+            )
+        for r, peak_hz in zip(results, peaks.tolist()):
+            r.peak_frequency_hz = peak_hz

@@ -15,7 +15,7 @@ still lands on the PDN resonance -- which the validation tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,11 +48,39 @@ class EmissionSpectrum:
         )
 
     def peak(self) -> Tuple[float, float]:
-        """(frequency_hz, amplitude) of the strongest line."""
-        if self.frequencies_hz.size == 0:
-            return (0.0, 0.0)
-        idx = int(np.argmax(self.amplitudes))
-        return float(self.frequencies_hz[idx]), float(self.amplitudes[idx])
+        """(frequency_hz, amplitude) of the strongest line, (0.0, 0.0)
+        without lines: the one-spectrum call of :func:`strongest_lines`."""
+        freqs, amps = strongest_lines([self])
+        return float(freqs[0]), float(amps[0])
+
+
+def strongest_lines(
+    spectra: Sequence[EmissionSpectrum],
+    band: Optional[Sequence[float]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(frequency_hz, amplitude) of each spectrum's strongest line,
+    optionally only among its lines inside the inclusive ``band``;
+    0.0 and 0.0 for a spectrum without such a line.
+
+    The lines of every spectrum go through together: a stable sort by
+    spectrum, NaN amplitudes first, then by falling amplitude, puts
+    first the line ``np.argmax`` picks, the first of the strongest.
+    """
+    freqs = np.concatenate([s.frequencies_hz for s in spectra])
+    amps = np.concatenate([s.amplitudes for s in spectra])
+    rows = np.repeat(
+        np.arange(len(spectra)), [s.frequencies_hz.size for s in spectra]
+    )
+    if band is not None:
+        inside = (freqs >= band[0]) & (freqs <= band[1])
+        freqs, amps, rows = freqs[inside], amps[inside], rows[inside]
+    order = np.lexsort((-amps, ~np.isnan(amps), rows))
+    first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
+    peak_freqs = np.zeros(len(spectra))
+    peak_amps = np.zeros(len(spectra))
+    peak_freqs[rows[first]] = freqs[first]
+    peak_amps[rows[first]] = amps[first]
+    return peak_freqs, peak_amps
 
 
 @dataclass(frozen=True)

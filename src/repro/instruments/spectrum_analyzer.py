@@ -6,13 +6,18 @@ Gaussian resolution filter, a noise floor with sweep-to-sweep spread,
 power readout in dBm, peak markers, and the paper's fitness metric --
 the root-mean-square of the band maximum over 30 sweeps (Section 3.1b).
 
-Both readout kernels are exact rewrites of the plain per-line and
-per-sweep loops (kept as the reference in
-``tests/instruments/analyzer_reference.py``): the RBW filter is
-evaluated only within :data:`RBW_REACH_SIGMAS` of each line, where its
-weights can be nonzero, and the RMS-of-N noise is drawn as one block
-whose draws are converted to watts only in the bins where some sweep's
-maximum can land.
+Both readout kernels take a whole batch of items at once and are exact
+rewrites of the plain per-line and per-sweep loops (kept as the
+reference in ``tests/instruments/analyzer_reference.py``):
+:meth:`SpectrumAnalyzer.spread_lines` evaluates the RBW filter only
+within :data:`RBW_REACH_SIGMAS` of each line, for the lines of every
+item together, and :meth:`SpectrumAnalyzer.readout` draws the noise of
+a chunk of items as one block, converting the RMS-of-N draws to watts
+only in the bins where some sweep's maximum can land.  The one-item
+methods (:meth:`~SpectrumAnalyzer.received_power_w`,
+:meth:`~SpectrumAnalyzer.max_amplitude_from_power`,
+:meth:`~SpectrumAnalyzer.trace_from_power` and the helpers built on
+them) are one-row calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import numpy as np
 from repro.em.antenna import SquareLoopAntenna
 from repro.em.propagation import AmbientEnvironment, NearFieldCoupling
 from repro.em.radiation import EmissionSpectrum
+from repro.obs.timing import timed_kernel
 
 _PORT_OHMS = 50.0
 
@@ -34,15 +40,21 @@ _PORT_OHMS = 50.0
 #: so no bin farther than this from a line receives any of its power.
 RBW_REACH_SIGMAS = 40.0
 
-#: Emission lines spread per pass of :meth:`SpectrumAnalyzer.received_power_w`.
+#: Emission lines spread per pass of :meth:`SpectrumAnalyzer.spread_lines`.
 #: Each pass holds a few ``(LINE_BLOCK, bins)`` arrays, however many
-#: lines a jittered trace puts in the span.
+#: lines a batch of jittered traces puts in the span.
 LINE_BLOCK = 32
+
+#: Bytes of standard-normal draws one pass of
+#: :meth:`SpectrumAnalyzer.readout` holds.  A pass draws for as many
+#: whole items as fit (at least one), so the readout's memory stays
+#: bounded however many items a batch has.
+DRAW_BLOCK_BYTES = 1 << 20
 
 #: Relative widening of the two bounds that decide which bins of an
 #: RMS-of-N readout can hold a sweep maximum (see
-#: :meth:`SpectrumAnalyzer.max_amplitude_from_power`).  It covers any
-#: last-bit difference between converting one draw and a block of them.
+#: :meth:`SpectrumAnalyzer.readout`).  It covers any last-bit
+#: difference between converting one draw and a block of them.
 BOUND_SLACK = 1.0e-9
 
 
@@ -71,6 +83,29 @@ def check_band(band: Sequence[float]) -> None:
         )
 
 
+def peak_markers(
+    frequencies_hz: np.ndarray,
+    power_dbm: np.ndarray,
+    band: Optional[Sequence[float]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(frequency_hz, dbm) of the peak marker of every row of
+    ``power_dbm`` (one displayed sweep per row over the bins at
+    ``frequencies_hz``), optionally banded.
+
+    Each marker is the first strongest bin, as ``np.argmax`` picks it.
+    Raises :class:`ValueError` for a bad band (:func:`check_band`) or
+    one that holds no bin.
+    """
+    if band is not None:
+        check_band(band)
+        mask = (frequencies_hz >= band[0]) & (frequencies_hz <= band[1])
+        if not mask.any():
+            raise ValueError(f"no bins inside band {band}")
+        frequencies_hz, power_dbm = frequencies_hz[mask], power_dbm[:, mask]
+    idx = np.argmax(power_dbm, axis=1)
+    return frequencies_hz[idx], power_dbm[np.arange(idx.size), idx]
+
+
 @dataclass
 class SpectrumTrace:
     """One displayed sweep: bin centers and per-bin power."""
@@ -81,16 +116,12 @@ class SpectrumTrace:
     def peak(
         self, band: Optional[Sequence[float]] = None
     ) -> Tuple[float, float]:
-        """(frequency_hz, dbm) of the peak marker, optionally banded."""
-        freqs, dbm = self.frequencies_hz, self.power_dbm
-        if band is not None:
-            check_band(band)
-            mask = (freqs >= band[0]) & (freqs <= band[1])
-            if not mask.any():
-                raise ValueError(f"no bins inside band {band}")
-            freqs, dbm = freqs[mask], dbm[mask]
-        idx = int(np.argmax(dbm))
-        return float(freqs[idx]), float(dbm[idx])
+        """(frequency_hz, dbm) of the peak marker, optionally banded:
+        the one-row call of :func:`peak_markers`."""
+        freqs, dbm = peak_markers(
+            self.frequencies_hz, self.power_dbm[None], band
+        )
+        return float(freqs[0]), float(dbm[0])
 
     def power_at(self, frequency_hz: float) -> float:
         """Displayed power (dBm) of the bin containing ``frequency_hz``.
@@ -192,41 +223,47 @@ class SpectrumAnalyzer:
         return (centers >= band[0]) & (centers <= band[1])
 
     # ------------------------------------------------------------------
-    def banded_lines(self, emission: EmissionSpectrum) -> EmissionSpectrum:
-        """Emission lines close enough to the span to land in a bin."""
-        return emission.band(
-            self.start_hz - 4.0 * self.rbw_hz,
-            self.stop_hz + 4.0 * self.rbw_hz,
-        )
-
     def line_gains(self, frequencies_hz: np.ndarray) -> np.ndarray:
         """Coupling x antenna amplitude gain per emission line."""
         return self.coupling.gain() * self.antenna.response(frequencies_hz)
 
-    def received_power_w(self, emission: EmissionSpectrum) -> np.ndarray:
-        """Noiseless per-bin signal power for an emission spectrum.
+    @timed_kernel("analyzer.propagate")
+    def spread_lines(
+        self, emissions: Sequence[EmissionSpectrum]
+    ) -> np.ndarray:
+        """Noiseless per-bin signal power, one row per emission spectrum.
 
-        Each line spreads through the Gaussian RBW filter, normalized
-        to unit total weight over the span.  Only bins within
-        :data:`RBW_REACH_SIGMAS` filter sigmas of a line can receive a
-        nonzero weight, so each line's weights are evaluated on that
-        window alone, and its total is the sum of the window placed in
-        an otherwise zero full-span row: the same bits as evaluating
-        every bin, because numpy's pairwise row sum depends only on
-        the element positions and the weights outside the window are
-        exactly 0.0.  Lines go in blocks of :data:`LINE_BLOCK`, and
-        their contributions add into the bins in line order.
+        The lines close enough to the span to land in a bin (within 4
+        RBWs of its edges) spread through the Gaussian RBW filter,
+        each normalized to unit total weight over the span.  Only bins
+        within :data:`RBW_REACH_SIGMAS` filter sigmas of a line can
+        receive a nonzero weight, so each line's weights are evaluated
+        on that window alone, and its total is the sum of the window
+        placed in an otherwise zero full-span row: the same bits as
+        evaluating every bin, because numpy's pairwise row sum depends
+        only on the element positions and the weights outside the
+        window are exactly 0.0.  The lines of every spectrum go
+        through together, :data:`LINE_BLOCK` at a time, and one
+        ``np.add.at`` per block adds them into their (row, bin)
+        pairs; a bin of a row receives its lines in line order, as
+        one spectrum spread alone would.
         """
         centers = self.bin_centers()
-        power = np.zeros_like(centers)
-        lines = self.banded_lines(emission)
-        freqs = lines.frequencies_hz
-        if freqs.size == 0:
-            return power
-        v_rx = lines.amplitudes * self.line_gains(freqs)
+        bins = centers.size
+        power = np.zeros((len(emissions), bins))
+        freqs = np.concatenate([e.frequencies_hz for e in emissions])
+        amps = np.concatenate([e.amplitudes for e in emissions])
+        rows = np.repeat(
+            np.arange(len(emissions)),
+            [e.frequencies_hz.size for e in emissions],
+        )
+        inside = (freqs >= self.start_hz - 4.0 * self.rbw_hz) & (
+            freqs <= self.stop_hz + 4.0 * self.rbw_hz
+        )
+        freqs, amps, rows = freqs[inside], amps[inside], rows[inside]
+        v_rx = amps * self.line_gains(freqs)
         p_lines = v_rx * v_rx / (2.0 * _PORT_OHMS)
         sigma = self.rbw_hz / 2.355  # FWHM = RBW
-        bins = centers.size
         step = (self.stop_hz - self.start_hz) / bins
         # One spare bin beyond the reach on each side of the line's bin.
         half = int(np.ceil(RBW_REACH_SIGMAS * sigma / step)) + 1
@@ -242,8 +279,17 @@ class SpectrumAnalyzer:
             total = np.add.reduce(padded, axis=1)
             keep = total > 0.0
             p = p_lines[lo:lo + LINE_BLOCK][keep, None]
-            np.add.at(power, cols[keep], p * w[keep] / total[keep, None])
+            np.add.at(
+                power,
+                (rows[lo:lo + LINE_BLOCK][keep, None], cols[keep]),
+                p * w[keep] / total[keep, None],
+            )
         return power
+
+    def received_power_w(self, emission: EmissionSpectrum) -> np.ndarray:
+        """Noiseless per-bin signal power for an emission spectrum: the
+        one-row call of :meth:`spread_lines`."""
+        return self.spread_lines([emission])[0]
 
     def sweep_time_s(
         self, band: Optional[Sequence[float]] = None
@@ -255,17 +301,130 @@ class SpectrumAnalyzer:
             bins = int(self.band_mask(band).sum())
         return bins * self.dwell_s_per_bin
 
-    def trace_from_power(self, signal_w: np.ndarray) -> SpectrumTrace:
-        """One displayed sweep from precomputed per-bin signal power.
+    @timed_kernel("analyzer.readout")
+    def readout(
+        self,
+        signal_w: np.ndarray,
+        band: Optional[Sequence[float]] = None,
+        samples: int = 30,
+        amplitude: bool = True,
+        trace: bool = True,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """Noisy readout of every row of ``signal_w`` (per-bin signal
+        power, one item per row): ``(amplitudes_w, power_dbm)``.
 
-        Adds a fresh noise-floor realization (advancing the analyzer
-        RNG exactly as :meth:`sweep` would) and accounts the sweep's
-        dwell time.
+        With ``amplitude``, each item's RMS-of-``samples`` band maximum
+        (the paper's GA metric); with ``trace``, each item's displayed
+        full-span sweep in dBm, one row per item.  The part not asked
+        for is ``None`` and draws nothing.  A bad ``band`` (see
+        :meth:`band_mask`) or one holding no bin raises before any
+        draw, also for a trace alone.
+
+        The draws advance the analyzer RNG exactly as a loop over the
+        items would: per item, ``samples`` sweeps of the band, then
+        the trace sweep.  Standard normals fill a block in C order,
+        so one ``(items, draws)`` block holds the same values, and
+        leaves the same RNG state, as those draws one sweep at a time;
+        a pass draws such a block for as many items as fit in
+        :data:`DRAW_BLOCK_BYTES`.
+
+        Only the band bins where some sweep's maximum can land are
+        converted to watts
+        (:meth:`~repro.em.propagation.AmbientEnvironment.noise_w`).
+        Every sweep of an item reaches at least ``reach`` at its
+        strongest bin, and no bin's noise exceeds ``ceiling``, the
+        noise of the item's largest draw, because the map is
+        non-decreasing in the draw; a bin whose signal plus
+        ``ceiling`` stays below ``reach`` is never any sweep's
+        maximum, so dropping it leaves every maximum's bits unchanged.
+        Both bounds are widened by :data:`BOUND_SLACK`, and a NaN bin
+        always stays.  The dwell time adds into
+        :attr:`total_measurement_time_s` item by item, in draw order.
         """
-        centers = self.bin_centers()
-        noise = self.environment.sample_noise_w(centers.shape, self.rng)
-        self.total_measurement_time_s += self.sweep_time_s()
-        return SpectrumTrace(centers, watts_to_dbm(signal_w + noise))
+        signal_w = np.asarray(signal_w, dtype=float)
+        items, bins = signal_w.shape
+        if amplitude and samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        band_draws = banded = 0
+        if amplitude or band is not None:
+            # A bad band is refused before anything is drawn.
+            band = band or (self.start_hz, self.stop_hz)
+            mask = self.band_mask(band)
+            if not mask.any():
+                raise ValueError(f"no bins inside band {band}")
+            # The bin centers rise, so the band's bins are one run.
+            banded = int(mask.sum())
+            first = int(np.argmax(mask))
+            in_band = slice(first, first + banded)
+        if amplitude:
+            band_draws = samples * banded
+        draws = band_draws + (bins if trace else 0)
+        amplitudes = np.empty(items) if amplitude else None
+        power_dbm = np.empty((items, bins)) if trace else None
+        if draws == 0:
+            return amplitudes, power_dbm
+        noise_w = self.environment.noise_w
+        chunk = max(1, DRAW_BLOCK_BYTES // (8 * draws))
+        for lo in range(0, items, chunk):
+            hi = min(lo + chunk, items)
+            normals = self.rng.standard_normal((hi - lo, draws))
+            if amplitude:
+                amplitudes[lo:hi] = self._band_maxima_rms(
+                    signal_w[lo:hi, in_band],
+                    normals[:, :band_draws].reshape(hi - lo, samples, banded),
+                )
+            if trace:
+                power_dbm[lo:hi] = watts_to_dbm(
+                    signal_w[lo:hi] + noise_w(normals[:, band_draws:])
+                )
+        # A banded measurement only dwells on the requested bins: the
+        # same bits as ``samples * self.sweep_time_s(band)``.
+        band_time = samples * (banded * self.dwell_s_per_bin)
+        sweep_time = bins * self.dwell_s_per_bin
+        elapsed = self.total_measurement_time_s
+        for _ in range(items):
+            if amplitude:
+                elapsed += band_time
+            if trace:
+                elapsed += sweep_time
+        self.total_measurement_time_s = elapsed
+        return amplitudes, power_dbm
+
+    def _band_maxima_rms(
+        self, signal: np.ndarray, normals: np.ndarray
+    ) -> np.ndarray:
+        """RMS over sweeps of each item's band maximum: ``signal`` is
+        ``(items, band bins)``, ``normals`` ``(items, sweeps, band
+        bins)``; see :meth:`readout` for the bounds."""
+        noise_w = self.environment.noise_w
+        rows = np.arange(signal.shape[0])
+        strongest = np.argmax(signal, axis=1)
+        reach = np.min(
+            signal[rows, strongest][:, None]
+            + noise_w(normals[rows, :, strongest]),
+            axis=1,
+        )
+        # Lowered whatever its sign; an infinite reach stays infinite.
+        reach = np.minimum(
+            reach * (1.0 - BOUND_SLACK), reach * (1.0 + BOUND_SLACK)
+        )
+        ceiling = noise_w(normals.max(axis=(1, 2))) * (1.0 + BOUND_SLACK)
+        # Each item keeps at least its strongest bin, so its kept bins
+        # form one nonempty run of ``item``.
+        item, col = np.nonzero(~(signal + ceiling[:, None] < reach[:, None]))
+        runs = np.flatnonzero(np.diff(item, prepend=-1))
+        maxima = np.maximum.reduceat(
+            signal[item, col][:, None] + noise_w(normals[item, :, col]),
+            runs,
+        )
+        return np.sqrt(np.mean(maxima**2, axis=1))
+
+    def trace_from_power(self, signal_w: np.ndarray) -> SpectrumTrace:
+        """One displayed sweep from precomputed per-bin signal power:
+        the one-row trace call of :meth:`readout`, which adds a fresh
+        noise-floor realization and accounts the sweep's dwell time."""
+        _, power_dbm = self.readout(signal_w[None], amplitude=False)
+        return SpectrumTrace(self.bin_centers(), power_dbm[0])
 
     def sweep(self, emission: EmissionSpectrum) -> SpectrumTrace:
         """One sweep: signal power plus a fresh noise-floor realization."""
@@ -277,51 +436,19 @@ class SpectrumAnalyzer:
         band: Optional[Sequence[float]] = None,
         samples: int = 30,
     ) -> float:
-        """RMS-of-``samples`` band maximum from precomputed signal power.
+        """RMS-of-``samples`` band maximum from precomputed signal power:
+        the one-row amplitude call of :meth:`readout`.
 
         The noise draws and time accounting are identical to
         :meth:`max_amplitude`; splitting the deterministic propagation
         (:meth:`received_power_w`) from the noisy readout lets the chain
         layer compute the signal once per item and reuse it for both
         the amplitude metric and the displayed trace.
-
-        All ``samples`` sweeps of the band are drawn as one
-        ``(samples, bins)`` block of standard normals, which fills row
-        by row: the same values, and the same final analyzer RNG state,
-        as one draw per sweep.  Only the bins where some sweep's
-        maximum can land are converted to watts
-        (:meth:`~repro.em.propagation.AmbientEnvironment.noise_w`).
-        Every sweep reaches at least ``reach`` at the strongest bin,
-        and no bin's noise exceeds ``ceiling``, the noise of the
-        block's largest draw, because the map is non-decreasing in the
-        draw; a bin whose signal plus ``ceiling`` stays below
-        ``reach`` is never any sweep's maximum, so dropping it leaves
-        every maximum's bits unchanged.  Both bounds are widened by
-        :data:`BOUND_SLACK`, and a NaN bin always stays.
         """
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-        band = band or (self.start_hz, self.stop_hz)
-        mask = self.band_mask(band)
-        if not mask.any():
-            raise ValueError(f"no bins inside band {band}")
-        signal = signal_w[mask]
-        normals = self.rng.standard_normal((samples, signal.size))
-        noise_w = self.environment.noise_w
-        strongest = int(np.argmax(signal))
-        reach = np.min(signal[strongest] + noise_w(normals[:, strongest]))
-        # Lowered whatever its sign; an infinite reach stays infinite.
-        reach = min(reach * (1.0 - BOUND_SLACK), reach * (1.0 + BOUND_SLACK))
-        ceiling = noise_w(normals.max()) * (1.0 + BOUND_SLACK)
-        keep = ~(signal + ceiling < reach)
-        noise = noise_w(np.compress(keep, normals, axis=1))
-        maxima = np.max(signal[keep] + noise, axis=1)
-        # A banded measurement only dwells on the requested bins: the
-        # same bits as ``samples * self.sweep_time_s(band)``.
-        self.total_measurement_time_s += samples * (
-            int(mask.sum()) * self.dwell_s_per_bin
+        amplitudes, _ = self.readout(
+            signal_w[None], band=band, samples=samples, trace=False
         )
-        return float(np.sqrt(np.mean(maxima**2)))
+        return float(amplitudes[0])
 
     def max_amplitude(
         self,

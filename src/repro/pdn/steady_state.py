@@ -10,14 +10,15 @@ This path is orders of magnitude faster than transient integration and
 is therefore used for GA fitness evaluation, where thousands of
 candidate loops must be scored.  The solver caches nothing: a
 :class:`repro.chain.SimulationSession` keeps the transfer-function
-grids, bounded, and passes them back in through ``solve(transfer=...)``.
+grids, bounded, and passes them back in through
+``solve_batch(transfers=...)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,16 +96,21 @@ class SteadyStateSolver:
 
     The ladder's supply voltage is the nominal rail.  The die current
     is the current through the ladder's last series section (the
-    package trace), which drives the EM radiation model.
+    package trace), which drives the EM radiation model.  Both kernels
+    work on many grids or traces at once: :meth:`transfer_functions`
+    folds every requested grid in one AC analysis, and
+    :meth:`solve_batch` solves equal-length traces with one stacked
+    FFT pair.  :meth:`solve` is their one-row call.
     """
 
     def __init__(self, ladder: Ladder):
         self._ladder = ladder
         self._nominal = ladder.supply.voltage
-        #: Number of AC analyses this solver has performed through
-        #: :meth:`transfer_functions`.  The chain layer's cache-hit
-        #: assertions ("at most one analysis per distinct cluster
-        #: state") read this counter.
+        #: Number of transfer-function grids this solver has computed
+        #: through :meth:`transfer_functions`, one per grid however
+        #: many share a fold.  The chain layer's cache-hit assertions
+        #: ("at most one analysis per distinct cluster state") read
+        #: this counter.
         self.tf_analyses = 0
 
     @property
@@ -112,37 +118,62 @@ class SteadyStateSolver:
         return self._nominal
 
     def transfer_functions(
-        self, n_samples: int, sample_rate_hz: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(Z(f_k), H_I(f_k)) on the rfft harmonic grid, counted in
+        self, grids: Sequence[Tuple[int, float]]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The transfer stack and harmonic frequencies of each
+        ``(n_samples, sample_rate_hz)`` grid (see
+        :meth:`compute_transfer_functions`), each grid counted in
         :attr:`tf_analyses`."""
-        self.tf_analyses += 1
-        return self.compute_transfer_functions(n_samples, sample_rate_hz)
+        self.tf_analyses += len(grids)
+        return self.compute_transfer_functions(grids)
 
     @timed_kernel("pdn.ac")
     def compute_transfer_functions(
-        self, n_samples: int, sample_rate_hz: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, grids: Sequence[Tuple[int, float]]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """The AC analysis behind :meth:`transfer_functions`, uncounted.
 
-        The determinism audit recomputes the session's cached grids
-        through this method, so a corrupted cache entry is never
-        compared with itself.
+        Returns one ``(stack, frequencies_hz)`` pair per grid, on its
+        rfft harmonic grid.  ``stack`` is ``(2, harmonics)``: row 0 is
+        ``-Z(f_k)``, negated because load current *drops* the rail,
+        and row 1 is ``H_I(f_k)``.  A solve multiplies it by the
+        current harmonics as it is.  ``frequencies_hz`` is
+        ``np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)``,
+        read-only: every response on the grid shares it.
+
+        Every grid goes into one fold over the concatenated
+        frequencies.  The fold works frequency by frequency, so each
+        grid gets the same bits as a fold of its own.  The stacks are
+        views into one array.  The determinism audit recomputes the
+        session's cached grids through this method, so a corrupted
+        cache entry is never compared with itself.
         """
-        freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
-        # Bin 0 is solved at Z(0+), 1 Hz, in the same analysis as the
-        # harmonics.
-        freqs[0] = 1.0
+        freqs = [np.fft.rfftfreq(n, d=1.0 / rate) for n, rate in grids]
+        fold = np.concatenate(freqs)
+        lo = 0
+        for grid in freqs:
+            # Bin 0 is solved at Z(0+), 1 Hz, in the same analysis as
+            # the harmonics.
+            fold[lo] = 1.0
+            lo += grid.size
         # The benchmark's tracer wraps this module's ``analyze_ac`` and
         # reads the grid from ``frequencies_hz=``.
-        analysis = analyze_ac(self._ladder, frequencies_hz=freqs)
+        analysis = analyze_ac(self._ladder, frequencies_hz=fold)
         z, h_i = analysis.impedance, analysis.die_current
-        # DC transfer: resistive path for voltage, unity for current.
-        z[0] = z[0].real
-        h_i[0] = h_i[0].real
-        return z, h_i
+        stack = np.empty((2, z.size), dtype=complex)
+        folded = []
+        lo = 0
+        for grid in freqs:
+            # DC transfer: resistive path for voltage, unity for current.
+            z[lo] = z[lo].real
+            h_i[lo] = h_i[lo].real
+            grid.flags.writeable = False
+            folded.append((stack[:, lo:lo + grid.size], grid))
+            lo += grid.size
+        np.negative(z, out=stack[0])
+        stack[1] = h_i
+        return folded
 
-    @timed_kernel("pdn.steady_state.solve")
     def solve(
         self,
         load_current: np.ndarray,
@@ -154,37 +185,93 @@ class SteadyStateSolver:
         ``load_current`` holds instantaneous amperes drawn by the CPU at
         ``sample_rate_hz``; the waveform is treated as repeating
         indefinitely.  ``transfer`` optionally supplies a precomputed
-        ``(Z, H_I)`` grid (see :meth:`transfer_functions`); without
-        one, the solve runs a fresh AC analysis.
+        grid (see :meth:`transfer_functions`); without one, the solve
+        runs a fresh AC analysis.  The one-row call of
+        :meth:`solve_batch`.
         """
         i_load = np.asarray(load_current, dtype=float)
         if i_load.ndim != 1 or i_load.size < 2:
             raise ValueError("load_current must be a 1-D array of >= 2 samples")
-        n = i_load.size
-        if transfer is not None:
-            z, h_i = transfer
-        else:
-            z, h_i = self.transfer_functions(n, sample_rate_hz)
+        return self.solve_batch(
+            i_load[None],
+            (sample_rate_hz,),
+            transfers=None if transfer is None else (transfer,),
+        )[0]
 
-        i_harm = np.fft.rfft(i_load)
-        v_harm = -z * i_harm  # load current *drops* the rail
-        i_die_harm = h_i * i_harm
+    @timed_kernel("pdn.steady_state.solve")
+    def solve_batch(
+        self,
+        load_currents: np.ndarray,
+        sample_rates_hz: Sequence[float],
+        transfers: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
+        supply_voltages: Optional[Sequence[float]] = None,
+    ) -> List[PeriodicResponse]:
+        """Steady-state responses of equal-length traces, one per row.
 
-        v_wave = self._nominal + np.fft.irfft(v_harm, n=n)
-        i_die_wave = np.fft.irfft(i_die_harm, n=n)
-
-        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
-        scale = 2.0 / n  # single-sided amplitude for k >= 1
-        v_amp = v_harm * scale
-        i_amp = i_die_harm * scale
-        v_amp[0] = v_harm[0] / n
-        i_amp[0] = i_die_harm[0] / n
-        return PeriodicResponse(
-            sample_rate_hz=sample_rate_hz,
-            nominal_voltage=self._nominal,
-            die_voltage=v_wave,
-            die_current=i_die_wave,
-            harmonic_frequencies_hz=freqs,
-            die_voltage_harmonics=v_amp,
-            die_current_harmonics=i_amp,
+        Row ``r`` of ``load_currents`` is one period sampled at
+        ``sample_rates_hz[r]``; ``transfers[r]`` is its grid from
+        :meth:`transfer_functions`, and without ``transfers`` every
+        grid comes from one counted fold.  All rows share one ``rfft``
+        and one ``irfft`` call, which transform row by row, so each
+        response has the bits of a one-row solve.
+        ``supply_voltages[r]``, when given, recenters row ``r``'s rail
+        on that supply setting: the waveform shifts by its offset from
+        the nominal rail, and the response reports it as its nominal
+        voltage.  Each response's waveforms and harmonics are row views
+        of the batch's arrays; its frequencies are its grid's.
+        """
+        i_load = np.asarray(load_currents, dtype=float)
+        if i_load.ndim != 2 or i_load.shape[0] < 1 or i_load.shape[1] < 2:
+            raise ValueError(
+                "load_currents must be a 2-D array of one or more rows "
+                "of >= 2 samples"
+            )
+        rows, n = i_load.shape
+        rates = sample_rates_hz
+        for name, values in (
+            ("sample_rates_hz", rates),
+            ("transfers", transfers),
+            ("supply_voltages", supply_voltages),
+        ):
+            if values is not None and len(values) != rows:
+                raise ValueError(
+                    f"{name} has {len(values)} entries for {rows} rows"
+                )
+        if transfers is None:
+            transfers = self.transfer_functions([(n, rate) for rate in rates])
+        # Each row's stack times its current harmonics gives its voltage
+        # and current harmonics in one product, and one inverse
+        # transform turns them into waveforms.  One row's stack
+        # broadcasts as it is.
+        transfer = (
+            transfers[0][0]
+            if rows == 1
+            else np.stack([stack for stack, _ in transfers])
         )
+        harmonics = transfer * np.fft.rfft(i_load)[:, None]
+        waves = np.fft.irfft(harmonics, n=n)
+        v_waves = waves[:, 0]
+        v_waves += self._nominal
+        if supply_voltages is None:
+            supplies = (self._nominal,) * rows
+        else:
+            supplies = supply_voltages
+            offsets = [v - self._nominal for v in supplies]
+            if any(offsets):
+                # Adding 0.0 keeps every bit of a rail that is never
+                # -0.0, so rows at the nominal rail may share the add.
+                v_waves += np.array(offsets)[:, None]
+        amplitudes = harmonics * (2.0 / n)  # single-sided for k >= 1
+        np.divide(harmonics[..., 0], n, out=amplitudes[..., 0])
+        return [
+            PeriodicResponse(
+                sample_rate_hz=rates[r],
+                nominal_voltage=supplies[r],
+                die_voltage=waves[r, 0],
+                die_current=waves[r, 1],
+                harmonic_frequencies_hz=transfers[r][1],
+                die_voltage_harmonics=amplitudes[r, 0],
+                die_current_harmonics=amplitudes[r, 1],
+            )
+            for r in range(rows)
+        ]

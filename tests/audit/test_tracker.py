@@ -109,10 +109,9 @@ class TestShadowRecompute:
             sample_rate_hz=a53.clock_hz,
         )
         session.pdn_solve(a53, **solve)
-        ((z, _h_i),) = session._tf_grids.values()
-        # In place, so the solver's own cache holds the corrupted
-        # array too and only a fresh AC analysis can tell.
-        z[3] *= 2.0
+        ((stack, _freqs),) = session._tf_grids.values()
+        # In place, so only a fresh AC analysis can tell.
+        stack[0, 3] *= 2.0
         with pytest.raises(CacheShadowMismatch):
             session.pdn_solve(a53, **solve)
 
@@ -142,8 +141,8 @@ class TestShadowRecompute:
         )
         session.pdn_solve(a53, **solve)
         (key,) = session._tf_grids
-        z, h_i = session._tf_grids[key]
-        session._tf_grids[key] = (z * 2.0, h_i)
+        stack, freqs = session._tf_grids[key]
+        session._tf_grids[key] = (stack * 2.0, freqs)
         with pytest.raises(CacheShadowMismatch):
             session.pdn_solve(a53, **solve)
         events = [r for r in sink.records if r["event"] == "audit_violation"]

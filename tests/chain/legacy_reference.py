@@ -5,9 +5,10 @@ its own copy of the execute -> current -> pdn stages: ``run`` (with the
 SPEC-style timing-jitter block), ``run_mixed``, ``run_nondeterministic``
 and ``run_trace``.  Their bodies live on here as functions of a
 cluster, with the result types they returned, so the chain can be
-pinned bit for bit against code that shares none of its caching: every
-call schedules afresh and runs its own AC analysis through
-``compute_transfer_functions`` plus ``solve(transfer=...)``.
+pinned bit for bit against code that shares none of its caching or
+batching: every call schedules afresh, folds its own transfer grid and
+solves its trace with the one-dimensional FFT solve the steady-state
+solver ran per trace before it solved stacked rows (:func:`_solve`).
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from repro.cpu.multicore import (
     execute_on_cluster,
 )
 from repro.cpu.program import LoopProgram
+from repro.pdn.impedance import analyze_ac
 from repro.pdn.steady_state import PeriodicResponse
 
 
@@ -105,12 +107,47 @@ def _recentered(
     )
 
 
+def _transfer_grid(ladder, n_samples: int, sample_rate_hz: float):
+    """(Z, H_I) on one trace's rfft harmonic grid, from a fold of its own."""
+    freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)
+    # Bin 0 is solved at Z(0+), 1 Hz, in the same analysis.
+    freqs[0] = 1.0
+    analysis = analyze_ac(ladder, frequencies_hz=freqs)
+    z, h_i = analysis.impedance, analysis.die_current
+    # DC transfer: resistive path for voltage, unity for current.
+    z[0] = z[0].real
+    h_i[0] = h_i[0].real
+    return z, h_i
+
+
 def _solve(cluster, trace: np.ndarray, sample_rate_hz: float):
-    """Rail response at the cluster's state, with a fresh AC analysis."""
-    solver = cluster.pdn.solver(cluster.powered_cores)
-    trace = np.asarray(trace, dtype=float)
-    transfer = solver.compute_transfer_functions(trace.size, sample_rate_hz)
-    response = solver.solve(trace, sample_rate_hz, transfer=transfer)
+    """Rail response at the cluster's state: a fresh AC analysis, then
+    the one-dimensional FFT solve of one trace."""
+    ladder = cluster.pdn.ladder(cluster.powered_cores)
+    nominal = ladder.supply.voltage
+    i_load = np.asarray(trace, dtype=float)
+    n = i_load.size
+    z, h_i = _transfer_grid(ladder, n, sample_rate_hz)
+    i_harm = np.fft.rfft(i_load)
+    v_harm = -z * i_harm  # load current *drops* the rail
+    i_die_harm = h_i * i_harm
+    v_wave = nominal + np.fft.irfft(v_harm, n=n)
+    i_die_wave = np.fft.irfft(i_die_harm, n=n)
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate_hz)
+    scale = 2.0 / n  # single-sided amplitude for k >= 1
+    v_amp = v_harm * scale
+    i_amp = i_die_harm * scale
+    v_amp[0] = v_harm[0] / n
+    i_amp[0] = i_die_harm[0] / n
+    response = PeriodicResponse(
+        sample_rate_hz=sample_rate_hz,
+        nominal_voltage=nominal,
+        die_voltage=v_wave,
+        die_current=i_die_wave,
+        harmonic_frequencies_hz=freqs,
+        die_voltage_harmonics=v_amp,
+        die_current_harmonics=i_amp,
+    )
     return _recentered(response, cluster.voltage)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import EMCharacterizer, make_juno_board
-from repro.chain import ChainItem, OperatingPoint
+from repro.chain import ChainItem, ChainRequest, OperatingPoint
 from repro.core.resonance import ResonanceSweep
 from repro.ga.engine import GAConfig, GAEngine
 from repro.ga.fitness import (
@@ -28,6 +28,8 @@ from repro.ga.fitness import (
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.obs.context import RunContext
 from repro.obs.events import EventLog, MemorySink
+from repro.obs.timing import active_kernel_timings
+from repro.pdn.steady_state import SteadyStateSolver
 from repro.workloads.loops import high_low_program
 
 from tests.chain.legacy_reference import reference_run
@@ -90,6 +92,36 @@ class LegacyEMAmplitudeFitness:
 
 
 class TestMeasureEquivalence:
+    @pytest.mark.parametrize(
+        "band, message",
+        [
+            ((200.0e6, 50.0e6), "inverted band"),
+            ((float("nan"), 80.0e6), "finite"),
+            ((300.0e6, 400.0e6), "no bins inside band"),
+        ],
+        ids=["inverted", "nan", "outside-span"],
+    )
+    def test_trace_request_refuses_bad_band_before_drawing(
+        self, a53, band, message
+    ):
+        """A trace-only request refuses its band before the receive
+        stage draws any item's sweep or counts any dwell time."""
+        characterizer = fresh_characterizer(seed=5)
+        analyzer = characterizer.analyzer
+        state = analyzer.rng.bit_generator.state
+        program = high_low_program(a53.spec.isa)
+        request = ChainRequest(
+            cluster=a53,
+            items=[ChainItem(program=program) for _ in range(3)],
+            band=band,
+            want_amplitude=False,
+            want_trace=True,
+        )
+        with pytest.raises(ValueError, match=message):
+            characterizer.chain_path().run(request)
+        assert analyzer.rng.bit_generator.state == state
+        assert analyzer.total_measurement_time_s == 0.0
+
     def test_single_measure_bit_identical(self, a53):
         program = high_low_program(a53.spec.isa)
         legacy = fresh_characterizer(seed=77)
@@ -321,12 +353,29 @@ class TestGAGenerationEquivalence:
             timings = record["kernel_timings"]
             assert "chain.execute" in timings
             assert "chain.receive" in timings
+            # The analyzer's batch kernels time themselves.
+            assert "analyzer.propagate" in timings
+            assert "analyzer.readout" in timings
 
-    def test_generation_end_times_each_ac_analysis(self):
+    def test_generation_end_times_each_ac_analysis(self, monkeypatch):
+        """Every counted analysis is folded inside a timed ``pdn.ac``
+        call: each fold runs under the generation's collector, the
+        folds are the ``pdn.ac`` calls, and their grids add up to
+        ``tf_analyses``."""
         # A fresh board: its solvers count this test's analyses only.
         a53 = make_juno_board().a53
         solver = a53.pdn.solver(a53.powered_cores)
         analyses_before = solver.tf_analyses
+        folds = []
+        fold = SteadyStateSolver.compute_transfer_functions
+
+        def spy(self, grids):
+            folds.append((len(grids), active_kernel_timings() is not None))
+            return fold(self, grids)
+
+        monkeypatch.setattr(
+            SteadyStateSolver, "compute_transfer_functions", spy
+        )
         sink = MemorySink()
         fitness = ClusterFitness(
             EMAmplitudeFitness(
@@ -343,4 +392,10 @@ class TestGAGenerationEquivalence:
             for record in sink.events("generation_end")
         )
         assert calls > 0
-        assert calls == solver.tf_analyses - analyses_before
+        assert calls == len(folds)
+        assert all(timed for _, timed in folds)
+        assert sum(grids for grids, _ in folds) == (
+            solver.tf_analyses - analyses_before
+        )
+        # A generation's fresh genomes share a fold.
+        assert max(grids for grids, _ in folds) > 1

@@ -7,6 +7,7 @@ from repro.em.radiation import (
     DieRadiator,
     EmissionSpectrum,
     combine_emissions,
+    strongest_lines,
 )
 from repro.pdn.models import PDNModel, CORTEX_A72_PDN
 
@@ -42,6 +43,33 @@ class TestEmissionSpectrum:
     def test_empty_peak_is_zero(self):
         s = EmissionSpectrum(np.empty(0), np.empty(0))
         assert s.peak() == (0.0, 0.0)
+
+    def test_strongest_lines_pick_each_banded_argmax(self):
+        """Over a batch, each spectrum's pick is the first strongest
+        line ``np.argmax`` finds among its lines in the band, NaN
+        amplitudes first, and (0.0, 0.0) without one."""
+        rng = np.random.default_rng(4)
+        spectra = []
+        for count in (0, 1, 5, 40, 7, 3, 12):
+            freqs = rng.uniform(0.0, 300e6, count)
+            # Coarse amplitudes tie often; a few are NaN or infinite.
+            amps = rng.integers(0, 4, count).astype(float)
+            amps[rng.random(count) < 0.05] = np.nan
+            amps[rng.random(count) < 0.05] = np.inf
+            spectra.append(EmissionSpectrum(freqs, amps))
+        spectra.append(EmissionSpectrum([60e6, 70e6], [np.nan, np.nan]))
+        band = (50e6, 200e6)
+        freqs, amps = strongest_lines(spectra, band)
+        for s, f, a in zip(spectra, freqs, amps):
+            inside = (s.frequencies_hz >= band[0]) & (
+                s.frequencies_hz <= band[1]
+            )
+            if not inside.any():
+                assert (f, a) == (0.0, 0.0)
+                continue
+            i = int(np.argmax(s.amplitudes[inside]))
+            assert f == s.frequencies_hz[inside][i]
+            np.testing.assert_array_equal(a, s.amplitudes[inside][i])
 
 
 class TestDieRadiator:

@@ -1,10 +1,13 @@
-"""Reference analyzer readout: one Gaussian RBW row per emission line
-and one noise row per RMS-of-N sample.
+"""Reference analyzer readout: one Gaussian RBW row per emission line,
+one noise row per RMS-of-N sample and one per displayed sweep, for one
+item at a time.
 
-``SpectrumAnalyzer.received_power_w`` (windowed, blocked RBW filter)
-and ``max_amplitude_from_power`` (one block noise draw) must reproduce
-these bit for bit, including the analyzer RNG state and the
-accumulated measurement time they leave behind.
+``SpectrumAnalyzer.spread_lines`` (windowed, blocked RBW filter over a
+batch) and ``readout`` (block noise draws over a batch), and their
+one-row calls ``received_power_w``, ``max_amplitude_from_power`` and
+``trace_from_power``, must reproduce these bit for bit, including the
+analyzer RNG state and the accumulated measurement time they leave
+behind.
 """
 
 from typing import Optional, Sequence
@@ -16,6 +19,7 @@ from repro.instruments.spectrum_analyzer import (
     SpectrumAnalyzer,
     SpectrumTrace,
     _PORT_OHMS,
+    watts_to_dbm,
 )
 
 
@@ -27,7 +31,11 @@ def received_power_w_reference(
     """Per-bin signal power, spreading each line over every bin."""
     centers = analyzer.bin_centers()
     power = np.zeros_like(centers)
-    lines = analyzer.banded_lines(emission)
+    # The lines close enough to the span to land in a bin.
+    lines = emission.band(
+        analyzer.start_hz - 4.0 * analyzer.rbw_hz,
+        analyzer.stop_hz + 4.0 * analyzer.rbw_hz,
+    )
     if lines.frequencies_hz.size == 0:
         return power
     gain = gains if gains is not None else analyzer.line_gains(
@@ -71,10 +79,20 @@ def max_amplitude_from_power_reference(
     return float(np.sqrt(np.mean(maxima**2)))
 
 
+def trace_from_power_reference(
+    analyzer: SpectrumAnalyzer, signal_w: np.ndarray
+) -> SpectrumTrace:
+    """One displayed sweep: one full-span noise row over ``signal_w``."""
+    centers = analyzer.bin_centers()
+    noise = analyzer.environment.sample_noise_w(centers.shape, analyzer.rng)
+    analyzer.total_measurement_time_s += analyzer.sweep_time_s()
+    return SpectrumTrace(centers, watts_to_dbm(signal_w + noise))
+
+
 def sweep_reference(
     analyzer: SpectrumAnalyzer, emission: EmissionSpectrum
 ) -> SpectrumTrace:
     """One displayed sweep over the reference signal power."""
-    return analyzer.trace_from_power(
-        received_power_w_reference(analyzer, emission)
+    return trace_from_power_reference(
+        analyzer, received_power_w_reference(analyzer, emission)
     )

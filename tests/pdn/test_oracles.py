@@ -103,8 +103,11 @@ def test_analyze_ac_matches_the_closed_form(params, powered):
 @pytest.mark.parametrize("params, powered", STATES, ids=STATE_IDS)
 def test_transfer_grids_match_the_closed_form(params, powered):
     solver = PDNModel(params).solver(powered)
-    for n_samples, sample_rate_hz in GRIDS:
-        z, h_i = solver.compute_transfer_functions(n_samples, sample_rate_hz)
+    # Every grid from one fold over their concatenated frequencies;
+    # each comes as its stack of (-Z, H_I).
+    folded = solver.compute_transfer_functions(GRIDS)
+    for (n_samples, sample_rate_hz), (stack, _) in zip(GRIDS, folded):
+        z, h_i = -stack[0], stack[1]
         harmonics = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate_hz)[1:]
         assert _max_rel_err(
             z[1:], closed_form_impedance(params, powered, harmonics)
@@ -150,11 +153,15 @@ def test_closed_form_peak_is_the_calibrated_resonance(
 
 
 #: (preset, powered cores, first-order |Z| peak, first-order |H_I| peak):
-#: the package current the EM model radiates peaks below the impedance.
+#: the package current the EM model radiates peaks below the impedance,
+#: by 5.2-5.6% with every core powered and 2.9-3.7% with one.
 DIE_CURRENT_PEAKS = [
     (CORTEX_A72_PDN, 2, 67.0e6, 63.3e6),
     (CORTEX_A53_PDN, 4, 76.5e6, 72.2e6),
     (AMD_ATHLON_PDN, 4, 78.0e6, 74.0e6),
+    (CORTEX_A72_PDN, 1, 83.0e6, 80.0e6),
+    (CORTEX_A53_PDN, 1, 97.0e6, 93.6e6),
+    (AMD_ATHLON_PDN, 1, 105.0e6, 102.0e6),
 ]
 
 

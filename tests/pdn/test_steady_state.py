@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.pdn import steady_state
 from repro.pdn.models import PDNModel, CORTEX_A72_PDN
 from repro.pdn.steady_state import SteadyStateSolver
 
@@ -106,10 +107,108 @@ class TestTransferFunctions:
         r2 = solver.solve(wave, 1.2e9)
         np.testing.assert_array_equal(r1.die_voltage, r2.die_voltage)
         assert solver.tf_analyses - before == 2
-        grid = solver.transfer_functions(64, 1.2e9)
+        (grid,) = solver.transfer_functions([(64, 1.2e9)])
         r3 = solver.solve(wave, 1.2e9, transfer=grid)
         np.testing.assert_array_equal(r3.die_voltage, r1.die_voltage)
         assert solver.tf_analyses - before == 3
+
+    def test_one_fold_counts_every_grid(self, solver, monkeypatch):
+        """Several grids share one fold of their concatenated
+        frequencies, count one analysis each, and get the bits of a
+        fold of their own."""
+        folds = []
+        original = steady_state.analyze_ac
+
+        def spy(ladder, frequencies_hz):
+            folds.append(len(frequencies_hz))
+            return original(ladder, frequencies_hz=frequencies_hz)
+
+        monkeypatch.setattr(steady_state, "analyze_ac", spy)
+        grids = [(64, 1.2e9), (5, 0.9e9), (64, 1.0e9), (1025, 2.0e8)]
+        before = solver.tf_analyses
+        together = solver.transfer_functions(grids)
+        assert solver.tf_analyses - before == len(grids)
+        assert folds == [33 + 3 + 33 + 513]
+        for (n, rate), (stack, freqs) in zip(grids, together):
+            ((stack_alone, freqs_alone),) = (
+                solver.compute_transfer_functions([(n, rate)])
+            )
+            assert stack.shape == (2, n // 2 + 1)
+            assert stack.tobytes() == stack_alone.tobytes()
+            # Bin 0 of -Z and of H_I is a real DC transfer.
+            assert stack[0, 0].imag == 0.0 and stack[1, 0].imag == 0.0
+            # The grid's harmonic frequencies, with 0 Hz at bin 0, and
+            # read-only, since every response on the grid shares them.
+            expected = np.fft.rfftfreq(n, d=1.0 / rate)
+            for got in (freqs, freqs_alone):
+                assert got.tobytes() == expected.tobytes()
+                assert not got.flags.writeable
+
+
+class TestSolveBatch:
+    def test_rows_are_one_row_solves(self, solver):
+        """Stacked rows, each at its own rate and supply setting, get
+        the bits of one-row solves recentered on that supply."""
+        rng = np.random.default_rng(11)
+        loads = rng.uniform(0.5, 2.0, (5, 48))
+        rates = [1.2e9, 0.6e9, 1.2e9, 2.0e9, 0.95e9]
+        supplies = [solver.nominal_voltage, 0.9, 1.1, 0.9, 0.7]
+        batch = solver.solve_batch(loads, rates, supply_voltages=supplies)
+        for load, rate, supply, got in zip(loads, rates, supplies, batch):
+            alone = solver.solve(load, rate)
+            delta = supply - solver.nominal_voltage
+            assert got.nominal_voltage == supply
+            assert got.sample_rate_hz == rate
+            np.testing.assert_array_equal(
+                got.die_voltage,
+                alone.die_voltage + delta if delta else alone.die_voltage,
+            )
+            for field in (
+                "die_current",
+                "harmonic_frequencies_hz",
+                "die_voltage_harmonics",
+                "die_current_harmonics",
+            ):
+                np.testing.assert_array_equal(
+                    getattr(got, field), getattr(alone, field)
+                )
+            np.testing.assert_array_equal(
+                got.harmonic_frequencies_hz,
+                np.fft.rfftfreq(48, d=1.0 / rate),
+            )
+
+    @pytest.mark.parametrize(
+        "loads, rates, per_row, message",
+        [
+            (np.ones(8), [1e9] * 8, {}, "2-D array"),
+            (np.ones((2, 1)), [1e9] * 2, {}, "2-D array"),
+            (np.ones((0, 8)), [], {}, "2-D array"),
+            (np.ones((3, 8)), [1e9], {}, "sample_rates_hz has 1 "),
+            (np.ones((3, 8)), [1e9] * 4, {}, "sample_rates_hz has 4 "),
+            (np.ones((3, 8)), [1e9] * 3, {"transfers": 1},
+             "transfers has 1 "),
+            (np.ones((3, 8)), [1e9] * 3, {"supply_voltages": [0.9]},
+             "supply_voltages has 1 "),
+            (np.ones((1, 8)), [1e9], {"supply_voltages": [0.9, 0.9]},
+             "supply_voltages has 2 "),
+        ],
+        ids=[
+            "1-D", "one-sample rows", "no rows", "one rate for three rows",
+            "four rates for three rows", "one grid for three rows",
+            "one supply for three rows", "two supplies for one row",
+        ],
+    )
+    def test_rejects_bad_shapes(self, solver, loads, rates, per_row, message):
+        """A bad trace array, or a per-row sequence without one entry
+        per row, raises before any transform: none broadcasts."""
+        if "transfers" in per_row:
+            per_row = {
+                "transfers": solver.transfer_functions(
+                    [(8, 1e9)] * per_row["transfers"]
+                )
+            }
+        with pytest.raises(ValueError, match=message):
+            solver.solve_batch(loads, rates, **per_row)
 
 
 class TestRailMinimum:
@@ -137,12 +236,13 @@ class TestRailMinimum:
         assert len(calls) == 1
 
     def test_recentered_response_computes_its_own_minimum(self, solver):
-        from repro.chain.session import _recentered
-
-        resp = solver.solve(np.random.default_rng(6).random(64), 1.2e9)
+        wave = np.random.default_rng(6).random(64)
+        resp = solver.solve(wave, 1.2e9)
         low = resp.min_voltage
-        shifted = _recentered(resp, resp.nominal_voltage - 0.1)
-        assert shifted is not resp
+        (shifted,) = solver.solve_batch(
+            wave[None], [1.2e9],
+            supply_voltages=[resp.nominal_voltage - 0.1],
+        )
         assert shifted.min_voltage == float(np.min(shifted.die_voltage))
         assert shifted.min_voltage < low
 

@@ -16,6 +16,9 @@ land; fixed examples pin the cases a random draw rarely reaches (one
 line far above a spread-free floor, a signal under the floor
 everywhere, exact ties, NaN and infinite bins, a one-bin band, and a
 runner-up bin that wins only the sweep holding the largest draw).
+Over a batch, ``spread_lines`` and ``readout`` must give every item the
+reference's bits one item at a time, with amplitude-only, trace-only
+and combined readouts whose draw blocks span one or several chunks.
 """
 
 import numpy as np
@@ -29,6 +32,7 @@ from tests.instruments.analyzer_reference import (
     max_amplitude_from_power_reference,
     received_power_w_reference,
     sweep_reference,
+    trace_from_power_reference,
 )
 
 MAX_LINES = 300
@@ -156,6 +160,58 @@ def test_readout_matches_reference_bit_for_bit(case):
 @given(case=cases())
 def test_readout_matches_reference_bit_for_bit_deep(case):
     test_readout_matches_reference_bit_for_bit.hypothesis.inner_test(case)
+
+
+@st.composite
+def batches(draw):
+    case = draw(cases())
+    more = draw(
+        st.lists(emissions(case["settings"]), min_size=0, max_size=4)
+    )
+    return {
+        **case,
+        "emissions": [case["emission"], *more],
+        "want": draw(st.sampled_from(["amplitude", "trace", "both"])),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=batches())
+def test_batch_readout_matches_reference_per_item(batch):
+    """``spread_lines`` and ``readout`` over a batch give each item the
+    bits, and leave the RNG state and measurement time, of the
+    reference run one item at a time."""
+    sa, ref = twins(batch)
+    amplitude = batch["want"] != "trace"
+    trace = batch["want"] != "amplitude"
+    power = sa.spread_lines(batch["emissions"])
+    amplitudes, power_dbm = sa.readout(
+        power,
+        band=batch["band"],
+        samples=batch["samples"],
+        amplitude=amplitude,
+        trace=trace,
+    )
+    assert (amplitudes is None) != amplitude
+    assert (power_dbm is None) != trace
+    for row, emission in enumerate(batch["emissions"]):
+        expected = received_power_w_reference(ref, emission)
+        assert same_bits(power[row], expected)
+        if amplitude:
+            assert same_bits(
+                amplitudes[row],
+                max_amplitude_from_power_reference(
+                    ref, expected, band=batch["band"],
+                    samples=batch["samples"],
+                ),
+            )
+        if trace:
+            assert same_bits(
+                power_dbm[row],
+                trace_from_power_reference(ref, expected).power_dbm,
+            )
+    assert sa.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert sa.total_measurement_time_s == ref.total_measurement_time_s
 
 
 def strong_line_signal(sa, dbm=-40.0):

@@ -4,8 +4,12 @@ Two contracts the batch-first refactor must keep under *arbitrary*
 operating points, not just the fixtures the equivalence shims pin:
 
 - batch == sequential: pushing N items through one chain call yields
-  bitwise the same amplitudes (and RNG stream consumption) as N
-  one-item calls against an identically seeded receive chain;
+  bitwise the same signal power, rail responses, amplitudes, traces
+  and peaks (and RNG stream consumption, measurement time and session
+  cache counts) as N one-item calls against an identically seeded
+  chain, whatever the batch holds: repeated and distinct grids, mixed
+  gating states, voltages and jitter, any readout request, band and
+  sample count, and readout chunk edges;
 - permutation equivariance of the deterministic outputs: reordering a
   request permutes the response-derived results and nothing else.
   (The *noisy* amplitude is deliberately not equivariant -- analyzer
@@ -26,7 +30,10 @@ from repro.chain import ChainItem, ChainRequest, OperatingPoint, TimingJitter
 from repro.chain.stages import _jittered
 from repro.core.characterizer import EMCharacterizer
 from repro.cpu.program import random_program
-from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
+from repro.instruments.spectrum_analyzer import (
+    DRAW_BLOCK_BYTES,
+    SpectrumAnalyzer,
+)
 from repro.platforms import registry
 from repro.platforms.juno import make_juno_board
 from repro.workloads.base import IdleWorkload, ProgramWorkload
@@ -44,7 +51,8 @@ _CLUSTER = _BOARD.a53
 _CLOCKS = list(_CLUSTER.spec.allowed_clocks_hz())
 
 seeds = st.integers(min_value=0, max_value=10_000)
-counts = st.integers(min_value=1, max_value=4)
+# Batches that cross the readout's chunk edges (see _CHUNK_EDGES).
+counts = st.integers(min_value=1, max_value=40)
 # Stay inside repro.platforms.base.validate_voltage's [0.4, 1.6] V.
 voltages = st.floats(min_value=0.6, max_value=1.2, allow_nan=False)
 
@@ -73,26 +81,158 @@ def _items(seed, count, voltage):
     ]
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=seeds, count=counts, voltage=voltages)
-def test_batch_equals_sequential_itemwise(seed, count, voltage):
-    """One N-item chain call == N seeded one-item calls, bitwise."""
-    items = _items(seed, count, voltage)
-    batched = _characterizer().measure_batch(
-        _CLUSTER, [], items=items
-    )
-    sequential_chain = _characterizer()
-    sequential = [
-        sequential_chain.measure_batch(_CLUSTER, [], items=[item])[0]
-        for item in items
+def _mixed_items(seed, count):
+    """``count`` items drawn from a few programs, clocks and gating
+    states, so grids and executions repeat within the batch, some with
+    timing jitter.  A quarter of them run at the cluster's own (nominal)
+    voltage, the rest anywhere in [0.6, 1.2] V."""
+    rng = np.random.default_rng(seed)
+    programs = [
+        random_program(_CLUSTER.spec.isa, int(rng.integers(2, 10)), rng)
+        for _ in range(3)
     ]
+    clocks = [_CLOCKS[int(i)] for i in rng.integers(0, len(_CLOCKS), 3)]
+    items = []
+    for _ in range(count):
+        jitter = None
+        if rng.random() < 0.3:
+            jitter = TimingJitter(
+                seed=int(rng.integers(0, 2**32)),
+                tiles=int(rng.integers(1, 5)),
+                smooth_cycles=int(rng.integers(1, 13)),
+                compression=float(rng.choice([0.5, 1.0])),
+            )
+        voltage = None
+        if rng.random() >= 0.25:
+            voltage = float(rng.uniform(0.6, 1.2))
+        items.append(
+            ChainItem(
+                program=programs[int(rng.integers(0, 3))],
+                operating_point=OperatingPoint(
+                    clock_hz=clocks[int(rng.integers(0, 3))],
+                    voltage=voltage,
+                    powered_cores=int(rng.integers(1, 5)),
+                ),
+                jitter=jitter,
+            )
+        )
+    return items
+
+
+_BINS = SpectrumAnalyzer().bin_centers()
+
+# Items per readout chunk, DRAW_BLOCK_BYTES // (8 * draws per item),
+# for 3 full-band sweeps plus a trace and for 12 full-band sweeps alone;
+# the chunk-edge examples below are built on these.
+_CHUNK_EDGES = (
+    DRAW_BLOCK_BYTES // (8 * 4 * _BINS.size),
+    DRAW_BLOCK_BYTES // (8 * 12 * _BINS.size),
+)
+assert _CHUNK_EDGES == (21, 7)
+
+_RESPONSE_FIELDS = (
+    "die_voltage",
+    "die_current",
+    "harmonic_frequencies_hz",
+    "die_voltage_harmonics",
+    "die_current_harmonics",
+)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and np.array_equal(a.view(np.int64), b.view(np.int64))
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=seeds,
+    count=counts,
+    samples=st.integers(min_value=1, max_value=12),
+    want=st.sampled_from(["amplitude", "trace", "both"]),
+    band_bins=st.tuples(
+        st.integers(0, _BINS.size - 1), st.integers(0, _BINS.size - 1)
+    ),
+)
+# Chunk edges (see _CHUNK_EDGES): a batch that fills one readout chunk
+# exactly, one that spills one item into a second, and three chunks.
+@example(seed=1, count=21, samples=3, want="both", band_bins=(0, 1499))
+@example(seed=2, count=22, samples=3, want="both", band_bins=(0, 1499))
+@example(seed=3, count=15, samples=12, want="amplitude",
+         band_bins=(0, 1499))
+@example(seed=4, count=40, samples=1, want="trace", band_bins=(7, 7))
+def test_batch_equals_sequential_itemwise(
+    seed, count, samples, want, band_bins
+):
+    """One N-item chain call == N one-item calls, bit for bit, per
+    item and in every stream, counter and accumulator they touch."""
+    items = _mixed_items(seed, count)
+    lo, hi = sorted(band_bins)
+
+    def characterizer():
+        return EMCharacterizer(
+            analyzer=SpectrumAnalyzer(rng=np.random.default_rng(seed)),
+            band=(_BINS[lo], _BINS[hi]),
+            samples=samples,
+        )
+
+    def measure(chain, chosen):
+        # ``measure_batch`` sends amplitude-and-trace requests; the
+        # other two kinds go to the characterizer's chain directly.
+        if want == "both":
+            return [
+                m.run
+                for m in chain.measure_batch(_CLUSTER, [], items=chosen)
+            ]
+        request = ChainRequest(
+            cluster=_CLUSTER,
+            items=chosen,
+            band=chain.band,
+            samples=samples,
+            want_amplitude=want == "amplitude",
+            want_trace=want == "trace",
+        )
+        return chain.chain_path().run(request).items
+
+    batched_chain, sequential_chain = characterizer(), characterizer()
+    batched = measure(batched_chain, items)
+    sequential = [
+        measure(sequential_chain, [item])[0] for item in items
+    ]
+    assert len(batched) == len(sequential) == count
     for b, s in zip(batched, sequential):
         assert b.amplitude_w == s.amplitude_w
         assert b.peak_frequency_hz == s.peak_frequency_hz
         assert b.loop_frequency_hz == s.loop_frequency_hz
-        np.testing.assert_array_equal(
-            b.trace.power_dbm, s.trace.power_dbm
-        )
+        assert b.voltage == s.voltage
+        assert _same_bits(b.signal_w, s.signal_w)
+        assert b.response.sample_rate_hz == s.response.sample_rate_hz
+        assert b.response.nominal_voltage == s.response.nominal_voltage
+        for field in _RESPONSE_FIELDS:
+            assert _same_bits(
+                getattr(b.response, field), getattr(s.response, field)
+            ), field
+        if want == "amplitude":
+            assert b.trace is None and s.trace is None
+        else:
+            assert _same_bits(b.trace.power_dbm, s.trace.power_dbm)
+    analyzers = [c.analyzer for c in (batched_chain, sequential_chain)]
+    assert (
+        analyzers[0].rng.bit_generator.state
+        == analyzers[1].rng.bit_generator.state
+    )
+    assert (
+        analyzers[0].total_measurement_time_s
+        == analyzers[1].total_measurement_time_s
+    )
+    assert (
+        batched_chain.session.stats.snapshot()
+        == sequential_chain.session.stats.snapshot()
+    )
 
 
 @settings(max_examples=15, deadline=None)

@@ -228,8 +228,9 @@ def test_transfer_functions_are_the_two_call_composition(platform):
     model = PDNModel(params)
     for cores in range(1, params.num_cores + 1):
         solver = model.solver(cores)
-        for n_samples, rate in TF_GRIDS:
-            z, h_i = solver.compute_transfer_functions(n_samples, rate)
+        folded = solver.compute_transfer_functions(TF_GRIDS)
+        for (n_samples, rate), (stack, _) in zip(TF_GRIDS, folded):
+            z, h_i = -stack[0], stack[1]
             z_ref, h_ref = transfer_functions_reference(
                 model.ladder(cores).circuit(), DIE_NODE, "pkg_trace.l",
                 n_samples, rate,

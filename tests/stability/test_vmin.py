@@ -153,6 +153,21 @@ class _Counter:
         monkeypatch.setattr(owner, name, counted)
 
 
+class _SolvedPoints:
+    """Wraps ``SimulationSession.pdn_responses`` and counts the rail
+    points it solves, whichever entry point or batch they came in."""
+
+    def __init__(self, monkeypatch):
+        self.points = 0
+        original = SimulationSession.pdn_responses
+
+        def counted(session, cluster, points):
+            self.points += len(points)
+            return original(session, cluster, points)
+
+        monkeypatch.setattr(SimulationSession, "pdn_responses", counted)
+
+
 class _FailsAtCall(Workload):
     """Delegates to ``inner`` but raises on its ``fail_at``-th run."""
 
@@ -202,7 +217,7 @@ class TestMemoizedLadder:
     def test_solves_each_distinct_rung_once(self, monkeypatch, index):
         cluster = registry.make_cluster("a53")
         workload = _workload_set(cluster)[index]
-        solves = _Counter(monkeypatch, SimulationSession, "pdn_solve")
+        solved = _SolvedPoints(monkeypatch)
         chain_runs = _Counter(monkeypatch, SignalPath, "run")
         tester = VminTester(cluster, failure_model_for(cluster.name))
         result = tester.run(workload, repeats=4)
@@ -210,7 +225,7 @@ class TestMemoizedLadder:
             v for log in result.outcomes for v, _ in log
         }
         steps = 1 + sum(len(log) for log in result.outcomes)
-        assert solves.calls == len(rungs) < steps
+        assert solved.points == len(rungs) < steps
         expected_chain_runs = 0 if workload.name == "idle" else len(rungs)
         assert chain_runs.calls == expected_chain_runs
 
