@@ -30,16 +30,17 @@ mutation at the moment they corrupt a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.cpu.multicore import ClusterExecution, execute_on_cluster
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pdn.steady_state import PeriodicResponse
     from repro.audit.tracker import DeterminismTracker
     from repro.cpu.program import LoopProgram
-    from repro.cpu.multicore import ClusterExecution
     from repro.platforms.base import Cluster
 
 #: Executions one session keeps before evicting the oldest.
@@ -84,8 +85,9 @@ class SimulationSession:
     def __init__(self, audit: Optional["DeterminismTracker"] = None):
         self.stats = SessionStats()
         self.audit = audit
-        # (cluster.uid, genome, active, iterations) -> ClusterExecution
-        self._executions: Dict[Tuple, "ClusterExecution"] = {}
+        # (cluster.uid, genome, active, iterations, phase offsets)
+        # -> ClusterExecution
+        self._executions: Dict[Tuple, ClusterExecution] = {}
         # (cluster.uid, powered_cores, n_samples, sample_rate) -> the
         # grid's (2, harmonics) stack of (-Z, H_I) and its harmonic
         # frequencies, as SteadyStateSolver.transfer_functions gives it
@@ -106,54 +108,44 @@ class SimulationSession:
         cluster: "Cluster",
         program: "LoopProgram",
         active_cores: int,
-        clock_hz: float,
         iterations: int = 16,
         phase_offsets: Optional[Sequence[int]] = None,
-    ) -> "ClusterExecution":
+    ) -> ClusterExecution:
         """Steady-state execution of ``program`` on ``active_cores``.
 
-        The schedule and the per-cycle current trace are independent of
-        the operating point (amperes per cycle are fixed; the clock
-        only sets the sample rate), so one cached execution serves
-        every clock point of a sweep -- the cache key deliberately
-        omits the clock and the entry is re-stamped with the item's
-        ``clock_hz`` on the way out.
+        The record is clock-free (schedules are in cycles, the current
+        in amperes per cycle), so one cached execution serves every
+        operating point of a sweep as it is; phase offsets are part of
+        the key.
         """
-        from repro.cpu.multicore import CoreModel, execute_on_cluster
 
-        def execute(**offsets):
-            core = CoreModel(
-                pipeline=cluster.pipeline,
-                current_model=cluster.spec.current_model,
-                clock_hz=clock_hz,
-            )
+        def execute():
             return execute_on_cluster(
-                core,
+                cluster.pipeline,
+                cluster.spec.current_model,
                 program,
                 active_cores=active_cores,
+                phase_offsets=phase_offsets,
                 uncore_current_a=cluster.spec.uncore_current_a,
                 iterations=iterations,
-                **offsets,
             )
 
-        if phase_offsets is not None:
-            # Phase studies are rare and offset-specific; don't cache.
-            return execute(phase_offsets=phase_offsets)
-        key = (cluster.uid, program.genome(), active_cores, iterations)
+        key = (
+            cluster.uid,
+            program.genome(),
+            active_cores,
+            iterations,
+            None if phase_offsets is None else tuple(phase_offsets),
+        )
         cached = self._executions.get(key)
-        hit = cached is not None
         if cached is None:
             self.stats.execute_misses += 1
             cached = execute()
             self._bounded_put(self._executions, key, cached, MAX_EXECUTIONS)
         else:
             self.stats.execute_hits += 1
-        if cached.clock_hz != clock_hz:
-            cached = replace(cached, clock_hz=clock_hz)
-        if hit and self.audit is not None:
-            # Compare post-restamp so both sides carry this call's
-            # clock (the cache stores the first-seen clock by design).
-            self.audit.check_hit("executions", key, cached, execute)
+            if self.audit is not None:
+                self.audit.check_hit("executions", key, cached, execute)
         return cached
 
     # ------------------------------------------------------------------

@@ -31,6 +31,10 @@ import numpy as np
 
 from repro.chain.session import SimulationSession
 from repro.chain.types import ChainItemResult, ChainRequest, TimingJitter
+from repro.cpu.multicore import (
+    execute_mixed_on_cluster,
+    execute_windows_on_cluster,
+)
 from repro.em.radiation import strongest_lines
 from repro.instruments.spectrum_analyzer import SpectrumTrace, peak_markers
 
@@ -40,7 +44,6 @@ class ItemWork:
     """One item's in-flight state while a batch moves through the path."""
 
     result: ChainItemResult
-    raw_current: Optional[np.ndarray] = None
     load_current: Optional[np.ndarray] = None
 
 
@@ -139,12 +142,15 @@ def resolve_request(
 class ExecuteStage:
     """Instruction scheduling: program -> per-cycle current trace.
 
-    Single-program executions come from the session cache (schedule and
+    Each item executes into one clock-free
+    :class:`~repro.cpu.multicore.ClusterExecution` through
+    :mod:`repro.cpu.multicore`.  Single-program items, with or without
+    phase offsets, come from the session cache (schedule and
     amperes-per-cycle are operating-point independent), so a V_MIN
     ladder schedules its program once, not once per voltage step.
-    Mixed items are computed fresh.  Cache-nondeterministic items are
-    computed fresh too: each active core draws one execution window
-    from the item's ``memory_rng``, in core order.
+    Mixed items are computed fresh.  Cache-miss items are computed
+    fresh too: each active core draws one execution window from the
+    item's ``memory_rng``, in core order.
     """
 
     name = "execute"
@@ -152,60 +158,40 @@ class ExecuteStage:
 
     def run(self, batch: ChainBatch) -> None:
         cluster = batch.cluster
+        pipeline = cluster.pipeline
+        model = cluster.spec.current_model
+        uncore = cluster.spec.uncore_current_a
         for w in batch.work:
             item = w.result.item
             mode = item.mode
-            if mode == "single":
+            if mode == "mixed":
+                execution = execute_mixed_on_cluster(
+                    pipeline,
+                    model,
+                    item.programs,
+                    uncore_current_a=uncore,
+                    iterations=item.iterations,
+                )
+            elif mode == "nondeterministic":
+                execution = execute_windows_on_cluster(
+                    pipeline,
+                    model,
+                    item.program,
+                    active_cores=w.result.active_cores,
+                    cache=item.cache_model,
+                    memory_rng=item.memory_rng,
+                    uncore_current_a=uncore,
+                    iterations=item.iterations,
+                )
+            else:
                 execution = batch.session.execution(
                     cluster,
                     item.program,
                     active_cores=w.result.active_cores,
-                    clock_hz=w.result.clock_hz,
                     iterations=item.iterations,
                     phase_offsets=item.phase_offsets,
                 )
-                w.result.execution = execution
-                w.raw_current = execution.load_current
-            elif mode == "mixed":
-                from repro.cpu.multicore import (
-                    CoreModel,
-                    execute_mixed_on_cluster,
-                )
-
-                core = CoreModel(
-                    pipeline=cluster.pipeline,
-                    current_model=cluster.spec.current_model,
-                    clock_hz=w.result.clock_hz,
-                )
-                execution = execute_mixed_on_cluster(
-                    core,
-                    item.programs,
-                    uncore_current_a=cluster.spec.uncore_current_a,
-                    iterations=item.iterations,
-                )
-                w.result.execution = execution
-                w.raw_current = execution.load_current
-            else:  # nondeterministic
-                model = cluster.spec.current_model
-                traces = []
-                windows = []
-                for _ in range(w.result.active_cores):
-                    window = cluster.pipeline.windowed_schedule(
-                        item.program,
-                        iterations=item.iterations,
-                        cache=item.cache_model,
-                        memory_rng=item.memory_rng,
-                    )
-                    windows.append(window)
-                    traces.append(model.window_trace(window))
-                length = max(t.size for t in traces)
-                combined = np.full(length, cluster.spec.uncore_current_a)
-                for trace in traces:
-                    padded = np.full(length, model.base_current_a)
-                    padded[: trace.size] = trace
-                    combined += padded
-                w.result.windows = windows
-                w.raw_current = combined
+            w.result.execution = execution
 
 
 class CurrentStage:
@@ -222,7 +208,7 @@ class CurrentStage:
             scale = cluster.current_scale(
                 clock_hz=w.result.clock_hz, voltage=w.result.voltage
             )
-            trace = w.raw_current * scale
+            trace = w.result.execution.load_current * scale
             if item.mode == "single" and trace.size < 4:
                 # Degenerate loops (period of 1-3 cycles) are still
                 # periodic; tile them so the spectral solver has a

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cpu.multicore import ClusterExecution
     from repro.cpu.program import LoopProgram
     from repro.pdn.steady_state import PeriodicResponse
     from repro.em.radiation import EmissionSpectrum
@@ -179,15 +180,18 @@ class ChainRequest:
 
 @dataclass
 class ChainItemResult:
-    """Everything one item produced on its way through the chain."""
+    """Everything one item produced on its way through the chain.
+
+    The run metrics come from the item's clock-free execution record
+    and its clock, by one formula for every item mode.
+    """
 
     item: ChainItem
     clock_hz: float
     voltage: float
     powered_cores: int
     active_cores: int
-    execution: object = None  # ClusterExecution | MixedClusterExecution
-    windows: Optional[list] = None  # nondeterministic mode only
+    execution: Optional["ClusterExecution"] = None
     response: Optional["PeriodicResponse"] = None
     emission: Optional["EmissionSpectrum"] = None
     signal_w: Optional[np.ndarray] = None
@@ -201,20 +205,15 @@ class ChainItemResult:
 
     @property
     def ipc(self) -> float:
-        if self.windows is not None:
-            return self.windows[0].ipc
         return self.execution.ipc
 
     @property
     def loop_frequency_hz(self) -> float:
-        if self.windows is not None:
-            mean_cycles = self.windows[0].mean_iteration_cycles()
-            return self.clock_hz / mean_cycles
-        return self.execution.loop_frequency_hz
+        return self.clock_hz / self.execution.loop_cycles
 
     @property
     def loop_period_s(self) -> float:
-        return self.execution.loop_period_s
+        return self.execution.loop_cycles / self.clock_hz
 
     @property
     def max_droop(self) -> float:

@@ -24,10 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chain import ChainItemResult
 from repro.core.characterizer import EMCharacterizer
 from repro.platforms.base import Cluster
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, WorkloadRun
 
 
 @dataclass
@@ -88,7 +87,7 @@ class EmergencyMonitor:
         self._baseline: List[float] = []
 
     # ------------------------------------------------------------------
-    def _amplitude_of(self, run: ChainItemResult) -> float:
+    def _amplitude_of(self, run: WorkloadRun) -> float:
         emission = self.characterizer.emission_of(run)
         return self.characterizer.analyzer.max_amplitude(
             emission,
@@ -101,14 +100,7 @@ class EmergencyMonitor:
     ) -> float:
         """Prime the baseline with known-quiet workloads; returns it (dBm)."""
         for workload in quiet_workloads:
-            run = workload.run(cluster)
-            emission = self.characterizer.radiator.emission(run.response)
-            amplitude = self.characterizer.analyzer.max_amplitude(
-                emission,
-                band=self.characterizer.band,
-                samples=self.samples_per_observation,
-            )
-            self._baseline.append(amplitude)
+            self._baseline.append(self._amplitude_of(workload.run(cluster)))
         self._baseline = self._baseline[-self.baseline_window:]
         return self.baseline_dbm()
 
@@ -127,13 +119,7 @@ class EmergencyMonitor:
         index: int = 0,
     ) -> MonitorSample:
         """One monitoring interval: measure, compare, update baseline."""
-        run = workload.run(cluster)
-        emission = self.characterizer.radiator.emission(run.response)
-        amplitude = self.characterizer.analyzer.max_amplitude(
-            emission,
-            band=self.characterizer.band,
-            samples=self.samples_per_observation,
-        )
+        amplitude = self._amplitude_of(workload.run(cluster))
         dbm = 10.0 * np.log10(amplitude / 1.0e-3)
         alarm = dbm > self.baseline_dbm() + self.margin_db
         if not alarm:

@@ -14,7 +14,7 @@ instruction loop produces.  This package provides that substrate:
   and out-of-order (Cortex-A72 / Athlon-like) issue models.
 - :mod:`repro.cpu.program` -- loop programs: the payload the GA evolves.
 - :mod:`repro.cpu.current` -- issue schedule -> per-cycle current trace.
-- :mod:`repro.cpu.multicore` -- cluster-level trace composition.
+- :mod:`repro.cpu.multicore` -- per-core traces combined onto the rail.
 """
 
 from repro.cpu.isa import (
@@ -33,8 +33,8 @@ from repro.cpu.pipeline import (
     Schedule,
 )
 from repro.cpu.program import LoopProgram
-from repro.cpu.current import CurrentModel, loop_current_trace
-from repro.cpu.multicore import ClusterExecution, CoreModel
+from repro.cpu.current import CurrentModel
+from repro.cpu.multicore import ClusterExecution
 
 __all__ = [
     "Instruction",
@@ -50,7 +50,5 @@ __all__ = [
     "Schedule",
     "LoopProgram",
     "CurrentModel",
-    "loop_current_trace",
-    "CoreModel",
     "ClusterExecution",
 ]

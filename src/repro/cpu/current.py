@@ -24,7 +24,6 @@ formulation they are checked against is in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -116,11 +115,3 @@ class CurrentModel:
             trace, t0, np.full(t0.size, self.frontend_energy * k)
         )
         return self._smooth(trace)
-
-
-def loop_current_trace(
-    schedule: Schedule,
-    model: Optional[CurrentModel] = None,
-) -> np.ndarray:
-    """Convenience wrapper: current trace with a default model."""
-    return (model or CurrentModel()).trace(schedule)

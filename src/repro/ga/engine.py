@@ -199,16 +199,6 @@ class GAEngine:
     def cache_size(self) -> int:
         return len(self._cache)
 
-    def _evaluate(self, program: LoopProgram) -> FitnessEvaluation:
-        if not self._memoize:
-            return self._fitness(program)
-        key = program.genome()
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._fitness(program)
-            self._cache[key] = hit
-        return hit
-
     def _evaluate_generation(
         self,
         population: Sequence[LoopProgram],

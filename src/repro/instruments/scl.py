@@ -9,6 +9,7 @@ model injects the same square wave into the simulated PDN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -63,13 +64,7 @@ class SyntheticCurrentLoad:
         self, solver: SteadyStateSolver, frequency_hz: float
     ) -> PeriodicResponse:
         """Steady-state rail response to the square wave at one frequency."""
-        if frequency_hz <= 0.0:
-            raise ValueError("SCL frequency must be positive")
-        wave = square_wave_current(
-            self.amplitude_a, self.samples_per_period, self.duty
-        )
-        sample_rate = frequency_hz * self.samples_per_period
-        return solver.solve(wave, sample_rate)
+        return self._responses(solver, [frequency_hz])[0]
 
     def sweep(
         self,
@@ -78,7 +73,29 @@ class SyntheticCurrentLoad:
     ) -> SCLSweepResult:
         """Peak-to-peak rail oscillation at each stimulus frequency."""
         freqs = np.asarray(frequencies_hz, dtype=float)
-        p2p = np.empty_like(freqs)
-        for i, f in enumerate(freqs):
-            p2p[i] = self.response_at(solver, f).peak_to_peak
-        return SCLSweepResult(frequencies_hz=freqs, peak_to_peak_v=p2p)
+        p2p = [r.peak_to_peak for r in self._responses(solver, freqs)]
+        return SCLSweepResult(
+            frequencies_hz=freqs, peak_to_peak_v=np.array(p2p, dtype=float)
+        )
+
+    def _responses(
+        self, solver: SteadyStateSolver, frequencies_hz: Sequence[float]
+    ) -> List[PeriodicResponse]:
+        """The square wave's rail responses, one per frequency, from one
+        :meth:`SteadyStateSolver.solve_batch` call at one sample rate
+        per frequency; every frequency is checked before any solve."""
+        freqs = np.asarray(frequencies_hz, dtype=float).tolist()
+        bad = [f for f in freqs if not (math.isfinite(f) and f > 0.0)]
+        if bad:
+            raise ValueError(
+                f"SCL frequency must be finite and positive, got {bad[0]}"
+            )
+        if not freqs:
+            return []
+        wave = square_wave_current(
+            self.amplitude_a, self.samples_per_period, self.duty
+        )
+        return solver.solve_batch(
+            np.tile(wave, (len(freqs), 1)),
+            [f * self.samples_per_period for f in freqs],
+        )

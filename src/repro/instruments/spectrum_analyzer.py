@@ -83,6 +83,23 @@ def check_band(band: Sequence[float]) -> None:
         )
 
 
+def check_span(start_hz: float, stop_hz: float, rbw_hz: float) -> None:
+    """Refuse span settings a sweep cannot use with :class:`ValueError`:
+    a non-finite setting, a stop at or below the start, or an RBW that
+    is not positive."""
+    for name, value in (
+        ("start_hz", start_hz),
+        ("stop_hz", stop_hz),
+        ("rbw_hz", rbw_hz),
+    ):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if stop_hz <= start_hz:
+        raise ValueError("stop frequency must exceed start frequency")
+    if rbw_hz <= 0.0:
+        raise ValueError("RBW must be positive")
+
+
 def peak_markers(
     frequencies_hz: np.ndarray,
     power_dbm: np.ndarray,
@@ -174,19 +191,12 @@ class SpectrumAnalyzer:
     )
 
     def __post_init__(self) -> None:
-        for name in ("start_hz", "stop_hz", "rbw_hz"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        check_span(self.start_hz, self.stop_hz, self.rbw_hz)
         dwell = self.dwell_s_per_bin
         if not (np.isfinite(dwell) and dwell >= 0.0):
             raise ValueError(
                 f"dwell_s_per_bin must be finite and non-negative, got {dwell}"
             )
-        if self.stop_hz <= self.start_hz:
-            raise ValueError("stop frequency must exceed start frequency")
-        if self.rbw_hz <= 0.0:
-            raise ValueError("RBW must be positive")
         # Accumulated (simulated) measurement wall time.  The paper's
         # GA is bound by instrument latency (~18 s per 30-sample
         # measurement over the full 150 MHz span), which is why

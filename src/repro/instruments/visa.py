@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.em.radiation import EmissionSpectrum
-from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
+from repro.instruments.spectrum_analyzer import SpectrumAnalyzer, check_span
 
 
 class ScpiError(Exception):
@@ -35,6 +35,9 @@ class ScpiInstrument:
     - ``BAND:RES <hz>`` / ``BAND:RES?`` -- resolution bandwidth.
     - ``INIT; TRAC?`` -- perform a sweep, return comma-separated dBm.
     - ``CALC:MARK:MAX; CALC:MARK:X?; CALC:MARK:Y?`` -- peak marker.
+
+    A setting write gets the analyzer's own span checks: a value they
+    refuse raises :class:`ScpiError` and leaves the analyzer as it was.
 
     The emission under measurement is supplied by the test harness via
     :meth:`present_emission` (in hardware, the device under test simply
@@ -111,7 +114,14 @@ class ScpiInstrument:
             value = float(raw[len(prefix):].strip())
         except ValueError:
             raise ScpiError(f"bad numeric argument in {raw!r}") from None
-        setattr(self.analyzer, attr, value)
+        a = self.analyzer
+        span = dict(start_hz=a.start_hz, stop_hz=a.stop_hz, rbw_hz=a.rbw_hz)
+        span[attr] = value
+        try:
+            check_span(**span)
+        except ValueError as err:
+            raise ScpiError(f"{raw!r} refused: {err}") from None
+        setattr(a, attr, value)
         return None
 
     def _require_trace(self) -> None:

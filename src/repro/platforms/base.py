@@ -23,6 +23,7 @@ steps is random.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import enum
 import itertools
@@ -114,6 +115,8 @@ class Cluster:
         self._clock_hz = spec.nominal_clock_hz
         self._voltage = spec.nominal_voltage
         self._powered_cores = spec.num_cores
+        # The multiplier-reachable clocks, ascending, for validate_clock.
+        self._clocks_ascending = sorted(spec.allowed_clocks_hz())
         # Stable identity token for cache keys.  Unlike id(self), a uid
         # is never reused after this cluster is garbage collected, so a
         # session outliving the cluster cannot alias a newer object's
@@ -167,9 +170,13 @@ class Cluster:
         )
 
     def validate_clock(self, clock_hz: float) -> None:
-        """Raise unless ``clock_hz`` is a multiplier-reachable point."""
-        allowed = self.spec.allowed_clocks_hz()
-        if not any(abs(clock_hz - f) < 1.0 for f in allowed):
+        """Raise unless ``clock_hz`` is within 1 Hz of a
+        multiplier-reachable point."""
+        clocks = self._clocks_ascending
+        # The nearest reachable point is one of the two around clock_hz.
+        i = bisect.bisect_left(clocks, clock_hz)
+        nearest = clocks[max(i - 1, 0):i + 1]
+        if not any(abs(clock_hz - f) < 1.0 for f in nearest):
             raise ValueError(
                 f"{self.name}: clock {clock_hz / 1e6:.0f} MHz not reachable; "
                 f"step is {self.spec.clock_step_hz / 1e6:.0f} MHz"

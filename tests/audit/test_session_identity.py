@@ -71,7 +71,6 @@ class TestFifoEviction:
         return dict(
             program=high_low_program(cluster.spec.isa),
             active_cores=1,
-            clock_hz=cluster.clock_hz,
         )
 
     def test_executions_evict_in_insertion_order(self, monkeypatch):
@@ -99,7 +98,7 @@ class TestFifoEviction:
         np.testing.assert_array_equal(
             first.load_current, again.load_current
         )
-        assert first.clock_hz == again.clock_hz
+        assert first.loop_cycles == again.loop_cycles
 
     def test_grid_caches_are_bounded(self, monkeypatch):
         monkeypatch.setattr(session_module, "MAX_GRIDS", 1)

@@ -76,9 +76,7 @@ class TestShadowRecompute:
         session = SimulationSession(audit=tracker)
         program = high_low_program(a53.spec.isa)
         for _ in range(3):
-            session.execution(
-                a53, program, active_cores=1, clock_hz=a53.clock_hz
-            )
+            session.execution(a53, program, active_cores=1)
         assert tracker.stats.shadow_checks["executions"] == 2
         assert tracker.stats.violations == 0
 
@@ -86,18 +84,14 @@ class TestShadowRecompute:
         tracker = paranoid_tracker()
         session = SimulationSession(audit=tracker)
         program = high_low_program(a53.spec.isa)
-        first = session.execution(
-            a53, program, active_cores=1, clock_hz=a53.clock_hz
-        )
+        first = session.execution(a53, program, active_cores=1)
         (key,) = session._executions
         corrupted = dataclasses.replace(
             first, load_current=first.load_current * 1.5
         )
         session._executions[key] = corrupted
         with pytest.raises(CacheShadowMismatch):
-            session.execution(
-                a53, program, active_cores=1, clock_hz=a53.clock_hz
-            )
+            session.execution(a53, program, active_cores=1)
 
     def test_corrupted_tf_grid_caught(self, a53):
         tracker = paranoid_tracker()
@@ -119,14 +113,14 @@ class TestShadowRecompute:
         tracker = paranoid_tracker(sample_rate=0.0)
         session = SimulationSession(audit=tracker)
         program = high_low_program(a53.spec.isa)
-        session.execution(a53, program, active_cores=1, clock_hz=a53.clock_hz)
+        session.execution(a53, program, active_cores=1)
         (key,) = session._executions
         session._executions[key] = dataclasses.replace(
             session._executions[key],
             load_current=session._executions[key].load_current + 1.0,
         )
         # rate 0 never recomputes, so the corruption goes unnoticed.
-        session.execution(a53, program, active_cores=1, clock_hz=a53.clock_hz)
+        session.execution(a53, program, active_cores=1)
         assert tracker.stats.shadow_checks == {}
 
     def test_violation_emits_event(self, a53):

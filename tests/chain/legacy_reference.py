@@ -9,6 +9,9 @@ pinned bit for bit against code that shares none of its caching or
 batching: every call schedules afresh, folds its own transfer grid and
 solves its trace with the one-dimensional FFT solve the steady-state
 solver ran per trace before it solved stacked rows (:func:`_solve`).
+Single-program and mixed runs call :mod:`repro.cpu.multicore` directly;
+the cache-miss run keeps its own window-padding arithmetic, so
+``execute_windows_on_cluster`` is checked against an independent copy.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,6 @@ import numpy as np
 
 from repro.cpu.multicore import (
     ClusterExecution,
-    CoreModel,
     execute_mixed_on_cluster,
     execute_on_cluster,
 )
@@ -41,15 +43,15 @@ class ReferenceRun:
 
     @property
     def ipc(self) -> float:
-        return self.execution.ipc
+        return self.execution.schedules[0].ipc
 
     @property
     def loop_frequency_hz(self) -> float:
-        return self.execution.loop_frequency_hz
+        return self.clock_hz / self.execution.schedules[0].cycles
 
     @property
     def loop_period_s(self) -> float:
-        return self.execution.loop_period_s
+        return self.execution.schedules[0].cycles / self.clock_hz
 
     @property
     def max_droop(self) -> float:
@@ -157,14 +159,6 @@ def _current_scale(cluster) -> float:
     )
 
 
-def _core(cluster) -> CoreModel:
-    return CoreModel(
-        pipeline=cluster.pipeline,
-        current_model=cluster.spec.current_model,
-        clock_hz=cluster.clock_hz,
-    )
-
-
 def _active_cores(cluster, active_cores: Optional[int]) -> int:
     active = active_cores if active_cores is not None else (
         cluster.powered_cores
@@ -220,7 +214,8 @@ def reference_run(
     """``Cluster.run`` before the chain, jitter block included."""
     active = _active_cores(cluster, active_cores)
     execution = execute_on_cluster(
-        _core(cluster),
+        cluster.pipeline,
+        cluster.spec.current_model,
         program,
         active_cores=active,
         phase_offsets=phase_offsets,
@@ -241,7 +236,7 @@ def reference_run(
     return ReferenceRun(
         program=program,
         execution=execution,
-        response=_solve(cluster, trace, execution.sample_rate_hz),
+        response=_solve(cluster, trace, cluster.clock_hz),
         clock_hz=cluster.clock_hz,
         voltage=cluster.voltage,
         powered_cores=cluster.powered_cores,
@@ -259,13 +254,14 @@ def reference_run_mixed(
             f"got {len(programs)}"
         )
     execution = execute_mixed_on_cluster(
-        _core(cluster),
+        cluster.pipeline,
+        cluster.spec.current_model,
         programs,
         uncore_current_a=cluster.spec.uncore_current_a,
         iterations=iterations,
     )
     trace = execution.load_current * _current_scale(cluster)
-    return _solve(cluster, trace, execution.sample_rate_hz)
+    return _solve(cluster, trace, cluster.clock_hz)
 
 
 def reference_run_nondeterministic(

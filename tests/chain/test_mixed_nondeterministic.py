@@ -129,7 +129,10 @@ class TestNondeterministicThroughChain:
         )
         assert item.ipc == legacy.ipc
         assert item.loop_frequency_hz == legacy.loop_frequency_hz
-        assert len(item.windows) == legacy.active_cores
+        assert item.execution.active_cores == legacy.active_cores
+        for window, expected in zip(item.execution.schedules, legacy.windows):
+            assert window.cycles == expected.cycles
+            np.testing.assert_array_equal(window.issue, expected.issue)
         # RNG-stream determinism: both paths drew the same number of
         # variates in the same order.
         assert (

@@ -160,7 +160,7 @@ class TestClusterNondeterministicRun:
         r1 = run_nondeterministic(a72, program, cache, rng)
         r2 = run_nondeterministic(a72, program, cache, rng)
         assert r1.max_droop != pytest.approx(r2.max_droop, rel=1e-9)
-        assert r1.windows[0].iteration_jitter_cycles() > 0.0
+        assert r1.execution.schedules[0].iteration_jitter_cycles() > 0.0
 
     def test_metrics_available(self, a72):
         program = missy_program()

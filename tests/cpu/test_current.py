@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cpu.arm import ARM_ISA
-from repro.cpu.current import CurrentModel, loop_current_trace
+from repro.cpu.current import CurrentModel
 from repro.cpu.pipeline import InOrderPipeline, OutOfOrderPipeline
 from repro.cpu.program import program_from_mnemonics
 
@@ -31,10 +31,6 @@ class TestTraceBasics:
         quiet = schedule_for(*(["sdiv"] * 2))
         model = CurrentModel()
         assert model.mean_current(busy) > model.mean_current(quiet)
-
-    def test_default_wrapper(self):
-        s = schedule_for("add", "mul")
-        assert loop_current_trace(s).shape == (s.cycles,)
 
 
 class TestHighLowStructure:

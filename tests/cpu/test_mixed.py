@@ -14,7 +14,6 @@ from repro.chain import (
 from repro.cpu.arm import ARM_ISA
 from repro.cpu.current import CurrentModel
 from repro.cpu.multicore import (
-    CoreModel,
     execute_mixed_on_cluster,
     execute_on_cluster,
 )
@@ -24,11 +23,8 @@ from repro.cpu.program import program_from_mnemonics
 
 @pytest.fixture
 def core():
-    return CoreModel(
-        pipeline=InOrderPipeline(width=2),
-        current_model=CurrentModel(),
-        clock_hz=1.0e9,
-    )
+    """A core's pipeline and current model, as the chain passes them."""
+    return InOrderPipeline(width=2), CurrentModel()
 
 
 @pytest.fixture
@@ -44,38 +40,41 @@ def fp_loop():
 class TestMixedExecution:
     def test_rejects_empty_program_list(self, core):
         with pytest.raises(ValueError):
-            execute_mixed_on_cluster(core, [])
+            execute_mixed_on_cluster(*core, [])
 
     def test_period_is_lcm_of_loops(self, core, hilo, fp_loop):
-        mixed = execute_mixed_on_cluster(core, [hilo, fp_loop])
+        mixed = execute_mixed_on_cluster(*core, [hilo, fp_loop])
         periods = [s.cycles for s in mixed.schedules]
         lcm = np.lcm.reduce(periods)
-        assert mixed.period_cycles == lcm
+        assert mixed.loop_cycles == lcm
+        assert mixed.load_current.size == lcm
 
     def test_period_cap(self, core, hilo, fp_loop):
         mixed = execute_mixed_on_cluster(
-            core, [hilo, fp_loop], period_cap_cycles=16
+            *core, [hilo, fp_loop], period_cap_cycles=16
         )
-        assert mixed.period_cycles <= 16
+        assert mixed.loop_cycles <= 16
 
     def test_identical_mix_matches_homogeneous(self, core, hilo):
         """Two copies of the same loop == the aligned homogeneous path."""
         mixed = execute_mixed_on_cluster(
-            core, [hilo, hilo], uncore_current_a=0.1
+            *core, [hilo, hilo], uncore_current_a=0.1
         )
         homo = execute_on_cluster(
-            core, hilo, active_cores=2, uncore_current_a=0.1
+            *core, hilo, active_cores=2, uncore_current_a=0.1
         )
-        assert mixed.period_cycles == homo.load_current.size
+        assert mixed.loop_cycles == homo.loop_cycles
+        assert mixed.ipc == homo.ipc
         assert np.allclose(mixed.load_current, homo.load_current)
 
     def test_mean_current_is_sum_of_cores(self, core, hilo, fp_loop):
         mixed = execute_mixed_on_cluster(
-            core, [hilo, fp_loop], uncore_current_a=0.2
+            *core, [hilo, fp_loop], uncore_current_a=0.2
         )
+        _, model = core
         expected = (
-            core.current_trace(mixed.schedules[0]).mean()
-            + core.current_trace(mixed.schedules[1]).mean()
+            model.trace(mixed.schedules[0]).mean()
+            + model.trace(mixed.schedules[1]).mean()
             + 0.2
         )
         assert mixed.load_current.mean() == pytest.approx(
@@ -83,10 +82,15 @@ class TestMixedExecution:
         )
 
     def test_per_core_loop_frequencies(self, core, hilo, fp_loop):
-        mixed = execute_mixed_on_cluster(core, [hilo, fp_loop])
-        freqs = mixed.per_core_loop_frequencies_hz()
-        assert len(freqs) == 2
-        assert freqs[0] != freqs[1]
+        """Each core keeps its own loop period (and so its own loop
+        frequency at any clock); the record's IPC is their mean."""
+        mixed = execute_mixed_on_cluster(*core, [hilo, fp_loop])
+        cycles = [s.cycles for s in mixed.schedules]
+        assert len(cycles) == mixed.active_cores == 2
+        assert cycles[0] != cycles[1]
+        assert mixed.ipc == (
+            mixed.schedules[0].ipc + mixed.schedules[1].ipc
+        ) / 2
 
 
 def run_mixed(cluster, programs):

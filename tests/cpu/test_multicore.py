@@ -5,18 +5,15 @@ import pytest
 
 from repro.cpu.arm import ARM_ISA
 from repro.cpu.current import CurrentModel
-from repro.cpu.multicore import CoreModel, execute_on_cluster
+from repro.cpu.multicore import execute_on_cluster
 from repro.cpu.pipeline import InOrderPipeline
 from repro.cpu.program import program_from_mnemonics
 
 
 @pytest.fixture
 def core():
-    return CoreModel(
-        pipeline=InOrderPipeline(width=2),
-        current_model=CurrentModel(),
-        clock_hz=1.0e9,
-    )
+    """A core's pipeline and current model, as the chain passes them."""
+    return InOrderPipeline(width=2), CurrentModel()
 
 
 @pytest.fixture
@@ -26,8 +23,8 @@ def loop():
 
 class TestClusterExecution:
     def test_active_cores_scale_current(self, core, loop):
-        one = execute_on_cluster(core, loop, active_cores=1)
-        two = execute_on_cluster(core, loop, active_cores=2)
+        one = execute_on_cluster(*core, loop, active_cores=1)
+        two = execute_on_cluster(*core, loop, active_cores=2)
         # same uncore, double the per-core dynamic current
         assert two.load_current.mean() == pytest.approx(
             2 * one.load_current.mean() - one.uncore_current_a, rel=1e-9
@@ -35,34 +32,34 @@ class TestClusterExecution:
 
     def test_invalid_core_count_rejected(self, core, loop):
         with pytest.raises(ValueError):
-            execute_on_cluster(core, loop, active_cores=0)
+            execute_on_cluster(*core, loop, active_cores=0)
 
     def test_phase_offsets_must_match_core_count(self, core, loop):
         with pytest.raises(ValueError):
             execute_on_cluster(
-                core, loop, active_cores=2, phase_offsets=[0]
+                *core, loop, active_cores=2, phase_offsets=[0]
             )
 
     def test_aligned_cores_maximize_swing(self, core, loop):
         """Anti-phase execution smooths the combined current."""
         aligned = execute_on_cluster(
-            core, loop, active_cores=2, phase_offsets=[0, 0]
+            *core, loop, active_cores=2, phase_offsets=[0, 0]
         )
         period = aligned.loop_cycles
         staggered = execute_on_cluster(
-            core, loop, active_cores=2, phase_offsets=[0, period // 2]
+            *core, loop, active_cores=2, phase_offsets=[0, period // 2]
         )
         assert np.ptp(aligned.load_current) >= np.ptp(
             staggered.load_current
         )
 
     def test_metadata_properties(self, core, loop):
-        ex = execute_on_cluster(core, loop, active_cores=2)
-        assert ex.sample_rate_hz == 1.0e9
-        assert ex.loop_period_s == pytest.approx(
-            ex.loop_cycles / 1.0e9
-        )
-        assert ex.loop_frequency_hz == pytest.approx(
-            1.0 / ex.loop_period_s
-        )
+        ex = execute_on_cluster(*core, loop, active_cores=2)
+        # One sample per cycle of one steady iteration; no clock.
+        assert ex.load_current.size == ex.loop_cycles
+        assert ex.active_cores == 2
+        schedule = ex.schedules[0]
+        assert ex.schedules == (schedule, schedule)
+        assert ex.loop_cycles == schedule.cycles
+        assert ex.ipc == schedule.ipc
         assert 0.0 < ex.ipc <= 2.0

@@ -73,3 +73,27 @@ class TestSCLSweep:
         rows = result.rows()
         assert len(rows) == 2
         assert rows[0][0] == 60e6
+
+    def test_sweep_is_one_batch_with_response_at_bits(self, pdn):
+        """One batched solve gives every point the bits of a one-row
+        ``response_at`` call, and folds one grid per frequency."""
+        scl = SyntheticCurrentLoad(amplitude_a=0.8, duty=0.3)
+        solver = pdn.solver(2)
+        freqs = [41.5e6, 60e6, 67e6, 67e6, 93.25e6, 140e6]
+        before = solver.tf_analyses
+        result = scl.sweep(solver, freqs)
+        assert solver.tf_analyses - before == len(freqs)
+        for f, p2p in zip(freqs, result.peak_to_peak_v):
+            assert p2p == scl.response_at(solver, f).peak_to_peak
+
+    @pytest.mark.parametrize("bad", [0.0, -5e6, float("nan"), float("inf")])
+    def test_sweep_refuses_bad_frequency_before_any_solve(self, pdn, bad):
+        solver = pdn.solver(2)
+        before = solver.tf_analyses
+        with pytest.raises(ValueError, match="finite and positive"):
+            SyntheticCurrentLoad().sweep(solver, [60e6, bad, 70e6])
+        assert solver.tf_analyses == before
+
+    def test_empty_sweep(self, pdn):
+        result = SyntheticCurrentLoad().sweep(pdn.solver(2), [])
+        assert result.frequencies_hz.size == result.peak_to_peak_v.size == 0

@@ -79,6 +79,32 @@ class TestScpiErrors:
         with pytest.raises(ScpiError, match="numeric"):
             instrument.write("FREQ:STAR abc")
 
+    @pytest.mark.parametrize(
+        "command, reason",
+        [
+            ("FREQ:STAR 3e8", "stop frequency must exceed start"),
+            ("BAND:RES -5", "RBW must be positive"),
+            ("BAND:RES 0", "RBW must be positive"),
+            ("FREQ:STOP nan", "stop_hz must be finite"),
+        ],
+    )
+    def test_setting_refused_by_analyzer_checks(
+        self, instrument, command, reason
+    ):
+        """A write the analyzer's own checks refuse raises one
+        ScpiError naming the command and leaves every setting as it
+        was, so a later sweep runs on the old span."""
+        a = instrument.analyzer
+        before = (a.start_hz, a.stop_hz, a.rbw_hz)
+        with pytest.raises(ScpiError) as excinfo:
+            instrument.write(command)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert command in message and reason in message
+        assert (a.start_hz, a.stop_hz, a.rbw_hz) == before
+        values = instrument.query("INIT; TRAC?").split(",")
+        assert len(values) == a.bin_centers().size > 100
+
 
 class TestResourceManager:
     def test_register_and_open(self, instrument):

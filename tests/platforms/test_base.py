@@ -11,6 +11,7 @@ from repro.chain import (
 )
 from repro.chain.stages import resolve_request
 from repro.cpu.program import program_from_mnemonics
+from repro.platforms.registry import make_cluster
 
 
 @pytest.fixture
@@ -24,6 +25,29 @@ class TestControls:
         assert a72.clock_hz == 1.18e9
         with pytest.raises(ValueError, match="not reachable"):
             a72.set_clock(1.19e9)
+
+    @pytest.mark.parametrize("name", ["a72", "a53", "amd"])
+    def test_every_allowed_clock_validates(self, name):
+        cluster = make_cluster(name)
+        clocks = cluster.spec.allowed_clocks_hz()
+        for clock in clocks:
+            cluster.validate_clock(clock)
+            # The 1 Hz tolerance holds on both sides of every point.
+            cluster.validate_clock(clock + 0.5)
+            cluster.validate_clock(clock - 0.5)
+        step = cluster.spec.clock_step_hz / 1e6
+        for clock in (clocks[0], clocks[len(clocks) // 2], clocks[-1]):
+            for off_grid in (clock + 1e3, clock - 1e3):
+                message = (
+                    f"{cluster.name}: clock {off_grid / 1e6:.0f} MHz not "
+                    f"reachable; step is {step:.0f} MHz"
+                )
+                with pytest.raises(ValueError) as excinfo:
+                    cluster.validate_clock(off_grid)
+                assert str(excinfo.value) == message
+        for bad in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match="not reachable"):
+                cluster.validate_clock(bad)
 
     def test_allowed_clocks_descend_to_min(self, a72):
         clocks = a72.spec.allowed_clocks_hz()
