@@ -9,6 +9,13 @@ also goes into the active kernel-timing collector as the
 :func:`repro.obs.timing.collect_kernel_timings` block -- e.g. the GA
 engine's per-generation collector -- sees the chain-stage breakdown
 without any extra plumbing.
+
+When the path ends in a :class:`~repro.chain.stages.ReceiveStage`, a
+readout that spans two or more draw blocks gets its noise from a
+:class:`~repro.chain.stages.DrawAhead` thread that ``run`` starts
+right after resolving the request and joins on every exit path, so no
+draw thread outlives the call (forking a worker pool never copies
+one).
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from typing import List, Optional
 
 from repro.chain.session import SimulationSession
 from repro.chain.stages import (
+    ChainBatch,
     CurrentStage,
     ExecuteStage,
     PDNStage,
@@ -81,6 +89,19 @@ class SignalPath:
     ) -> ChainResult:
         """Push one batch through every stage, in request order."""
         batch = resolve_request(request, self.session)
+        # The readout is a chain's last stage; its draws can start now.
+        last = self.stages[-1] if self.stages else None
+        if isinstance(last, ReceiveStage):
+            batch.draws = last.draw_ahead(batch)
+        try:
+            return self._run_stages(request, batch, event_log)
+        finally:
+            if batch.draws is not None:
+                batch.draws.close()
+
+    def _run_stages(
+        self, request: ChainRequest, batch: ChainBatch, event_log: EventLog
+    ) -> ChainResult:
         audit = self.session.audit
         ledger = (
             audit.chain_ledger(self, request)

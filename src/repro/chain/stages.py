@@ -19,11 +19,17 @@ generators, the receive stage only from the analyzer RNG, and both
 consume items in request order -- so per-stream draw sequences match a
 sequential loop even though the stages are batched.  Timing jitter
 draws its tile shifts from a generator of its own seed, so it shares
-no stream at all.
+no stream at all.  A readout of two or more draw blocks takes its
+standard normals from a :class:`DrawAhead` thread, which draws them
+from a clone of the analyzer RNG while the stages before receive run;
+the receive stage then moves the analyzer RNG to the clone's end
+state, so the stream is the one an in-place readout leaves.
 """
 
 from __future__ import annotations
 
+import queue
+import threading
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, Tuple
 
@@ -36,7 +42,18 @@ from repro.cpu.multicore import (
     execute_windows_on_cluster,
 )
 from repro.em.radiation import strongest_lines
-from repro.instruments.spectrum_analyzer import SpectrumTrace, peak_markers
+from repro.instruments.spectrum_analyzer import (
+    ReadoutPlan,
+    SpectrumTrace,
+    peak_markers,
+)
+from repro.obs.timing import kernel_section
+
+#: Drawn blocks a :class:`DrawAhead` thread holds ready at most.  With
+#: the block it is drawing and the block the readout reads, at most
+#: ``DRAW_AHEAD_BLOCKS + 2`` blocks of :data:`DRAW_BLOCK_BYTES
+#: <repro.instruments.spectrum_analyzer.DRAW_BLOCK_BYTES>` are alive.
+DRAW_AHEAD_BLOCKS = 2
 
 
 @dataclass
@@ -56,6 +73,8 @@ class ChainBatch:
     work: List[ItemWork] = field(default_factory=list)
     #: Per-bin signal power of every item, one row each (propagate).
     signal_w: Optional[np.ndarray] = None
+    #: The readout's noise, drawn ahead on a thread (multi-block only).
+    draws: Optional["DrawAhead"] = None
 
     @property
     def cluster(self):
@@ -209,10 +228,10 @@ class CurrentStage:
                 clock_hz=w.result.clock_hz, voltage=w.result.voltage
             )
             trace = w.result.execution.load_current * scale
-            if item.mode == "single" and trace.size < 4:
-                # Degenerate loops (period of 1-3 cycles) are still
-                # periodic; tile them so the spectral solver has a
-                # valid grid.
+            if trace.size < 4:
+                # Degenerate loops and mixes (period of 1-3 cycles) are
+                # still periodic; tile them so the spectral solver has
+                # a valid grid.
                 trace = np.tile(trace, int(np.ceil(4 / trace.size)))
             if item.jitter is not None:
                 trace = _jittered(trace, item.jitter)
@@ -308,6 +327,96 @@ class PropagateStage:
             w.result.signal_w = signal_w
 
 
+class DrawAhead:
+    """A multi-block readout's standard normals, drawn on a thread.
+
+    The thread starts at construction.  It draws the blocks of
+    ``plan`` (:meth:`ReadoutPlan.draw`), in the readout's order, from a
+    clone of ``analyzer.rng`` taken here, and holds at most
+    :data:`DRAW_AHEAD_BLOCKS` of them ready.  The draws depend only on
+    the generator's state and the plan, and numpy fills them without
+    holding the GIL, so they run beside the chain's Python-bound
+    stages.  :meth:`take` hands them to the readout, :meth:`commit`
+    moves ``analyzer.rng`` to the clone's end state, and :meth:`close`
+    stops and joins the thread.  A ``DrawAhead`` lives for one
+    :meth:`SignalPath.run <repro.chain.SignalPath.run>`, which closes
+    it on every exit path; nothing else holds it.
+    """
+
+    def __init__(self, analyzer, plan: ReadoutPlan):
+        self._analyzer = analyzer
+        self._rng = rng = analyzer.rng
+        self._start = rng.bit_generator.state
+        clone = np.random.Generator(type(rng.bit_generator)(0))
+        clone.bit_generator.state = self._start
+        self._clone = clone
+        self._plan = plan
+        self._ready: "queue.Queue" = queue.Queue(maxsize=DRAW_AHEAD_BLOCKS)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=self._draw, name="analyzer-draw-ahead", daemon=True
+        )
+        self._thread.start()
+
+    def _draw(self) -> None:
+        try:
+            for normals in self._plan.draw(self._clone):
+                self._ready.put(normals)
+                # Checked after each hand-over: once close() is called
+                # the thread puts at most the block in hand, which
+                # close()'s drain makes room for, and stops.
+                if self._stop.is_set():
+                    return
+        # Carried to the reader, which re-raises it in the run's thread.
+        except BaseException as exc:  # audit: ignore[R6]
+            self._ready.put(exc)
+
+    def take(self, shape: Tuple[int, int]) -> np.ndarray:
+        """The next block, of ``shape``, as the thread draws it: the
+        readout's block source.  The wait is timed as the
+        ``analyzer.draw_wait`` kernel section; an exception the
+        thread raised is re-raised here, and a block of another shape
+        raises :class:`ValueError`."""
+        with kernel_section("analyzer.draw_wait"):
+            block = self._ready.get()
+        if isinstance(block, BaseException):
+            raise block
+        if block.shape != shape:
+            raise ValueError(
+                f"drawn-ahead block has shape {block.shape}, the "
+                f"readout asked for {shape}"
+            )
+        return block
+
+    def commit(self) -> None:
+        """Move ``analyzer.rng`` to the clone's state after every
+        block, where an in-place readout would leave it.  Call it
+        after the readout took every block.  Raises :class:`RuntimeError`,
+        changing nothing, if the analyzer's generator was replaced or
+        moved after the clone was taken: that draw would be lost."""
+        rng = self._rng
+        if (
+            self._analyzer.rng is not rng
+            or rng.bit_generator.state != self._start
+        ):
+            raise RuntimeError(
+                "analyzer RNG moved while its readout was drawn ahead; "
+                "only the receive stage may draw from it during a "
+                "chain run"
+            )
+        rng.bit_generator.state = self._clone.bit_generator.state
+
+    def close(self) -> None:
+        """Stop the thread and join it; idempotent."""
+        self._stop.set()
+        while True:
+            try:
+                self._ready.get_nowait()
+            except queue.Empty:
+                break
+        self._thread.join()
+
+
 class ReceiveStage:
     """Noisy analyzer readout: amplitude metric and/or displayed trace.
 
@@ -315,8 +424,12 @@ class ReceiveStage:
     It draws from the analyzer RNG in request order -- per item,
     amplitude samples first, then the trace sweep -- matching the draw
     order of a sequential ``max_amplitude`` + ``sweep`` loop bit for
-    bit.  The peak frequency is the trace's banded peak marker, or,
-    without a trace, the strongest emission line in the band.
+    bit.  A readout of two or more blocks reads them from the batch's
+    :class:`DrawAhead` (:meth:`draw_ahead`) and commits its end state;
+    a one-block readout draws in place, as a thread would cost more
+    than it hides.  The peak frequency is the trace's banded peak
+    marker, or, without a trace, the strongest emission line in the
+    band.
     """
 
     name = "receive"
@@ -325,19 +438,47 @@ class ReceiveStage:
     def __init__(self, analyzer):
         self.analyzer = analyzer
 
+    def draw_ahead(self, batch: ChainBatch) -> Optional[DrawAhead]:
+        """A started :class:`DrawAhead` for ``batch``'s readout when it
+        spans two or more blocks, else ``None``."""
+        items = len(batch.work)
+        request = batch.request
+        if items < 2 or not request.want_emission:
+            return None
+        analyzer = self.analyzer
+        try:
+            plan = analyzer.readout_plan(
+                items,
+                analyzer.bin_centers().size,
+                band=request.band,
+                samples=request.samples,
+                amplitude=request.want_amplitude,
+                trace=request.want_trace,
+            )
+        except ValueError:
+            # The readout refuses the request in its own place.
+            return None
+        if plan.blocks < 2:
+            return None
+        return DrawAhead(analyzer, plan)
+
     def run(self, batch: ChainBatch) -> None:
         request = batch.request
         if not (request.want_emission and batch.work):
             return
         results = [w.result for w in batch.work]
         analyzer = self.analyzer
+        draws = batch.draws
         amplitudes, power_dbm = analyzer.readout(
             batch.signal_w,
             band=request.band,
             samples=request.samples,
             amplitude=request.want_amplitude,
             trace=request.want_trace,
+            normals=draws.take if draws is not None else None,
         )
+        if draws is not None:
+            draws.commit()
         if request.want_amplitude:
             for r, amplitude_w in zip(results, amplitudes.tolist()):
                 r.amplitude_w = amplitude_w

@@ -120,6 +120,25 @@ def _extend_periodic(
     return issue
 
 
+def _super_period(starts: np.ndarray, iterations: int) -> Tuple[int, int]:
+    """(iterations, cycles) of the smallest repeating super-period of
+    the iteration lengths between the reference issue cycles
+    ``starts``, one per row."""
+    deltas = np.diff(starts)
+    period = 1
+    # Try every super-period up to iterations // 2 (the largest that
+    # still fits two full repetitions in the observed window), so odd
+    # periods like 5 or 7 are extracted, not silently collapsed to a
+    # wrong 1-iteration period.
+    for candidate in range(1, iterations // 2 + 1):
+        if deltas.size >= 2 * candidate and np.array_equal(
+            deltas[-candidate:], deltas[-2 * candidate:-candidate]
+        ):
+            period = candidate
+            break
+    return period, int(starts[-1] - starts[-1 - period])
+
+
 class Pipeline:
     """Base scheduler shared by the in-order and out-of-order models."""
 
@@ -340,22 +359,20 @@ class Pipeline:
         machine state repeats, and fills the later rows by shifting
         earlier ones; those rows are exactly what full simulation gives,
         so the extracted schedule is unchanged.
+
+        Iterations are measured from body instruction 0's issue cycles.
+        The ROB check reads only the instruction ``rob_size`` older, so
+        an independent first instruction can run ahead of a long
+        non-pipelined op without bound and repeat its issue cycle; when
+        that gives no positive period, each row's latest issue cycle,
+        which still advances by the loop's period, is the reference.
         """
         issue = self.execute(program, iterations)
         starts = issue[:, 0]
-        deltas = np.diff(starts)
-        period = 1
-        # Try every super-period up to iterations // 2 (the largest that
-        # still fits two full repetitions in the observed window), so
-        # odd periods like 5 or 7 are extracted, not silently collapsed
-        # to a wrong 1-iteration period.
-        for candidate in range(1, iterations // 2 + 1):
-            if deltas.size >= 2 * candidate and np.array_equal(
-                deltas[-candidate:], deltas[-2 * candidate:-candidate]
-            ):
-                period = candidate
-                break
-        cycles = int(starts[-1] - starts[-1 - period])
+        period, cycles = _super_period(starts, iterations)
+        if cycles <= 0:
+            starts = issue.max(axis=1)
+            period, cycles = _super_period(starts, iterations)
         if cycles <= 0:
             raise RuntimeError("degenerate schedule: loop has zero period")
         base = starts[-1 - period]

@@ -13,7 +13,10 @@ reference in ``tests/instruments/analyzer_reference.py``):
 within :data:`RBW_REACH_SIGMAS` of each line, for the lines of every
 item together, and :meth:`SpectrumAnalyzer.readout` draws the noise of
 a chunk of items as one block, converting the RMS-of-N draws to watts
-only in the bins where some sweep's maximum can land.  The one-item
+only in the bins where some sweep's maximum can land.  The blocks
+follow one :class:`ReadoutPlan`, so a caller can draw them elsewhere
+(the measurement chain draws a multi-block readout's blocks on a
+thread while its earlier stages run) and hand them over.  The one-item
 methods (:meth:`~SpectrumAnalyzer.received_power_w`,
 :meth:`~SpectrumAnalyzer.max_amplitude_from_power`,
 :meth:`~SpectrumAnalyzer.trace_from_power` and the helpers built on
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,6 +124,42 @@ def peak_markers(
         frequencies_hz, power_dbm = frequencies_hz[mask], power_dbm[:, mask]
     idx = np.argmax(power_dbm, axis=1)
     return frequencies_hz[idx], power_dbm[np.arange(idx.size), idx]
+
+
+class ReadoutPlan(NamedTuple):
+    """How :meth:`SpectrumAnalyzer.readout` draws a request's noise:
+    the band's bins, the standard normals each item takes and the
+    items each block holds (:meth:`SpectrumAnalyzer.readout_plan`).
+
+    The readout draws ``(items in block, draws)`` standard normals
+    per block, ``chunk`` items at a time in item order; :meth:`draw`
+    gives the same blocks from another generator, for a thread that
+    draws them ahead.
+    """
+
+    items: int
+    #: The band's bins, one run of the span (``None``: no band), and
+    #: their count.
+    in_band: Optional[slice]
+    banded: int
+    #: Per item: the amplitude sweeps' draws, then the trace's.
+    band_draws: int
+    draws: int
+    #: Items per block, as many as fit in :data:`DRAW_BLOCK_BYTES`
+    #: (at least one).
+    chunk: int
+
+    @property
+    def blocks(self) -> int:
+        """Blocks the readout draws (0 when it draws nothing)."""
+        return -(-self.items // self.chunk) if self.draws else 0
+
+    def draw(self, rng: np.random.Generator) -> Iterator[np.ndarray]:
+        """Every block's standard normals from ``rng``, in the
+        readout's order, one block per step."""
+        items, chunk, draws = self.items, self.chunk, self.draws
+        for lo in range(0, items if draws else 0, chunk):
+            yield rng.standard_normal((min(lo + chunk, items) - lo, draws))
 
 
 @dataclass
@@ -311,6 +350,37 @@ class SpectrumAnalyzer:
             bins = int(self.band_mask(band).sum())
         return bins * self.dwell_s_per_bin
 
+    def readout_plan(
+        self,
+        items: int,
+        bins: int,
+        band: Optional[Sequence[float]] = None,
+        samples: int = 30,
+        amplitude: bool = True,
+        trace: bool = True,
+    ) -> ReadoutPlan:
+        """The :class:`ReadoutPlan` of a :meth:`readout` of ``items``
+        rows of ``bins`` bins.  Raises :class:`ValueError` for
+        ``samples`` below 1 with ``amplitude``, and for a bad band
+        (:meth:`band_mask`) or one holding no bin."""
+        if amplitude and samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        in_band = None
+        banded = 0
+        if amplitude or band is not None:
+            band = band or (self.start_hz, self.stop_hz)
+            mask = self.band_mask(band)
+            if not mask.any():
+                raise ValueError(f"no bins inside band {band}")
+            # The bin centers rise, so the band's bins are one run.
+            banded = int(mask.sum())
+            first = int(np.argmax(mask))
+            in_band = slice(first, first + banded)
+        band_draws = samples * banded if amplitude else 0
+        draws = band_draws + (bins if trace else 0)
+        chunk = max(1, DRAW_BLOCK_BYTES // (8 * max(draws, 1)))
+        return ReadoutPlan(items, in_band, banded, band_draws, draws, chunk)
+
     @timed_kernel("analyzer.readout")
     def readout(
         self,
@@ -319,6 +389,7 @@ class SpectrumAnalyzer:
         samples: int = 30,
         amplitude: bool = True,
         trace: bool = True,
+        normals: Optional[Callable[[Tuple[int, int]], np.ndarray]] = None,
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """Noisy readout of every row of ``signal_w`` (per-bin signal
         power, one item per row): ``(amplitudes_w, power_dbm)``.
@@ -336,7 +407,12 @@ class SpectrumAnalyzer:
         so one ``(items, draws)`` block holds the same values, and
         leaves the same RNG state, as those draws one sweep at a time;
         a pass draws such a block for as many items as fit in
-        :data:`DRAW_BLOCK_BYTES`.
+        :data:`DRAW_BLOCK_BYTES` (:meth:`readout_plan`).  The block
+        source is ``normals(shape)``, called once per pass in item
+        order; it defaults to ``rng.standard_normal``.  A source that
+        hands over the blocks :meth:`ReadoutPlan.draw` gave from a
+        generator in the state of :attr:`rng` gives the same bits, and
+        leaves :attr:`rng` where it was.
 
         Only the band bins where some sweep's maximum can land are
         converted to watts
@@ -353,39 +429,27 @@ class SpectrumAnalyzer:
         """
         signal_w = np.asarray(signal_w, dtype=float)
         items, bins = signal_w.shape
-        if amplitude and samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-        band_draws = banded = 0
-        if amplitude or band is not None:
-            # A bad band is refused before anything is drawn.
-            band = band or (self.start_hz, self.stop_hz)
-            mask = self.band_mask(band)
-            if not mask.any():
-                raise ValueError(f"no bins inside band {band}")
-            # The bin centers rise, so the band's bins are one run.
-            banded = int(mask.sum())
-            first = int(np.argmax(mask))
-            in_band = slice(first, first + banded)
-        if amplitude:
-            band_draws = samples * banded
-        draws = band_draws + (bins if trace else 0)
+        # A bad band is refused before anything is drawn.
+        plan = self.readout_plan(items, bins, band, samples, amplitude, trace)
         amplitudes = np.empty(items) if amplitude else None
         power_dbm = np.empty((items, bins)) if trace else None
-        if draws == 0:
+        if plan.draws == 0:
             return amplitudes, power_dbm
         noise_w = self.environment.noise_w
-        chunk = max(1, DRAW_BLOCK_BYTES // (8 * draws))
+        _, in_band, banded, band_draws, draws, chunk = plan
+        if normals is None:
+            normals = self.rng.standard_normal
         for lo in range(0, items, chunk):
             hi = min(lo + chunk, items)
-            normals = self.rng.standard_normal((hi - lo, draws))
+            block = normals((hi - lo, draws))
             if amplitude:
                 amplitudes[lo:hi] = self._band_maxima_rms(
                     signal_w[lo:hi, in_band],
-                    normals[:, :band_draws].reshape(hi - lo, samples, banded),
+                    block[:, :band_draws].reshape(hi - lo, samples, banded),
                 )
             if trace:
                 power_dbm[lo:hi] = watts_to_dbm(
-                    signal_w[lo:hi] + noise_w(normals[:, band_draws:])
+                    signal_w[lo:hi] + noise_w(block[:, band_draws:])
                 )
         # A banded measurement only dwells on the requested bins: the
         # same bits as ``samples * self.sweep_time_s(band)``.

@@ -28,7 +28,7 @@ from repro.ga.fitness import (
 from repro.instruments.spectrum_analyzer import SpectrumAnalyzer
 from repro.obs.context import RunContext
 from repro.obs.events import EventLog, MemorySink
-from repro.obs.timing import active_kernel_timings
+from repro.obs.timing import active_kernel_timings, collect_kernel_timings
 from repro.pdn.steady_state import SteadyStateSolver
 from repro.workloads.loops import high_low_program
 
@@ -356,6 +356,38 @@ class TestGAGenerationEquivalence:
             # The analyzer's batch kernels time themselves.
             assert "analyzer.propagate" in timings
             assert "analyzer.readout" in timings
+
+    def test_generation_end_times_the_draw_waits(self, a53):
+        """At 30 samples a readout holds two items per draw block, so a
+        generation with three or more fresh genomes reads its noise
+        from a draw thread and times each block's wait; a one-block
+        readout draws in place and records no wait."""
+        sink = MemorySink()
+        fitness = ClusterFitness(
+            EMAmplitudeFitness(
+                analyzer=SpectrumAnalyzer(rng=np.random.default_rng(2)),
+                samples=30,
+            ),
+            a53,
+        )
+        GAEngine(fitness, config=self._config()).run(
+            a53.spec.isa, event_log=EventLog([sink])
+        )
+        records = sink.events("generation_end")
+        assert records[0]["fresh_evaluations"] == 6
+        for record in records:
+            blocks = -(-record["fresh_evaluations"] // 2)
+            waits = record["kernel_timings"].get("analyzer.draw_wait")
+            if blocks >= 2:
+                assert waits["calls"] == blocks
+            else:
+                assert waits is None
+        with collect_kernel_timings() as timings:
+            fresh_characterizer(samples=30).measure_batch(
+                a53, [high_low_program(a53.spec.isa)] * 2
+            )
+        assert "analyzer.readout" in timings.calls
+        assert "analyzer.draw_wait" not in timings.calls
 
     def test_generation_end_times_each_ac_analysis(self, monkeypatch):
         """Every counted analysis is folded inside a timed ``pdn.ac``

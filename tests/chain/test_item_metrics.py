@@ -25,7 +25,7 @@ from tests.chain.legacy_reference import (
 )
 from tests.chain.test_mixed_nondeterministic import memory_heavy_program
 
-MODES = ["single", "phase-offset", "mixed", "cache-miss"]
+MODES = ["single", "phase-offset", "mixed", "short-mix", "cache-miss"]
 
 
 def item_and_reference(mode, cluster):
@@ -46,6 +46,11 @@ def item_and_reference(mode, cluster):
             cluster.spec.isa, ["fadd"] * 6 + ["fsqrt"]
         )
         return ChainItem(programs=[hilo, fp_loop]), None
+    if mode == "short-mix":
+        # A 1-cycle composite period: its trace is tiled to the
+        # solver's 4-sample minimum, as a single item's is.
+        add = program_from_mnemonics(cluster.spec.isa, ["add"])
+        return ChainItem(programs=[add, add]), None
     program = memory_heavy_program(cluster)
     cache = CacheModel(l1_slots=64)
     return (
@@ -87,7 +92,7 @@ def test_every_item_mode_reports_its_run_metrics(a72, mode):
     assert measurement.loop_frequency_hz == run.loop_frequency_hz
     assert execution.active_cores == run.active_cores
 
-    if mode == "mixed":
+    if mode in ("mixed", "short-mix"):
         # The composite period, and the mean of the per-core IPCs.
         assert execution.loop_cycles == execution.load_current.size
         assert execution.ipc == sum(s.ipc for s in execution.schedules) / 2

@@ -175,3 +175,25 @@ class TestSteadyState:
         # One electrical period covers the 5-iteration pattern.
         assert schedule.cycles == sum(pattern)
         assert len(schedule.program.body) == 5 * len(program.body)
+
+    def test_first_instruction_running_ahead_keeps_the_period(self):
+        """Regression: an independent first instruction that runs ahead
+        of a 24-cycle ``divss`` repeats its issue cycle (0, 0, 1, 1, 1,
+        2, ...), so its start deltas gave no positive period and
+        ``steady_schedule`` raised ``degenerate schedule``.  Each row's
+        latest issue advances 24 cycles per iteration."""
+        from repro.cpu.program import random_program
+        from repro.platforms import registry
+
+        amd = registry.make_cluster("amd")
+        program = random_program(
+            amd.spec.isa, 3, np.random.default_rng(4735)
+        )
+        assert [i.spec.mnemonic for i in program.body] == [
+            "add_rr", "mulss", "divss",
+        ]
+        issue = amd.pipeline.execute(program, 16)
+        assert np.diff(issue[-3:, 0]).min() <= 0
+        assert amd.pipeline.steady_schedule(program).cycles == 24
+        run = amd.run(program)
+        assert run.loop_frequency_hz == amd.clock_hz / 24

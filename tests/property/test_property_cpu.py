@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cpu.arm import ARM_ISA
 from repro.cpu.current import CurrentModel
@@ -109,6 +109,24 @@ def test_steady_schedule_exists_for_any_program(seed, length):
     schedule = InOrderPipeline(width=2).steady_schedule(program)
     assert schedule.cycles >= 1
     assert 0.0 < schedule.ipc <= 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    platform=st.sampled_from(PLATFORMS),
+    seed=program_seeds,
+    length=st.integers(min_value=1, max_value=60),
+)
+@example(platform="amd", seed=4735, length=3)
+def test_platform_steady_schedule_has_a_positive_period(
+    platform, seed, length
+):
+    """Every platform's own pipeline finds a positive period for any
+    program, also when an independent first instruction runs ahead of
+    a long non-pipelined op out of order."""
+    pipeline, isa = platform_core(platform)
+    program = random_program(isa, length, np.random.default_rng(seed))
+    assert pipeline.steady_schedule(program).cycles > 0
 
 
 @settings(max_examples=30, deadline=None)
