@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cpu.multicore import ClusterExecution, execute_on_cluster
+from repro.cpu.multicore import ClusterExecution, execute_batch_on_cluster
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pdn.steady_state import PeriodicResponse
@@ -111,42 +111,96 @@ class SimulationSession:
         iterations: int = 16,
         phase_offsets: Optional[Sequence[int]] = None,
     ) -> ClusterExecution:
-        """Steady-state execution of ``program`` on ``active_cores``.
+        """Steady-state execution of ``program`` on ``active_cores``:
+        the one-row call of :meth:`executions`."""
+        return self.executions(
+            cluster, ((program, active_cores, iterations, phase_offsets),)
+        )[0]
+
+    def executions(
+        self,
+        cluster: "Cluster",
+        items: Sequence[
+            Tuple["LoopProgram", int, int, Optional[Sequence[int]]]
+        ],
+    ) -> List[ClusterExecution]:
+        """Steady-state executions, one per
+        ``(program, active_cores, iterations, phase_offsets)`` item.
 
         The record is clock-free (schedules are in cycles, the current
         in amperes per cycle), so one cached execution serves every
         operating point of a sweep as it is; phase offsets are part of
-        the key.
+        the key.  Keys are looked up in request order, with a missed
+        key taking its cache slot at once, so the hit and miss counts,
+        the FIFO evictions and the audited hits are those of one lookup
+        per item.  All misses then run in one
+        :func:`~repro.cpu.multicore.execute_batch_on_cluster` call.
         """
-
-        def execute():
-            return execute_on_cluster(
-                cluster.pipeline,
-                cluster.spec.current_model,
-                program,
-                active_cores=active_cores,
-                phase_offsets=phase_offsets,
-                uncore_current_a=cluster.spec.uncore_current_a,
-                iterations=iterations,
+        cache = self._executions
+        stats = self.stats
+        audit = self.audit
+        uid = cluster.uid
+        found: List = []
+        missed: List = []
+        hits: List = []
+        for item in items:
+            program, active, iterations, offsets = item
+            key = (
+                uid,
+                program.genome(),
+                active,
+                iterations,
+                None if offsets is None else tuple(offsets),
             )
+            execution = cache.get(key)
+            if execution is None:
+                stats.execute_misses += 1
+                # A cell the batch fills; later items of this request
+                # at the same key hit it.
+                execution = [None]
+                missed.append((key, execution, item))
+                self._bounded_put(cache, key, execution, MAX_EXECUTIONS)
+            else:
+                stats.execute_hits += 1
+                if audit is not None:
+                    hits.append((key, len(found), item))
+            found.append(execution)
+        if missed:
+            self._execute_missed(cluster, missed)
+            found = [e[0] if type(e) is list else e for e in found]
+        for key, i, item in hits:
+            audit.check_hit(
+                "executions",
+                key,
+                found[i],
+                lambda job=item: self._execute(cluster, [job])[0],
+            )
+        return found
 
-        key = (
-            cluster.uid,
-            program.genome(),
-            active_cores,
-            iterations,
-            None if phase_offsets is None else tuple(phase_offsets),
+    @staticmethod
+    def _execute(cluster: "Cluster", jobs: Sequence) -> List[ClusterExecution]:
+        return execute_batch_on_cluster(
+            cluster.pipeline,
+            cluster.spec.current_model,
+            jobs,
+            uncore_current_a=cluster.spec.uncore_current_a,
         )
-        cached = self._executions.get(key)
-        if cached is None:
-            self.stats.execute_misses += 1
-            cached = execute()
-            self._bounded_put(self._executions, key, cached, MAX_EXECUTIONS)
-        else:
-            self.stats.execute_hits += 1
-            if self.audit is not None:
-                self.audit.check_hit("executions", key, cached, execute)
-        return cached
+
+    def _execute_missed(self, cluster: "Cluster", missed: List) -> None:
+        """Fill the cells of :meth:`executions`' misses with one batch
+        call, and put each execution in its cell's cache slot."""
+        cache = self._executions
+        try:
+            done = self._execute(cluster, [job for _, _, job in missed])
+            for (key, cell, _), execution in zip(missed, done):
+                cell[0] = execution
+                if cache.get(key) is cell:
+                    cache[key] = execution
+        finally:
+            # A batch that raised leaves none of its cells behind.
+            for key, cell, _ in missed:
+                if cache.get(key) is cell:
+                    del cache[key]
 
     # ------------------------------------------------------------------
     # pdn stage: transfer-function grids hoisted out of the solver

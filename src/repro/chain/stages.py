@@ -5,15 +5,17 @@ Each stage transforms every item of a batch in request order:
     execute -> current -> pdn-steady-state -> radiate -> propagate -> receive
 
 Every run of a program goes through these stages: ``Cluster.run`` is a
-response-only chain call (execute -> current -> pdn).  The pdn,
-propagate and receive stages each make one batch-kernel call per
-request (:meth:`SimulationSession.pdn_responses`,
+response-only chain call (execute -> current -> pdn).  The execute,
+pdn, propagate and receive stages each make one batch-kernel call per
+request (:meth:`SimulationSession.executions` for single and
+phase-offset items, :meth:`SimulationSession.pdn_responses`,
 :meth:`SpectrumAnalyzer.spread_lines`,
 :meth:`SpectrumAnalyzer.readout`), which work array-at-a-time and
 give every item the bits it gets alone; the per-call helpers
-(``SimulationSession.pdn_solve``, ``SpectrumAnalyzer.max_amplitude`` /
-``sweep``) are one-row calls of the same kernels, so batched results
-are bit-identical to a per-call loop whatever the batch holds.  RNG
+(``SimulationSession.execution``, ``SimulationSession.pdn_solve``,
+``SpectrumAnalyzer.max_amplitude`` / ``sweep``) are one-row calls of
+the same kernels, so batched results are bit-identical to a per-call
+loop whatever the batch holds.  RNG
 discipline: the execute stage draws only from per-item ``memory_rng``
 generators, the receive stage only from the analyzer RNG, and both
 consume items in request order -- so per-stream draw sequences match a
@@ -165,11 +167,12 @@ class ExecuteStage:
     :class:`~repro.cpu.multicore.ClusterExecution` through
     :mod:`repro.cpu.multicore`.  Single-program items, with or without
     phase offsets, come from the session cache (schedule and
-    amperes-per-cycle are operating-point independent), so a V_MIN
-    ladder schedules its program once, not once per voltage step.
-    Mixed items are computed fresh.  Cache-miss items are computed
-    fresh too: each active core draws one execution window from the
-    item's ``memory_rng``, in core order.
+    amperes-per-cycle are operating-point independent) in one
+    :meth:`SimulationSession.executions` call, which runs the request's
+    misses together; so a V_MIN ladder schedules its program once, not
+    once per voltage step.  Mixed items are computed fresh.  Cache-miss
+    items are computed fresh too: each active core draws one execution
+    window from the item's ``memory_rng``, in core order.
     """
 
     name = "execute"
@@ -177,40 +180,44 @@ class ExecuteStage:
 
     def run(self, batch: ChainBatch) -> None:
         cluster = batch.cluster
-        pipeline = cluster.pipeline
-        model = cluster.spec.current_model
-        uncore = cluster.spec.uncore_current_a
+        spec = cluster.spec
+        cached, jobs = [], []
         for w in batch.work:
-            item = w.result.item
+            result = w.result
+            item = result.item
             mode = item.mode
-            if mode == "mixed":
-                execution = execute_mixed_on_cluster(
-                    pipeline,
-                    model,
-                    item.programs,
-                    uncore_current_a=uncore,
-                    iterations=item.iterations,
+            if mode == "single":
+                cached.append(result)
+                jobs.append(
+                    (
+                        item.program,
+                        result.active_cores,
+                        item.iterations,
+                        item.phase_offsets,
+                    )
                 )
-            elif mode == "nondeterministic":
-                execution = execute_windows_on_cluster(
-                    pipeline,
-                    model,
-                    item.program,
-                    active_cores=w.result.active_cores,
-                    cache=item.cache_model,
-                    memory_rng=item.memory_rng,
-                    uncore_current_a=uncore,
+            elif mode == "mixed":
+                result.execution = execute_mixed_on_cluster(
+                    cluster.pipeline,
+                    spec.current_model,
+                    item.programs,
+                    uncore_current_a=spec.uncore_current_a,
                     iterations=item.iterations,
                 )
             else:
-                execution = batch.session.execution(
-                    cluster,
+                result.execution = execute_windows_on_cluster(
+                    cluster.pipeline,
+                    spec.current_model,
                     item.program,
-                    active_cores=w.result.active_cores,
+                    active_cores=result.active_cores,
+                    cache=item.cache_model,
+                    memory_rng=item.memory_rng,
+                    uncore_current_a=spec.uncore_current_a,
                     iterations=item.iterations,
-                    phase_offsets=item.phase_offsets,
                 )
-            w.result.execution = execution
+        executions = batch.session.executions(cluster, jobs)
+        for result, execution in zip(cached, executions):
+            result.execution = execution
 
 
 class CurrentStage:

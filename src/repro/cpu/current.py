@@ -13,21 +13,27 @@ The trace covers exactly one steady-state loop iteration and wraps
 charge that spills past the iteration boundary back to the start, so
 tiling the trace reproduces the true periodic waveform.
 
-The production :meth:`CurrentModel.trace` / ``window_trace`` deposit
-every charge packet with a single ``np.add.at`` scatter over the packed
-per-program arrays (:meth:`repro.cpu.program.LoopProgram.static_arrays`)
-and smooth with a circular convolution; the per-instruction
-formulation they are checked against is in
-``tests/cpu/current_reference.py``.
+The production :meth:`CurrentModel.traces` renders a whole batch of
+schedules at once: one ``np.add.at`` scatter deposits every energy
+packet of every schedule into one flat array, a second one every
+front-end packet, and one convolution over the concatenated wrap-padded
+traces smooths them all.  Each cell receives its own schedule's packets
+in the per-schedule order, so every trace has the bits it gets alone;
+:meth:`CurrentModel.trace` is the one-row call.  The charge packets
+come from :func:`repro.cpu.program.charge_packets`, which
+``window_trace`` uses too.  The per-instruction formulation they are
+checked against is in ``tests/cpu/current_reference.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.cpu.pipeline import Schedule
+from repro.cpu.program import charge_packets
 from repro.obs.timing import timed_kernel
 
 
@@ -52,39 +58,80 @@ class CurrentModel:
     frontend_energy: float = 0.25
     smoothing_cycles: int = 4
 
-    @timed_kernel("cpu.current.trace")
     def trace(self, schedule: Schedule) -> np.ndarray:
-        """Per-cycle current (amperes) over one steady loop iteration."""
-        cycles = schedule.cycles
-        st = schedule.program.static_arrays()
-        k = self.amps_per_energy
-        t0 = np.asarray(schedule.issue_offsets, dtype=np.int64)
-        trace = np.full(cycles, self.base_current_a, dtype=float)
-        # Energy packets: every instruction deposits energy/duration
-        # over its `recip_throughput` cycles, wrapped into the period.
-        idx = (np.repeat(t0, st.recip_arr) + st.deposit_offsets) % cycles
-        np.add.at(trace, idx, np.repeat(st.per_cycle_energy, st.recip_arr) * k)
-        # Front-end packet at each issue cycle.
-        np.add.at(
-            trace,
-            t0 % cycles,
-            np.full(t0.size, self.frontend_energy * k),
-        )
-        return self._smooth(trace)
+        """Per-cycle current (amperes) over one steady loop iteration:
+        the one-row call of :meth:`traces`."""
+        return self.traces([schedule])[0]
 
-    def _smooth(self, trace: np.ndarray) -> np.ndarray:
+    @timed_kernel("cpu.current.trace")
+    def traces(self, schedules: Sequence[Schedule]) -> List[np.ndarray]:
+        """Per-cycle current (amperes) over one steady loop iteration of
+        each schedule, as views into one array.
+
+        Every instruction deposits energy/duration over its
+        ``recip_throughput`` cycles after issue, and a front-end packet
+        at its issue cycle, each wrapped into its own schedule's period.
+        """
+        if not schedules:
+            return []
+        k = self.amps_per_energy
+        cycles = np.array([s.cycles for s in schedules], dtype=np.int64)
+        bases = np.cumsum(cycles) - cycles
+        sizes = [len(s.program) for s in schedules]
+        t0 = np.concatenate(
+            [np.asarray(s.issue_offsets, dtype=np.int64) for s in schedules]
+        )
+        period = np.repeat(cycles, sizes)
+        base = np.repeat(bases, sizes)
+        recip, per_cycle_energy, offsets = charge_packets(
+            [s.program for s in schedules]
+        )
+        flat = np.full(int(cycles.sum()), self.base_current_a, dtype=float)
+        # Energy packets of every schedule, then every front-end packet:
+        # each cycle gets its own schedule's packets in the order a
+        # one-schedule deposit adds them.
+        idx = (np.repeat(t0, recip) + offsets) % np.repeat(period, recip)
+        np.add.at(
+            flat,
+            idx + np.repeat(base, recip),
+            np.repeat(per_cycle_energy, recip) * k,
+        )
+        np.add.at(flat, t0 % period + base, self.frontend_energy * k)
+        return self._smooth(flat, cycles, bases)
+
+    def _smooth(
+        self, flat: np.ndarray, cycles: np.ndarray, bases: np.ndarray
+    ) -> List[np.ndarray]:
         """Charge smoothing over a few cycles (pipeline overlap + local
         decoupling): single-cycle spikes are averaged away while
         multi-cycle high/low alternation -- the structure a dI/dt virus
-        is built from -- passes through nearly unattenuated."""
+        is built from -- passes through nearly unattenuated.
+
+        ``flat`` holds traces of ``cycles`` samples starting at
+        ``bases``; returns each trace smoothed.  Traces shorter than 2
+        samples are returned as they are.
+        """
         w = self.smoothing_cycles
-        if w <= 1 or trace.size < 2:
-            return trace
-        # Circular moving average via one valid-mode convolution over a
-        # wrap-padded copy; `np.take(..., mode="wrap")` keeps traces
-        # shorter than the window correct.
-        pad = np.take(trace, np.arange(-(w - 1), trace.size), mode="wrap")
-        return np.convolve(pad, np.ones(w), mode="valid") / w
+        spans = list(zip(bases.tolist(), cycles.tolist()))
+        if w <= 1:
+            return [flat[b:b + n] for b, n in spans]
+        # Circular moving average via one valid-mode convolution over
+        # the concatenated wrap-padded traces, each led by its own last
+        # w - 1 samples; the wrap keeps traces shorter than the window
+        # correct.  Outputs whose window spans two traces are not read.
+        padded = cycles + (w - 1)
+        starts = np.cumsum(padded) - padded
+        local = np.arange(int(padded.sum())) - np.repeat(
+            starts + (w - 1), padded
+        )
+        pad = flat[
+            np.repeat(bases, padded) + local % np.repeat(cycles, padded)
+        ]
+        smoothed = np.convolve(pad, np.ones(w), mode="valid") / w
+        return [
+            smoothed[start:start + n] if n >= 2 else flat[b:b + n]
+            for start, (b, n) in zip(starts.tolist(), spans)
+        ]
 
     def mean_current(self, schedule: Schedule) -> float:
         return float(np.mean(self.trace(schedule)))
@@ -100,18 +147,19 @@ class CurrentModel:
         that would overrun the window end are truncated.
         """
         cycles = windowed.cycles
-        st = windowed.program.static_arrays()
+        recip, per_cycle_energy, offsets = charge_packets([windowed.program])
         k = self.amps_per_energy
         iterations = windowed.iterations
         t0 = windowed.issue.reshape(-1).astype(np.int64)
-        reps = np.tile(st.recip_arr, iterations)
-        idx = np.repeat(t0, reps) + np.tile(st.deposit_offsets, iterations)
-        vals = np.tile(np.repeat(st.per_cycle_energy, st.recip_arr) * k,
-                       iterations)
+        reps = np.tile(recip, iterations)
+        idx = np.repeat(t0, reps) + np.tile(offsets, iterations)
+        vals = np.tile(np.repeat(per_cycle_energy, recip) * k, iterations)
         keep = idx < cycles
         trace = np.full(cycles, self.base_current_a, dtype=float)
         np.add.at(trace, idx[keep], vals[keep])
         np.add.at(
             trace, t0, np.full(t0.size, self.frontend_energy * k)
         )
-        return self._smooth(trace)
+        return self._smooth(
+            trace, np.array([cycles]), np.zeros(1, dtype=np.int64)
+        )[0]

@@ -19,7 +19,7 @@ Power-gated cores contribute nothing here; their electrical effect
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,33 +70,74 @@ def execute_on_cluster(
     uncore_current_a: float = 0.1,
     iterations: int = 16,
 ) -> ClusterExecution:
-    """Run ``program`` on ``active_cores`` identical cores.
+    """Run ``program`` on ``active_cores`` identical cores: the one-row
+    call of :func:`execute_batch_on_cluster`.
 
     ``phase_offsets`` gives each core's start offset in cycles (default:
     all aligned).  The combined trace is the sum of circularly-shifted
     per-core traces plus a constant uncore draw.
     """
-    if active_cores < 1:
-        raise ValueError("active_cores must be >= 1")
-    offsets = list(phase_offsets) if phase_offsets is not None else [0] * (
-        active_cores
-    )
-    if len(offsets) != active_cores:
-        raise ValueError("need one phase offset per active core")
-
-    schedule = pipeline.steady_schedule(program, iterations)
-    trace = current_model.trace(schedule)
-    combined = np.zeros_like(trace)
-    for off in offsets:
-        combined += np.roll(trace, off % len(trace))
-    combined += uncore_current_a
-    return ClusterExecution(
-        load_current=combined,
-        loop_cycles=schedule.cycles,
-        ipc=schedule.ipc,
+    return execute_batch_on_cluster(
+        pipeline,
+        current_model,
+        [(program, active_cores, iterations, phase_offsets)],
         uncore_current_a=uncore_current_a,
-        schedules=(schedule,) * active_cores,
-    )
+    )[0]
+
+
+def execute_batch_on_cluster(
+    pipeline: Pipeline,
+    current_model: CurrentModel,
+    jobs: Sequence[
+        Tuple[LoopProgram, int, int, Optional[Sequence[int]]]
+    ],
+    uncore_current_a: float = 0.1,
+) -> List[ClusterExecution]:
+    """Run each ``(program, active_cores, iterations, phase_offsets)``
+    job on its identical cores, one execution per job.
+
+    Each program is scheduled on its own; every trace then comes from
+    one :meth:`CurrentModel.traces` call.  A core at shift 0 adds the
+    trace itself, and only a nonzero phase offset rolls a copy, so each
+    job gets the bits it gets alone, whatever the batch holds.
+    """
+    core_offsets = []
+    for _, active_cores, _, phase_offsets in jobs:
+        if active_cores < 1:
+            raise ValueError("active_cores must be >= 1")
+        offsets = (
+            list(phase_offsets) if phase_offsets is not None
+            else [0] * active_cores
+        )
+        if len(offsets) != active_cores:
+            raise ValueError("need one phase offset per active core")
+        core_offsets.append(offsets)
+    schedules = [
+        pipeline.steady_schedule(program, iterations)
+        for program, _, iterations, _ in jobs
+    ]
+    executions = []
+    for schedule, trace, offsets in zip(
+        schedules, current_model.traces(schedules), core_offsets
+    ):
+        shifts = [off % trace.size for off in offsets]
+        cores = [np.roll(trace, s) if s else trace for s in shifts]
+        # The cores in order, then the uncore draw: the sum a zeroed
+        # rail accumulates.
+        combined = cores[0].copy()
+        for core in cores[1:]:
+            combined += core
+        combined += uncore_current_a
+        executions.append(
+            ClusterExecution(
+                load_current=combined,
+                loop_cycles=schedule.cycles,
+                ipc=schedule.ipc,
+                uncore_current_a=uncore_current_a,
+                schedules=(schedule,) * len(cores),
+            )
+        )
+    return executions
 
 
 def execute_mixed_on_cluster(
@@ -122,7 +163,7 @@ def execute_mixed_on_cluster(
     schedules = tuple(
         pipeline.steady_schedule(p, iterations) for p in programs
     )
-    traces = [current_model.trace(s) for s in schedules]
+    traces = current_model.traces(schedules)
     period = _lcm_capped([t.size for t in traces], period_cap_cycles)
     combined = np.full(period, uncore_current_a, dtype=float)
     for trace in traces:

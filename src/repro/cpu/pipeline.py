@@ -108,16 +108,16 @@ def _extend_periodic(
     """The ``(iterations, n_body)`` issue array from the rows simulated
     so far, given that the boundary after them repeats boundary
     ``repeat_of`` ``shift`` cycles later: every later row is the row one
-    repeat period earlier plus ``shift``."""
+    repeat period earlier plus ``shift``, so row ``repeat_of + m`` is
+    row ``repeat_of + m % period`` plus ``m // period`` shifts, and the
+    rows after the simulated ones are one gather."""
     done = len(issue_flat) // n_body
-    issue = np.empty((iterations, n_body), dtype=np.int64)
-    issue[:done] = np.array(issue_flat, dtype=np.int64).reshape(
-        done, n_body
-    )
+    simulated = np.array(issue_flat, dtype=np.int64).reshape(done, n_body)
     period = done - repeat_of
-    for row in range(done, iterations):
-        issue[row] = issue[row - period] + shift
-    return issue
+    m = np.arange(period, iterations - repeat_of)
+    tail = simulated[repeat_of + m % period]
+    tail += (m // period * shift)[:, None]
+    return np.concatenate([simulated, tail])
 
 
 def _super_period(starts: np.ndarray, iterations: int) -> Tuple[int, int]:
@@ -181,7 +181,11 @@ class Pipeline:
         (sorted: the first-minimum pick decides which instance is
         reserved, never the issue cycle), the issue-slot counts from
         ``f`` to the largest issue cycle so far and, out of order, the
-        window's issue cycles and the ROB's completion cycles.  ``f``
+        window's issue cycles and the ROB's completion cycles.  The
+        issue-slot counts are part of the state, so they serve as an
+        exact fingerprint: each boundary keeps its raw state as list
+        slices, and the clamped state is built only for boundaries
+        whose counts equal an earlier boundary's.  ``f``
         is the last issue cycle in order.  Out of order it is the
         smallest issue cycle among the last ``window`` instructions,
         and the check waits until ``window`` and ``rob_size``
@@ -241,7 +245,21 @@ class Pipeline:
         read_regs = sorted({s for srcs in st.sources for s in srcs})
         addresses = sorted({a for a in st.address if a >= 0})
         used_units = [free[u] for u in dict.fromkeys(st.units)]
-        seen: Dict[tuple, Tuple[int, int]] = {}
+        # Issue-slot counts -> [raw state, clamped state or None] of
+        # the earlier boundaries with those counts.
+        seen: Dict[tuple, List[list]] = {}
+
+        def clamped(raw: list) -> list:
+            """The floor-relative, clamped state of a raw boundary."""
+            _, f, regs, mems, units, look, recent = raw
+            state = [regs[r] - f if regs[r] > f else 0 for r in read_regs]
+            state += [mems[a] - f if mems[a] > f else 0 for a in addresses]
+            state += [v - f if v > f else 0
+                      for times in units for v in sorted(times)]
+            if ooo:
+                state += [v - f for v in look]
+                state += [c - f if c > f else 0 for c in recent]
+            return state
 
         last_issue = -1  # most recent issue cycle (in-order constraint)
         k = 0
@@ -254,25 +272,29 @@ class Pipeline:
                     # `window` older, so the look-back holds the latest
                     # issue cycle so far.
                     hi = max(look)
+                    recent = complete[k - rob:k]
                 else:
                     f = hi = last_issue
-                state = [reg_ready[r] - f if reg_ready[r] > f else 0
-                         for r in read_regs]
-                state += [mem_ready[a] - f if mem_ready[a] > f else 0
-                          for a in addresses]
-                state += [v - f if v > f else 0
-                          for times in used_units for v in sorted(times)]
-                if ooo:
-                    state += [v - f for v in look]
-                    state += [c - f if c > f else 0
-                              for c in complete[k - rob:k]]
-                state += counts[f:hi + 1]
-                earlier = seen.setdefault(tuple(state), (it, f))
-                if earlier[0] != it:
-                    return _extend_periodic(
-                        issue_flat[:k], n_body, iterations,
-                        earlier[0], f - earlier[1],
-                    )
+                    look = recent = None
+                raw = [
+                    it, f, reg_ready[:], mem_ready[:],
+                    [times[:] for times in used_units], look, recent,
+                ]
+                bucket = seen.setdefault(tuple(counts[f:hi + 1]), [])
+                if bucket:
+                    state = clamped(raw)
+                    for entry in bucket:
+                        if entry[1] is None:
+                            entry[1] = clamped(entry[0])
+                        if entry[1] == state:
+                            earlier = entry[0]
+                            return _extend_periodic(
+                                issue_flat[:k], n_body, iterations,
+                                earlier[0], f - earlier[1],
+                            )
+                    bucket.append([raw, state])
+                else:
+                    bucket.append([raw, None])
             for srcs, lat, rt, tch, adr, dst, times in rows:
                 t = 0
                 for s in srcs:

@@ -89,11 +89,11 @@ class LoopProgram:
         return cached
 
     def static_arrays(self) -> "ProgramStatics":
-        """Packed per-instruction arrays for the evaluation kernels.
+        """Packed per-instruction lists for the scheduler.
 
         Walks the loop body once and caches the result on the instance;
-        the schedulers and the current model index these flat arrays
-        instead of doing per-dynamic-instruction attribute lookups.
+        the scheduler indexes these flat lists instead of doing
+        per-dynamic-instruction attribute lookups.
         """
         cached = self.__dict__.get("_statics")
         if cached is None:
@@ -103,13 +103,12 @@ class LoopProgram:
 
 
 class ProgramStatics:
-    """Per-program static arrays consumed by the evaluation kernels.
+    """Per-program packed lists consumed by the scheduler.
 
     Registers are packed into one dense namespace (INT, then FP, then
     VEC) so the scheduler scoreboard is a flat list instead of a dict
-    keyed by ``(regfile, reg)``.  The charge-deposit helpers
-    (``per_cycle_energy``, ``deposit_offsets``) let the current model
-    scatter every instruction's charge packet with one ``np.add.at``.
+    keyed by ``(regfile, reg)``.  The current model's charge packets
+    come from :func:`charge_packets`, once per batch of schedules.
     """
 
     __slots__ = (
@@ -121,10 +120,6 @@ class ProgramStatics:
         "touches_memory",
         "address",
         "num_registers",
-        "energy",
-        "recip_arr",
-        "per_cycle_energy",
-        "deposit_offsets",
     )
 
     def __init__(self, program: "LoopProgram"):
@@ -136,7 +131,7 @@ class ProgramStatics:
         self.num_registers = total
 
         units, latency, recip, sources, dest = [], [], [], [], []
-        touches_memory, address, energy = [], [], []
+        touches_memory, address = [], []
         for instr in program.body:
             spec = instr.spec
             base = offsets[spec.regfile]
@@ -153,7 +148,6 @@ class ProgramStatics:
             dest.append(base + instr.dest if spec.has_dest else -1)
             touches_memory.append(spec.touches_memory)
             address.append(instr.address if spec.touches_memory else -1)
-            energy.append(spec.energy)
         self.units = tuple(units)
         self.latency = latency
         self.recip = recip
@@ -162,16 +156,26 @@ class ProgramStatics:
         self.touches_memory = tuple(touches_memory)
         self.address = address
 
-        self.energy = np.array(energy, dtype=float)
-        self.recip_arr = np.array(self.recip, dtype=np.int64)
-        self.per_cycle_energy = self.energy / self.recip_arr
-        # Concatenated [0..d) ranges, one per instruction: adding these
-        # to np.repeat(issue_offsets, recip_arr) yields every cycle each
-        # charge packet covers.
-        ends = np.cumsum(self.recip_arr)
-        self.deposit_offsets = np.arange(ends[-1]) - np.repeat(
-            ends - self.recip_arr, self.recip_arr
-        )
+
+def charge_packets(
+    programs: Sequence[LoopProgram],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(recip, per_cycle_energy, deposit_offsets)`` of the programs'
+    concatenated loop bodies, one entry per instruction for the first
+    two and one per charge-packet cycle for the last.
+
+    Every instruction deposits ``energy / recip_throughput`` in each
+    of its ``recip_throughput`` cycles after issue; the deposit offsets
+    are the concatenated ``[0..recip)`` ranges, so
+    ``np.repeat(issue, recip) + deposit_offsets`` is every cycle each
+    packet covers.
+    """
+    specs = [instr.spec for program in programs for instr in program.body]
+    recip = np.array([s.recip_throughput for s in specs], dtype=np.int64)
+    energy = np.array([s.energy for s in specs], dtype=float)
+    ends = np.cumsum(recip)
+    offsets = np.arange(ends[-1]) - np.repeat(ends - recip, recip)
+    return recip, energy / recip, offsets
 
 
 def random_instruction(

@@ -248,16 +248,19 @@ class EMAmplitudeFitness:
         return [self._from_chain_item(item) for item in result.items]
 
     def _from_chain_item(self, item) -> FitnessEvaluation:
-        try:
-            dominant = item.response.dominant_frequency_hz(self.band)
-        except ValueError:
-            dominant = 0.0
         # The paper reports the GA's dominant frequency from the SA peak
-        # (the chain's banded emission peak when no trace was swept).
-        peak_freq = item.peak_frequency_hz or 0.0
+        # (the chain's banded emission peak when no trace was swept);
+        # the response's own dominant frequency stands in only when the
+        # chain reports no peak.
+        dominant = item.peak_frequency_hz or 0.0
+        if not dominant:
+            try:
+                dominant = item.response.dominant_frequency_hz(self.band)
+            except ValueError:
+                dominant = 0.0
         return FitnessEvaluation(
             score=item.amplitude_w,
-            dominant_frequency_hz=peak_freq or dominant,
+            dominant_frequency_hz=dominant,
             max_droop_v=item.max_droop,
             peak_to_peak_v=item.peak_to_peak,
             ipc=item.ipc,

@@ -2,7 +2,8 @@
 
 The three compute kernels behind every fitness evaluation -- the issue
 scheduler (:meth:`repro.cpu.pipeline.Pipeline.execute`), the current
-model (:meth:`repro.cpu.current.CurrentModel.trace`) and the transient
+model (:meth:`repro.cpu.current.CurrentModel.traces`, section
+``cpu.current.trace``, once per batch of schedules) and the transient
 PDN solver (:meth:`repro.pdn.transient.TransientSolver.run`) -- wrap
 their bodies in :func:`kernel_section`, as does the AC analysis behind
 each transfer-function grid (``pdn.ac``).  When no collector is active

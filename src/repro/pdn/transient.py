@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from repro.obs.timing import timed_kernel
 from repro.pdn.elements import Capacitor, CurrentSource, Inductor, VoltageSource
@@ -113,6 +112,10 @@ class TransientSolver:
                 a[k, k] -= 2.0 * e.inductance / h
                 # The DC matrix has no L term (an inductor is a short at
                 # DC); the -2L/h supplies it.
+        # scipy is imported where it is used, so `import repro` and
+        # every workload that never steps a transient stay without it.
+        from scipy.linalg import lu_factor
+
         self._matrix = a
         self._matrix_lu = lu_factor(a)
 
@@ -178,6 +181,8 @@ class TransientSolver:
         # x_next = lu_solve(A, hist_mat @ x + cap_inj @ cap_i + ...)
         # distributes over the sum, so each transient step reduces to
         # two or three small mat-vecs -- no per-step lu_solve call.
+        from scipy.linalg import lu_solve
+
         lu = self._matrix_lu
         self._prop_state = lu_solve(lu, self._hist_mat)
         self._prop_cap = (
@@ -358,6 +363,8 @@ class TransientStepper:
         idx = self._layout.node(load_node)
         if idx >= 0:
             self._load_vec[idx] = -1.0
+        from scipy.linalg import lu_solve
+
         self._prop_load = lu_solve(solver._matrix_lu, self._load_vec)
         self._state: Optional[np.ndarray] = None
         self._cap_i: Optional[np.ndarray] = None

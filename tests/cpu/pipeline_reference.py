@@ -67,6 +67,72 @@ def execute_reference(
 ) -> np.ndarray:
     """Issue cycles of every dynamic instruction, shape
     ``(iterations, len(program))``, with every iteration simulated."""
+    return _simulate(pipeline, program, iterations, cache, memory_rng)
+
+
+def first_repeat_reference(
+    pipeline: Pipeline, program: LoopProgram, iterations: int = 16
+) -> Optional[Tuple[int, int]]:
+    """``(boundary, earlier)``: the first iteration boundary whose
+    clamped, floor-relative machine state equals an earlier boundary's,
+    or None when no boundary repeats.
+
+    This is the repeat check with the full state built at every
+    boundary, as ``Pipeline.execute`` made it before the issue-slot
+    fingerprint gated it; the production early exit must stop at
+    exactly this boundary.
+    """
+    cfg = pipeline.config
+    ooo = cfg.out_of_order
+    first_check = max(cfg.window, cfg.rob_size) if ooo else 1
+    reads = sorted(
+        {(i.spec.regfile.value, s) for i in program.body for s in i.sources}
+    )
+    addresses = sorted(
+        {i.address for i in program.body if i.spec.touches_memory}
+    )
+    used = list(dict.fromkeys(i.spec.unit for i in program.body))
+    seen: Dict[tuple, int] = {}
+    found: List[Tuple[int, int]] = []
+
+    def boundary(it, k, last_issue, issue_flat, complete, units, board,
+                 issue_count):
+        if k < first_check:
+            return False
+        if ooo:
+            look = list(issue_flat[k - cfg.window:k])
+            f, hi = min(look), max(look)
+        else:
+            f = hi = last_issue
+        regs = {(rf.value, r): t for (rf, r), t in board._reg_ready.items()}
+        state = [max(regs.get(r, 0) - f, 0) for r in reads]
+        state += [max(board._mem_ready.get(a, 0) - f, 0) for a in addresses]
+        state += [max(v - f, 0) for u in used for v in sorted(units._free[u])]
+        if ooo:
+            state += [v - f for v in look]
+            state += [max(int(c) - f, 0) for c in complete[k - cfg.rob_size:k]]
+        state += [issue_count.get(t, 0) for t in range(f, hi + 1)]
+        earlier = seen.setdefault(tuple(int(v) for v in state), it)
+        if earlier != it:
+            found.append((it, earlier))
+            return True
+        return False
+
+    _simulate(pipeline, program, iterations, None, None, boundary)
+    return found[0] if found else None
+
+
+def _simulate(
+    pipeline: Pipeline,
+    program: LoopProgram,
+    iterations: int,
+    cache,
+    memory_rng: Optional[np.random.Generator],
+    boundary=None,
+) -> np.ndarray:
+    """Every iteration through a unit pool and a scoreboard; a
+    ``boundary`` callback sees the state before each iteration and
+    stops the run by returning True."""
     if iterations < 2:
         raise ValueError("need >= 2 iterations to find a steady state")
     if cache is not None and memory_rng is None:
@@ -81,6 +147,11 @@ def execute_reference(
 
     last_issue = -1  # most recent issue cycle (in-order constraint)
     for it in range(iterations):
+        if boundary is not None and boundary(
+            it, it * n_body, last_issue, issue.reshape(-1), complete,
+            units, board, issue_count,
+        ):
+            break
         for j, instr in enumerate(program.body):
             k = it * n_body + j  # dynamic index
             spec = instr.spec

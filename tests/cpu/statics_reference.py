@@ -2,12 +2,12 @@
 
 ``ProgramStatics`` builds every field in one flat walk of the loop
 body; each field must equal, in value and container type, the field
-built here field by field.
+built here field by field.  The current model's charge packets are not
+statics: the batch-trace property holds them to the per-instruction
+reference traces.
 """
 
 from typing import Any, Dict
-
-import numpy as np
 
 from repro.cpu.isa import RegisterFile
 from repro.cpu.program import LoopProgram
@@ -37,13 +37,4 @@ def program_statics_reference(program: LoopProgram) -> Dict[str, Any]:
     fields["address"] = [
         i.address if i.spec.touches_memory else -1 for i in body
     ]
-    energy = np.array([i.spec.energy for i in body], dtype=float)
-    recip_arr = np.array(fields["recip"], dtype=np.int64)
-    fields["energy"] = energy
-    fields["recip_arr"] = recip_arr
-    fields["per_cycle_energy"] = energy / recip_arr
-    ends = np.cumsum(recip_arr)
-    fields["deposit_offsets"] = np.arange(ends[-1]) - np.repeat(
-        ends - recip_arr, recip_arr
-    )
     return fields

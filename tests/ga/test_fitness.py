@@ -1,5 +1,7 @@
 """Unit tests for the fitness measurement chains."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,63 @@ class TestEMAmplitudeFitness:
             samples=5,
         )
         assert fit(a72, hilo).score > fit(a72, quiet_loop).score
+
+
+class TestDominantFrequencyFromChainItem:
+    """The response's dominant frequency stands in for the chain's
+    emission peak only when there is none, and is computed only then."""
+
+    class Response:
+        def __init__(self):
+            self.bands = []
+
+        def dominant_frequency_hz(self, band):
+            self.bands.append(band)
+            return 61.5e6
+
+    def item(self, peak_frequency_hz):
+        return SimpleNamespace(
+            response=self.Response(),
+            peak_frequency_hz=peak_frequency_hz,
+            amplitude_w=2.0e-9,
+            max_droop=0.03,
+            peak_to_peak=0.05,
+            ipc=1.5,
+            loop_frequency_hz=70.0e6,
+        )
+
+    def fitness(self):
+        return EMAmplitudeFitness(
+            analyzer=SpectrumAnalyzer(rng=np.random.default_rng(0)),
+            band=(55.0e6, 90.0e6),
+        )
+
+    @pytest.mark.parametrize("no_peak", [0.0, None])
+    def test_no_peak_reports_the_responses_dominant_frequency(
+        self, no_peak
+    ):
+        item = self.item(no_peak)
+        ev = self.fitness()._from_chain_item(item)
+        assert ev.dominant_frequency_hz == 61.5e6
+        assert item.response.bands == [(55.0e6, 90.0e6)]
+        assert ev.score == 2.0e-9
+        assert ev.loop_frequency_hz == 70.0e6
+
+    def test_a_peak_is_reported_and_the_response_left_alone(self):
+        item = self.item(72.25e6)
+        ev = self.fitness()._from_chain_item(item)
+        assert ev.dominant_frequency_hz == 72.25e6
+        assert item.response.bands == []
+
+    def test_no_peak_and_no_harmonic_in_band_reports_zero(self):
+        item = self.item(0.0)
+
+        def empty_band(band):
+            raise ValueError("no harmonics inside requested band")
+
+        item.response.dominant_frequency_hz = empty_band
+        ev = self.fitness()._from_chain_item(item)
+        assert ev.dominant_frequency_hz == 0.0
 
 
 class TestMaxDroopFitness:

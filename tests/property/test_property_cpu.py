@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.cpu import pipeline as pipeline_module
 from repro.cpu.arm import ARM_ISA
 from repro.cpu.current import CurrentModel
 from repro.cpu.pipeline import InOrderPipeline, OutOfOrderPipeline
 from repro.cpu.program import random_program
 from repro.platforms import registry
 
-from tests.cpu.pipeline_reference import execute_reference
+from tests.cpu.pipeline_reference import (
+    execute_reference,
+    first_repeat_reference,
+)
 
 program_seeds = st.integers(min_value=0, max_value=10_000)
 lengths = st.integers(min_value=2, max_value=60)
@@ -97,6 +101,35 @@ def test_early_exit_exact_on_random_programs_at_default_iterations(
             pipeline.execute(program, 16),
             execute_reference(pipeline, program, 16),
         )
+
+
+@pytest.mark.parametrize("platform", PLATFORMS)
+def test_early_exit_stops_at_the_first_repeating_boundary(
+    platform, monkeypatch
+):
+    """The issue-slot fingerprint only gates the repeat check: the
+    scheduler must still stop at the first boundary whose full clamped
+    state repeats, found by building that state at every boundary."""
+    exits = []
+    extend = pipeline_module._extend_periodic
+
+    def spy(issue_flat, n_body, iterations, repeat_of, shift):
+        exits.append((len(issue_flat) // n_body, repeat_of))
+        return extend(issue_flat, n_body, iterations, repeat_of, shift)
+
+    monkeypatch.setattr(pipeline_module, "_extend_periodic", spy)
+    pipeline, isa = platform_core(platform)
+    rng = np.random.default_rng(31)
+    stopped = 0
+    for _ in range(200):
+        program = random_program(isa, 50, rng)
+        exits.clear()
+        pipeline.execute(program, 16)
+        expected = first_repeat_reference(pipeline, program, 16)
+        assert exits == ([expected] if expected is not None else [])
+        stopped += expected is not None
+    # Nearly every program settles well inside 16 iterations.
+    assert stopped >= 190
 
 
 @settings(max_examples=30, deadline=None)
