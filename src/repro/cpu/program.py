@@ -25,6 +25,29 @@ from repro.cpu.isa import (
 )
 
 
+class Genome(tuple):
+    """A loop body's ``(mnemonic, dest, sources, address)`` entries, as
+    a tuple that computes its hash once.
+
+    It compares and hashes exactly like the plain tuple of the same
+    entries, so it finds, and is found by, plain-tuple keys (a GA
+    checkpoint restores plain tuples), and ``json.dumps`` writes the
+    same text.  The hash is never pickled: string hashes differ per
+    process, so an unpickled genome hashes afresh.
+    """
+
+    def __new__(cls, entries) -> "Genome":
+        genome = super().__new__(cls, entries)
+        genome._hash = tuple.__hash__(genome)
+        return genome
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Genome, (tuple(self),)
+
+
 @dataclass(frozen=True)
 class LoopProgram:
     """An instruction loop bound to the instruction set it draws from."""
@@ -72,16 +95,18 @@ class LoopProgram:
         lines.append(f"    b {self.name}")
         return "\n".join(lines)
 
-    def genome(self) -> Tuple[Tuple, ...]:
+    def genome(self) -> "Genome":
         """Hashable representation for fitness memoization.
 
-        The tuple is computed once and cached on the (immutable)
-        instance, so the GA's per-generation cache lookups are O(1)
-        instead of re-walking the loop body every call.
+        The :class:`Genome` is built once and cached on the (immutable)
+        instance, and it hashes once, so the GA memo, the session's
+        execution keys and :meth:`Cluster.run
+        <repro.platforms.base.Cluster.run>`'s memo look a program up in
+        O(1) instead of re-walking the loop body every call.
         """
         cached = self.__dict__.get("_genome")
         if cached is None:
-            cached = tuple(
+            cached = Genome(
                 (i.mnemonic, i.dest, i.sources, i.address)
                 for i in self.body
             )

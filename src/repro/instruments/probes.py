@@ -9,6 +9,7 @@ error before the scope samples the waveform -- the chain the paper's
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,21 +31,17 @@ class DifferentialProbe:
     )
 
     def _filtered(self, response: PeriodicResponse) -> PeriodicResponse:
-        """Apply the probe's single-pole roll-off to the harmonics."""
+        """Apply the probe's single-pole roll-off to the voltage
+        harmonics.  The copy shares every other field, read or not, so
+        a solver response's die current stays untransformed."""
         f = response.harmonic_frequencies_hz
         h = self.gain / (1.0 + 1j * f / self.bandwidth_hz)
         v = response.die_voltage_harmonics * h
         # Keep the DC term untouched apart from gain.
         v[0] = response.die_voltage_harmonics[0] * self.gain
-        return PeriodicResponse(
-            sample_rate_hz=response.sample_rate_hz,
-            nominal_voltage=response.nominal_voltage,
-            die_voltage=response.die_voltage,
-            die_current=response.die_current,
-            harmonic_frequencies_hz=f,
-            die_voltage_harmonics=v,
-            die_current_harmonics=response.die_current_harmonics,
-        )
+        filtered = copy.copy(response)
+        filtered.die_voltage_harmonics = v
+        return filtered
 
     def capture(
         self, response: PeriodicResponse, duration_s: float = 2.0e-6

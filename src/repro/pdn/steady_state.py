@@ -16,7 +16,6 @@ grids, bounded, and passes them back in through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,7 +26,6 @@ from repro.pdn.impedance import analyze_ac
 from repro.pdn.ladder import Ladder
 
 
-@dataclass
 class PeriodicResponse:
     """Steady-state response of the PDN to one period of load current.
 
@@ -35,15 +33,66 @@ class PeriodicResponse:
     (``sample_rate_hz``, one full period).  ``die_voltage`` includes the
     nominal supply and the DC IR drop: it is the actual rail waveform an
     on-chip scope would record.
+
+    The constructor takes every field.  A response from
+    :meth:`SteadyStateSolver.solve_batch` is built by
+    :meth:`from_current_spectrum` instead: the rail waveform and both
+    harmonic-amplitude arrays are computed at solve time, and
+    ``die_current`` is inverse-transformed from the die current's
+    unscaled harmonics the first time it is read.  The chain reads the
+    rail and the amplitudes; no chain stage reads the die-current
+    waveform.
     """
 
-    sample_rate_hz: float
-    nominal_voltage: float
-    die_voltage: np.ndarray
-    die_current: np.ndarray
-    harmonic_frequencies_hz: np.ndarray
-    die_voltage_harmonics: np.ndarray
-    die_current_harmonics: np.ndarray
+    def __init__(
+        self,
+        sample_rate_hz: float,
+        nominal_voltage: float,
+        die_voltage: np.ndarray,
+        die_current: np.ndarray,
+        harmonic_frequencies_hz: np.ndarray,
+        die_voltage_harmonics: np.ndarray,
+        die_current_harmonics: np.ndarray,
+    ):
+        self.sample_rate_hz = sample_rate_hz
+        self.nominal_voltage = nominal_voltage
+        self.die_voltage = die_voltage
+        # Set on the instance, it shadows the lazy property.
+        self.die_current = die_current
+        self.harmonic_frequencies_hz = harmonic_frequencies_hz
+        self.die_voltage_harmonics = die_voltage_harmonics
+        self.die_current_harmonics = die_current_harmonics
+
+    @classmethod
+    def from_current_spectrum(
+        cls,
+        sample_rate_hz: float,
+        nominal_voltage: float,
+        die_voltage: np.ndarray,
+        current_spectrum: np.ndarray,
+        harmonic_frequencies_hz: np.ndarray,
+        die_voltage_harmonics: np.ndarray,
+        die_current_harmonics: np.ndarray,
+    ) -> "PeriodicResponse":
+        """A response whose ``die_current`` is the inverse transform of
+        ``current_spectrum``, the die current's unscaled rfft
+        harmonics, taken on first read."""
+        response = cls.__new__(cls)
+        response.sample_rate_hz = sample_rate_hz
+        response.nominal_voltage = nominal_voltage
+        response.die_voltage = die_voltage
+        response._current_spectrum = current_spectrum
+        response.harmonic_frequencies_hz = harmonic_frequencies_hz
+        response.die_voltage_harmonics = die_voltage_harmonics
+        response.die_current_harmonics = die_current_harmonics
+        return response
+
+    @cached_property
+    def die_current(self) -> np.ndarray:
+        """Die current waveform, inverse-transformed once per response
+        from its harmonics.  A one-row ``irfft`` has the bits of the
+        same row in a batched transform."""
+        return np.fft.irfft(self._current_spectrum, n=self.die_voltage.size)
 
     @property
     def period_s(self) -> float:
@@ -212,13 +261,16 @@ class SteadyStateSolver:
         ``sample_rates_hz[r]``; ``transfers[r]`` is its grid from
         :meth:`transfer_functions`, and without ``transfers`` every
         grid comes from one counted fold.  All rows share one ``rfft``
-        and one ``irfft`` call, which transform row by row, so each
-        response has the bits of a one-row solve.
-        ``supply_voltages[r]``, when given, recenters row ``r``'s rail
-        on that supply setting: the waveform shifts by its offset from
-        the nominal rail, and the response reports it as its nominal
-        voltage.  Each response's waveforms and harmonics are row views
-        of the batch's arrays; its frequencies are its grid's.
+        and one ``irfft`` of the voltage rows, which transform row by
+        row, so each response has the bits of a one-row solve.  Each
+        response inverse-transforms its die current on first read, with
+        the bits of the same row in a batched transform (see
+        :class:`PeriodicResponse`).  ``supply_voltages[r]``, when given,
+        recenters row ``r``'s rail on that supply setting: the waveform
+        shifts by its offset from the nominal rail, and the response
+        reports it as its nominal voltage.  Each response's rail
+        waveform, harmonics and die-current spectrum are row views of
+        the batch's arrays; its frequencies are its grid's.
         """
         i_load = np.asarray(load_currents, dtype=float)
         if i_load.ndim != 2 or i_load.shape[0] < 1 or i_load.shape[1] < 2:
@@ -240,17 +292,17 @@ class SteadyStateSolver:
         if transfers is None:
             transfers = self.transfer_functions([(n, rate) for rate in rates])
         # Each row's stack times its current harmonics gives its voltage
-        # and current harmonics in one product, and one inverse
-        # transform turns them into waveforms.  One row's stack
-        # broadcasts as it is.
+        # and current harmonics in one product.  One row's stack
+        # broadcasts as it is.  Only the voltage rows are
+        # inverse-transformed here; each response transforms its die
+        # current on first read.
         transfer = (
             transfers[0][0]
             if rows == 1
             else np.stack([stack for stack, _ in transfers])
         )
         harmonics = transfer * np.fft.rfft(i_load)[:, None]
-        waves = np.fft.irfft(harmonics, n=n)
-        v_waves = waves[:, 0]
+        v_waves = np.fft.irfft(harmonics[:, 0], n=n)
         v_waves += self._nominal
         if supply_voltages is None:
             supplies = (self._nominal,) * rows
@@ -264,11 +316,11 @@ class SteadyStateSolver:
         amplitudes = harmonics * (2.0 / n)  # single-sided for k >= 1
         np.divide(harmonics[..., 0], n, out=amplitudes[..., 0])
         return [
-            PeriodicResponse(
+            PeriodicResponse.from_current_spectrum(
                 sample_rate_hz=rates[r],
                 nominal_voltage=supplies[r],
-                die_voltage=waves[r, 0],
-                die_current=waves[r, 1],
+                die_voltage=v_waves[r],
+                current_spectrum=harmonics[r, 1],
                 harmonic_frequencies_hz=transfers[r][1],
                 die_voltage_harmonics=amplitudes[r, 0],
                 die_current_harmonics=amplitudes[r, 1],

@@ -1,7 +1,15 @@
 """Unit tests for loop programs."""
 
+import json
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.cpu.arm import ARM_ISA
 from repro.cpu.isa import (
@@ -11,6 +19,7 @@ from repro.cpu.isa import (
     RegisterFile,
 )
 from repro.cpu.program import (
+    Genome,
     LoopProgram,
     ProgramStatics,
     program_from_mnemonics,
@@ -83,6 +92,106 @@ class TestAssemblyAndGenome:
         a = program_from_mnemonics(ARM_ISA, ["add", "mul"])
         b = program_from_mnemonics(ARM_ISA, ["mul", "add"])
         assert a.genome() != b.genome()
+
+
+class _CountedHash:
+    """An entry that counts how often it is hashed."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 7
+
+
+#: Hashes a pickled genome read from stdin in a fresh process, next to
+#: that process's hash of the plain tuple of its entries.
+_UNPICKLE_AND_HASH = (
+    "import pickle, sys; "
+    "g = pickle.loads(sys.stdin.buffer.read()); "
+    "print(type(g).__name__, hash(g), hash(tuple(g)))"
+)
+
+
+class TestGenomeKey:
+    """The genome is a tuple that hashes once, and is interchangeable
+    with the plain tuple of its entries as a key."""
+
+    @pytest.fixture
+    def program(self):
+        return random_program(ARM_ISA, 120, np.random.default_rng(5))
+
+    def test_equals_and_hashes_like_the_plain_tuple(self, program):
+        genome = program.genome()
+        plain = tuple(genome)
+        assert type(genome) is Genome and type(plain) is tuple
+        assert genome == plain and plain == genome
+        assert not genome != plain
+        assert hash(genome) == hash(plain)
+        assert genome == tuple(
+            (i.mnemonic, i.dest, i.sources, i.address) for i in program.body
+        )
+
+    def test_hash_is_computed_once(self):
+        entry = _CountedHash()
+        genome = Genome([("add", 0, (1, 2), None), entry])
+        first = hash(genome)
+        assert entry.calls == 1
+        for _ in range(3):
+            assert hash(genome) == first
+        assert entry.calls == 1
+        # The plain tuple hashes its entries afresh, to the same value.
+        assert hash(tuple(genome)) == first
+        assert entry.calls == 2
+
+    def test_finds_and_is_found_by_plain_tuple_keys(self, program):
+        """A GA checkpoint restores its memo with plain-tuple keys."""
+        genome = program.genome()
+        plain = tuple(genome)
+        restored = {plain: "evaluation"}
+        assert genome in restored and restored[genome] == "evaluation"
+        memo = {genome: "evaluation"}
+        assert plain in memo and memo[plain] == "evaluation"
+        memo[plain] = "replaced"
+        assert len(memo) == 1
+
+    def test_json_text_is_the_plain_tuples(self, program):
+        genome = program.genome()
+        assert json.dumps(genome) == json.dumps(tuple(genome))
+        assert repr(genome) == repr(tuple(genome))
+
+    def test_unpickled_genome_hashes_like_the_processs_plain_tuple(
+        self, program
+    ):
+        """String hashes differ per process, so the hash must not
+        travel with the pickle: in a process with another hash seed,
+        the unpickled genome hashes like that process's tuple."""
+        data = pickle.dumps(program.genome())
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        hashes = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", _UNPICKLE_AND_HASH],
+                input=data,
+                capture_output=True,
+                check=True,
+                env=env,
+            ).stdout.split()
+            assert out[0] == b"Genome"
+            assert out[1] == out[2]
+            hashes.append(out[1])
+        # The seeds give different string hashes: a pickled hash would
+        # be wrong in at least one of the two processes.
+        assert hashes[0] != hashes[1]
+
+    def test_a_pickled_program_unpickles_a_genome(self, program):
+        genome = program.genome()
+        clone = pickle.loads(pickle.dumps(program))
+        assert type(clone.genome()) is Genome
+        assert clone.genome() == genome
+        assert hash(clone.genome()) == hash(genome)
 
 
 class TestRandomGeneration:

@@ -1,11 +1,17 @@
 """Unit tests for the periodic steady-state solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro import make_juno_board
+from repro.instruments.probes import DifferentialProbe
 from repro.pdn import steady_state
 from repro.pdn.models import PDNModel, CORTEX_A72_PDN
 from repro.pdn.steady_state import SteadyStateSolver
+from repro.workloads.loops import high_low_program
+from tests.pdn.steady_state_reference import two_row_solve
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +252,170 @@ class TestRailMinimum:
         assert shifted.min_voltage == float(np.min(shifted.die_voltage))
         assert shifted.min_voltage < low
 
+
+
+#: Trace lengths the V_MIN ladder solves on a72, a53 and amd: the
+#: viruses' and SPEC loops' traces, and the idle trace (4,096).
+LADDER_LENGTHS = (36, 42, 1296, 2032, 2128, 3184, 3632, 4096)
+
+RESPONSE_FIELDS = (
+    "sample_rate_hz",
+    "nominal_voltage",
+    "die_voltage",
+    "die_current",
+    "harmonic_frequencies_hz",
+    "die_voltage_harmonics",
+    "die_current_harmonics",
+)
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return float(value).hex()
+
+
+def _assert_same_bits(got, expected, order=RESPONSE_FIELDS):
+    """Every field of ``got``, read in ``order``, has the bits of
+    ``expected``'s."""
+    for name in order:
+        assert _bits(getattr(got, name)) == _bits(getattr(expected, name)), (
+            name
+        )
+
+
+def _batch(solver, n: int, rows: int, seed: int):
+    """``rows`` loads of ``n`` samples, each at its own rate and supply
+    setting (every third one at the nominal rail), with their grids."""
+    rng = np.random.default_rng(seed)
+    loads = rng.uniform(0.5, 2.0, (rows, n))
+    rates = [float(r) for r in rng.uniform(0.6e9, 2.0e9, rows)]
+    supplies = [
+        solver.nominal_voltage if r % 3 == 0
+        else solver.nominal_voltage - 0.01 * r
+        for r in range(rows)
+    ]
+    transfers = solver.compute_transfer_functions(
+        [(n, rate) for rate in rates]
+    )
+    return loads, rates, transfers, supplies
+
+
+class TestLazyDieCurrent:
+    """``solve_batch`` inverse-transforms only the voltage rows; each
+    response transforms its die current on first read.  Every field
+    keeps the bits of the two-row solve in
+    ``tests/pdn/steady_state_reference.py``."""
+
+    @pytest.mark.parametrize("n", LADDER_LENGTHS)
+    def test_every_field_matches_the_two_row_solve(self, solver, n):
+        loads, rates, transfers, supplies = _batch(solver, n, 29, seed=n)
+        for rows in range(1, 30):
+            args = (
+                loads[:rows], rates[:rows], transfers[:rows], supplies[:rows]
+            )
+            got = solver.solve_batch(
+                args[0], args[1], transfers=args[2], supply_voltages=args[3]
+            )
+            expected = two_row_solve(solver, *args)
+            for r, (response, reference) in enumerate(zip(got, expected)):
+                # The die current first on odd rows, last on even ones.
+                order = RESPONSE_FIELDS[::-1] if r % 2 else RESPONSE_FIELDS
+                _assert_same_bits(response, reference, order)
+
+    def test_any_read_order(self, solver):
+        """Every order of the array fields, each field read across all
+        rows before the next."""
+        loads, rates, transfers, supplies = _batch(solver, 42, 3, seed=1)
+        expected = two_row_solve(solver, loads, rates, transfers, supplies)
+        arrays = RESPONSE_FIELDS[2:]
+        for order in itertools.permutations(arrays):
+            got = solver.solve_batch(
+                loads, rates, transfers=transfers, supply_voltages=supplies
+            )
+            for name in order:
+                for response, reference in zip(got, expected):
+                    _assert_same_bits(response, reference, (name,))
+
+    def test_die_current_is_transformed_once_on_first_read(
+        self, solver, monkeypatch
+    ):
+        loads, rates, transfers, supplies = _batch(solver, 1296, 2, seed=2)
+        calls = []
+        real_irfft = np.fft.irfft
+
+        def counted_irfft(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real_irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+        got = solver.solve_batch(
+            loads, rates, transfers=transfers, supply_voltages=supplies
+        )
+        # One transform of the two voltage rows; no current row.
+        assert calls == [(2, 649)]
+        for response in got:
+            response.min_voltage
+            response.die_voltage_harmonics
+            response.die_current_harmonics
+        assert len(calls) == 1
+        first = got[1].die_current
+        assert got[1].die_current is first
+        assert calls[1:] == [(649,)]
+
+    def test_a_memoized_response_keeps_its_bits(self):
+        """A response that ``Cluster.memoized`` hands to several calls
+        is read partly by one and partly by the next, as a V_MIN ladder
+        reads the rail at every step and a caller may read the die
+        current later."""
+        a72 = make_juno_board().a72
+        a72.set_voltage(0.9)
+        rate = a72.clock_hz
+        trace = np.random.default_rng(7).uniform(1.0, 3.0, 1296)
+        program = high_low_program(a72.spec.isa)
+        with a72.memoized():
+            first = a72.run_trace(trace, rate)
+            assert first.min_voltage < 0.9
+            second = a72.run_trace(trace, rate)
+            assert second is first
+            run_first = a72.run(program)
+            run_first.response.min_voltage
+            run_second = a72.run(program)
+        assert run_second.response is run_first.response
+        solver = a72.pdn.solver(a72.powered_cores)
+        (expected,) = two_row_solve(
+            solver,
+            (trace * (0.9 / a72.spec.nominal_voltage))[None],
+            [rate],
+            solver.compute_transfer_functions([(trace.size, rate)]),
+            [0.9],
+        )
+        _assert_same_bits(second, expected, RESPONSE_FIELDS[::-1])
+        # The shared run response against a fresh, unmemoized one.
+        fresh = a72.run(program).response
+        assert fresh is not run_second.response
+        _assert_same_bits(run_second.response, fresh)
+
+    def test_probe_capture_leaves_the_die_current_untransformed(
+        self, solver, monkeypatch
+    ):
+        loads, rates, transfers, _ = _batch(solver, 1296, 1, seed=3)
+        (response,) = solver.solve_batch(loads, rates, transfers=transfers)
+        (expected,) = two_row_solve(solver, loads, rates, transfers)
+        calls = []
+        real_irfft = np.fft.irfft
+
+        def counted_irfft(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real_irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+        capture = DifferentialProbe().capture(response)
+        assert calls == []
+        # The same capture as from the explicit-waveform response, on a
+        # probe whose scope draws the same noise.
+        twin = DifferentialProbe().capture(expected)
+        assert capture.volts.tobytes() == twin.volts.tobytes()
+        assert calls == []
+        _assert_same_bits(response, expected)
+        assert calls == [(649,)]
