@@ -130,6 +130,13 @@ class Instruction:
     sources: Tuple[int, ...] = ()
     address: Optional[int] = None
 
+    # The gene cache :mod:`repro.cpu.program` keeps on the frozen
+    # instance: its genome entry, or its checked and packed record.  A
+    # class-level default, so reading it never builds the instance
+    # ``__dict__``, and one attribute, which the instance stores
+    # inline; a second one would give every gene its own dict.
+    _gene = None
+
     def __post_init__(self) -> None:
         if self.spec.has_dest and self.dest is None:
             raise ValueError(f"{self.spec.mnemonic}: missing dest register")
@@ -140,6 +147,10 @@ class Instruction:
             )
         if self.spec.touches_memory and self.address is None:
             raise ValueError(f"{self.spec.mnemonic}: missing memory address")
+
+    def __reduce__(self):
+        # The fields alone: the gene cache never travels.
+        return Instruction, (self.spec, self.dest, self.sources, self.address)
 
     @property
     def mnemonic(self) -> str:

@@ -16,20 +16,22 @@ iterations because the hardware is deterministic); the steady schedule
 is what the current model converts into a waveform.
 
 Without a cache model the machine is deterministic, so
-:meth:`Pipeline.execute` stops simulating as soon as the machine state
-at an iteration boundary repeats an earlier boundary's state up to a
-time shift, and fills the remaining iterations by shifting the rows
-already simulated.  The state is measured relative to a *floor*: a
-cycle before which no later instruction can issue (the last issue cycle
-in order; the oldest issue cycle of the window look-back out of order).
+:meth:`Pipeline.simulate` stops as soon as the machine state at an
+iteration boundary repeats an earlier boundary's state up to a time
+shift; the remaining iterations are the rows already simulated,
+shifted, which :meth:`Pipeline.execute` fills into an array and
+:meth:`Pipeline.steady_schedule` reads without one.  The state is
+measured relative to a *floor*: a cycle before which no later
+instruction can issue (the last issue cycle in order; the oldest issue
+cycle of the window look-back out of order).
 Every time that feeds a later issue decision enters it through a
 ``max`` with a bound of at least the floor, so register, memory, unit
 and ROB times below the floor are equivalent to the floor itself and
 are clamped to it; unit instances are interchangeable, so their free
 times are compared as a sorted multiset.  Two boundaries with equal
 clamped, floor-relative states therefore produce the same future issue
-cycles up to the floor difference, and the early exit returns exactly
-the array full simulation would.
+cycles up to the floor difference, and the early exit gives exactly
+the rows full simulation would.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cpu.isa import ExecutionUnit
-from repro.cpu.program import LoopProgram
+from repro.cpu.program import LoopProgram, ProgramStatics
 from repro.obs.timing import timed_kernel
 
 DEFAULT_UNIT_COUNTS: Dict[ExecutionUnit, int] = {
@@ -120,23 +122,24 @@ def _extend_periodic(
     return np.concatenate([simulated, tail])
 
 
-def _super_period(starts: np.ndarray, iterations: int) -> Tuple[int, int]:
+def _super_period(starts: List[int], iterations: int) -> Tuple[int, int]:
     """(iterations, cycles) of the smallest repeating super-period of
     the iteration lengths between the reference issue cycles
     ``starts``, one per row."""
-    deltas = np.diff(starts)
+    deltas = [b - a for a, b in zip(starts, starts[1:])]
     period = 1
     # Try every super-period up to iterations // 2 (the largest that
     # still fits two full repetitions in the observed window), so odd
     # periods like 5 or 7 are extracted, not silently collapsed to a
     # wrong 1-iteration period.
     for candidate in range(1, iterations // 2 + 1):
-        if deltas.size >= 2 * candidate and np.array_equal(
-            deltas[-candidate:], deltas[-2 * candidate:-candidate]
+        if (
+            len(deltas) >= 2 * candidate
+            and deltas[-candidate:] == deltas[-2 * candidate:-candidate]
         ):
             period = candidate
             break
-    return period, int(starts[-1] - starts[-1 - period])
+    return period, starts[-1] - starts[-1 - period]
 
 
 class Pipeline:
@@ -146,7 +149,6 @@ class Pipeline:
         self.config = config
 
     # ------------------------------------------------------------------
-    @timed_kernel("cpu.pipeline.execute")
     def execute(
         self,
         program: LoopProgram,
@@ -156,16 +158,43 @@ class Pipeline:
     ) -> np.ndarray:
         """Issue cycles for every dynamic instruction of ``iterations`` runs.
 
-        Returns an int array of shape ``(iterations, len(program))``.
+        Returns an int array of shape ``(iterations, len(program))``:
+        the rows :meth:`simulate` ran and, when the machine state
+        repeated, the later rows filled by shifting them.
 
         ``cache`` (a :class:`repro.cpu.cache.CacheModel`) makes memory
         accesses beyond the L1-resident window miss with a randomized
         penalty drawn from ``memory_rng`` -- the timing nondeterminism
         the paper's virus template deliberately avoids.
+        """
+        issue, repeat = self.simulate(program, iterations, cache, memory_rng)
+        n_body = len(program)
+        if repeat is None:
+            return np.array(issue, dtype=np.int64).reshape(iterations, n_body)
+        return _extend_periodic(issue, n_body, iterations, *repeat)
+
+    @timed_kernel("cpu.pipeline.execute")
+    def simulate(
+        self,
+        program: LoopProgram,
+        iterations: int = 16,
+        cache=None,
+        memory_rng: Optional[np.random.Generator] = None,
+    ) -> Tuple[List[int], Optional[Tuple[int, int]]]:
+        """``(issue, repeat)``: the issue cycles of the rows simulated,
+        flat in row order, and how the rest follow from them.
+
+        ``repeat`` is None when all ``iterations`` rows were simulated.
+        Otherwise it is ``(earlier, shift)``: the boundary after the
+        simulated rows repeats boundary ``earlier`` ``shift`` cycles
+        later, so with ``span`` the number of rows simulated from
+        ``earlier`` on, row ``earlier + m`` is row
+        ``earlier + m % span`` plus ``m // span`` shifts.
+        :meth:`execute` and :meth:`steady_schedule` read this.
 
         This is the production kernel: it consumes the packed
-        per-instruction arrays from
-        :meth:`repro.cpu.program.LoopProgram.static_arrays` and keeps
+        per-instruction arrays of
+        :class:`repro.cpu.program.ProgramStatics` and keeps
         all scheduler state in flat lists, so the inner loop performs no
         attribute or ``(regfile, reg)``-dict lookups.  It is
         cycle-exact against the readable event-driven formulation in
@@ -194,16 +223,16 @@ class Pipeline:
         combined by ``max`` with a bound of at least ``f``.  When
         boundary ``i`` repeats boundary ``j`` shifted by
         ``f_i - f_j``, row ``i + m`` is row ``j + m`` plus that shift
-        for every ``m``, so the remaining rows are filled without
-        simulating them.  With a cache model every iteration is
-        simulated, so the memory RNG sees the same draws.
+        for every ``m``, so the run stops there and returns the
+        repeat.  With a cache model every iteration is simulated, so
+        the memory RNG sees the same draws.
         """
         if iterations < 2:
             raise ValueError("need >= 2 iterations to find a steady state")
         if cache is not None and memory_rng is None:
             raise ValueError("cache model requires a memory_rng")
         cfg = self.config
-        st = program.static_arrays()
+        st = ProgramStatics(program)
         n_body = len(program)
 
         # Per-run mutable state, all flat lists (no dicts in the loop).
@@ -288,10 +317,7 @@ class Pipeline:
                             entry[1] = clamped(entry[0])
                         if entry[1] == state:
                             earlier = entry[0]
-                            return _extend_periodic(
-                                issue_flat[:k], n_body, iterations,
-                                earlier[0], f - earlier[1],
-                            )
+                            return issue_flat[:k], (earlier[0], f - earlier[1])
                     bucket.append([raw, state])
                 else:
                     bucket.append([raw, None])
@@ -359,9 +385,7 @@ class Pipeline:
                 if not ooo:
                     last_issue = t
                 k += 1
-        return np.array(issue_flat, dtype=np.int64).reshape(
-            iterations, n_body
-        )
+        return issue_flat, None
 
     def steady_schedule(
         self, program: LoopProgram, iterations: int = 16
@@ -376,11 +400,13 @@ class Pipeline:
         covers one full super-period, so the rendered current waveform
         is exactly the electrical period.
 
-        Only the last ``period + 1`` rows are read.  :meth:`execute`
-        usually stops simulating after a few iterations, once the
-        machine state repeats, and fills the later rows by shifting
-        earlier ones; those rows are exactly what full simulation gives,
-        so the extracted schedule is unchanged.
+        The schedule is read from :meth:`simulate`, not from the
+        ``(iterations, n)`` array :meth:`execute` builds: each row is a
+        simulated row plus a whole number of repeat shifts, so the row
+        starts, the super-period search and the fallback below take a
+        few Python operations, and only the ``period * n`` offsets
+        become an array.  The rows are exactly :meth:`execute`'s, so
+        the extracted schedule is unchanged.
 
         Iterations are measured from body instruction 0's issue cycles.
         The ROB check reads only the instruction ``rob_size`` older, so
@@ -389,18 +415,31 @@ class Pipeline:
         that gives no positive period, each row's latest issue cycle,
         which still advances by the loop's period, is the reference.
         """
-        issue = self.execute(program, iterations)
-        starts = issue[:, 0]
+        issue, repeat = self.simulate(program, iterations)
+        n = len(program)
+        earlier, shift = repeat if repeat is not None else (iterations, 0)
+        span = len(issue) // n - earlier
+        # (where each row starts in ``issue``, the cycles it is shifted
+        # by), as in :func:`_extend_periodic`.
+        rows = [
+            (r * n, 0) if r < earlier else (
+                (earlier + (r - earlier) % span) * n,
+                (r - earlier) // span * shift,
+            )
+            for r in range(iterations)
+        ]
+        starts = [issue[i] + add for i, add in rows]
         period, cycles = _super_period(starts, iterations)
         if cycles <= 0:
-            starts = issue.max(axis=1)
+            starts = [max(issue[i:i + n]) + add for i, add in rows]
             period, cycles = _super_period(starts, iterations)
         if cycles <= 0:
             raise RuntimeError("degenerate schedule: loop has zero period")
         base = starts[-1 - period]
-        offsets = (issue[-1 - period:-1] - base).reshape(-1).astype(
-            np.int64
-        )
+        offsets: List[int] = []
+        for i, add in rows[-1 - period:-1]:
+            d = add - base
+            offsets += [v + d for v in issue[i:i + n]]
         if period == 1:
             steady_program = program
         else:
@@ -413,7 +452,9 @@ class Pipeline:
         # iteration k+1; keep raw offsets, the current model wraps modulo
         # the period when accumulating charge.
         return Schedule(
-            program=steady_program, issue_offsets=offsets, cycles=cycles
+            program=steady_program,
+            issue_offsets=np.array(offsets, dtype=np.int64),
+            cycles=cycles,
         )
 
     def windowed_schedule(

@@ -10,13 +10,15 @@ determinism).
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cpu.isa import (
+    ExecutionUnit,
     Instruction,
     InstructionClass,
     InstructionSet,
@@ -48,36 +50,176 @@ class Genome(tuple):
         return Genome, (tuple(self),)
 
 
+#: Register files in packing order: INT, then FP, then VEC.
+_REGISTER_FILES = tuple(RegisterFile)
+
+
+class _Layout:
+    """What checking and packing a gene read of an instruction set.
+
+    ``limits`` holds each register file's count (a file the set does
+    not declare has none), and ``offsets`` each file's start in the
+    scheduler's dense register namespace (INT, then FP, then VEC), so
+    the scoreboard is a flat list instead of a dict keyed by
+    ``(regfile, reg)``.  :func:`_layout_of` builds one layout per
+    distinct ``(counts, memory_slots)``, so a gene's record is matched
+    to a program's instruction set by identity.
+    """
+
+    __slots__ = ("limits", "memory_slots", "offsets", "num_registers")
+
+    def __init__(
+        self, counts: Tuple[Optional[int], ...], memory_slots: int
+    ) -> None:
+        self.limits = {
+            rf: n for rf, n in zip(_REGISTER_FILES, counts) if n is not None
+        }
+        self.memory_slots = memory_slots
+        self.offsets: Dict[RegisterFile, int] = {}
+        total = 0
+        for rf, n in zip(_REGISTER_FILES, counts):
+            self.offsets[rf] = total
+            total += n or 0
+        self.num_registers = total
+
+
+@functools.lru_cache(maxsize=64)
+def _interned_layout(
+    counts: Tuple[Optional[int], ...], memory_slots: int
+) -> _Layout:
+    return _Layout(counts, memory_slots)
+
+
+def _layout_of(isa: InstructionSet) -> _Layout:
+    return _interned_layout(
+        tuple(map(isa.registers.get, _REGISTER_FILES)), isa.memory_slots
+    )
+
+
+class _GeneRecord(NamedTuple):
+    """A gene checked, keyed and packed under one layout.
+
+    The first seven fields are its scheduler row, with registers in
+    the layout's dense namespace (``-1`` for no dest or address), and
+    ``entry`` is its genome entry.  One flat tuple, so a program's rows
+    gather into columns in one ``zip``.
+    """
+
+    sources: Tuple[int, ...]
+    latency: int
+    recip: int
+    touches_memory: bool
+    address: int
+    dest: int
+    unit: ExecutionUnit
+    entry: tuple
+    layout: _Layout
+
+
+def _pack(instr: Instruction, layout: _Layout) -> _GeneRecord:
+    """Record ``instr`` under ``layout``, which a program built from it
+    was checked against, keeping the genome entry it may hold."""
+    spec = instr.spec
+    gene = instr._gene
+    if gene is None:
+        entry = (spec.mnemonic, instr.dest, instr.sources, instr.address)
+    elif gene.__class__ is _GeneRecord:
+        entry = gene.entry
+    else:
+        entry = gene
+    base = layout.offsets[spec.regfile]
+    touches = spec.touches_memory
+    record = _GeneRecord(
+        # The first register file packs at offset 0, where the
+        # instruction's own source tuple already holds the indices.
+        tuple([base + s for s in instr.sources]) if base else instr.sources,
+        spec.latency,
+        spec.recip_throughput,
+        touches,
+        instr.address if touches else -1,
+        base + instr.dest if spec.has_dest else -1,
+        spec.unit,
+        entry,
+        layout,
+    )
+    object.__setattr__(instr, "_gene", record)
+    return record
+
+
+def _gene_records(
+    body: Sequence[Instruction], layout: _Layout
+) -> List[_GeneRecord]:
+    """Every gene's record under ``layout``, packing those without one."""
+    records = []
+    for instr in body:
+        record = instr._gene
+        if record.__class__ is not _GeneRecord or record.layout is not layout:
+            record = _pack(instr, layout)
+        records.append(record)
+    return records
+
+
 @dataclass(frozen=True)
 class LoopProgram:
-    """An instruction loop bound to the instruction set it draws from."""
+    """An instruction loop bound to the instruction set it draws from.
+
+    Each gene (:class:`~repro.cpu.isa.Instruction`) caches, in its one
+    ``_gene`` attribute, what every program built from it would derive
+    again: its genome entry once a program holding it is keyed, and
+    once one is scheduled a record of the layout it was checked
+    against, the entry and its scheduler row.  Crossover children,
+    mutants and a steady schedule's ``body * period`` program reuse
+    their parents' genes, so they check, key and pack only the genes
+    no scheduled program held.  Checking alone writes nothing, so a
+    program that is only keyed costs its genome and nothing more.
+    Neither the genes' caches nor the program's genome are pickled.
+    """
 
     isa: InstructionSet
     body: Tuple[Instruction, ...]
     name: str = "loop"
 
+    # The genome, set once on the frozen instance; a class-level
+    # default, so reading it never builds the instance ``__dict__``.
+    _genome = None
+
     def __post_init__(self) -> None:
         if not self.body:
             raise ValueError("loop body must contain at least one instruction")
-        limits = self.isa.registers
-        slots = self.isa.memory_slots
+        layout = _layout_of(self.isa)
+        limits = layout.limits
+        slots = layout.memory_slots
         for i, instr in enumerate(self.body):
+            gene = instr._gene
+            if gene.__class__ is _GeneRecord and gene.layout is layout:
+                continue
             spec = instr.spec
-            limit = limits[spec.regfile]
+            limit = limits.get(spec.regfile)
+            if limit is None:
+                raise ValueError(
+                    f"instruction {i} ({spec.mnemonic}) uses the "
+                    f"{spec.regfile.value!r} register file, which "
+                    f"{self.isa.name} does not declare"
+                )
             regs = instr.sources
             if spec.has_dest:
                 regs = (*regs, instr.dest)
             for r in regs:
                 if not 0 <= r < limit:
                     raise ValueError(
-                        f"instruction {i} ({instr.mnemonic}) uses register "
+                        f"instruction {i} ({spec.mnemonic}) uses register "
                         f"{r} outside 0..{limit - 1}"
                     )
             if spec.touches_memory and not 0 <= instr.address < slots:
                 raise ValueError(
-                    f"instruction {i} ({instr.mnemonic}) uses memory slot "
+                    f"instruction {i} ({spec.mnemonic}) uses memory slot "
                     f"{instr.address} outside 0..{slots - 1}"
                 )
+
+    def __getstate__(self) -> dict:
+        # The genome stays behind, as the genes' caches do: an
+        # unpickled program keys and packs afresh.
+        return {"isa": self.isa, "body": self.body, "name": self.name}
 
     def __len__(self) -> int:
         return len(self.body)
@@ -102,28 +244,28 @@ class LoopProgram:
         instance, and it hashes once, so the GA memo, the session's
         execution keys and :meth:`Cluster.run
         <repro.platforms.base.Cluster.run>`'s memo look a program up in
-        O(1) instead of re-walking the loop body every call.
+        O(1) instead of re-walking the loop body every call.  Its
+        entries are the tuples the genes cache, so programs sharing
+        genes share entries.
         """
-        cached = self.__dict__.get("_genome")
+        cached = self._genome
         if cached is None:
-            cached = Genome(
-                (i.mnemonic, i.dest, i.sources, i.address)
-                for i in self.body
-            )
+            entries = []
+            for instr in self.body:
+                gene = instr._gene
+                if gene is None:
+                    gene = (
+                        instr.spec.mnemonic,
+                        instr.dest,
+                        instr.sources,
+                        instr.address,
+                    )
+                    object.__setattr__(instr, "_gene", gene)
+                elif gene.__class__ is _GeneRecord:
+                    gene = gene.entry
+                entries.append(gene)
+            cached = Genome(entries)
             object.__setattr__(self, "_genome", cached)
-        return cached
-
-    def static_arrays(self) -> "ProgramStatics":
-        """Packed per-instruction lists for the scheduler.
-
-        Walks the loop body once and caches the result on the instance;
-        the scheduler indexes these flat lists instead of doing
-        per-dynamic-instruction attribute lookups.
-        """
-        cached = self.__dict__.get("_statics")
-        if cached is None:
-            cached = ProgramStatics(self)
-            object.__setattr__(self, "_statics", cached)
         return cached
 
 
@@ -132,8 +274,13 @@ class ProgramStatics:
 
     Registers are packed into one dense namespace (INT, then FP, then
     VEC) so the scheduler scoreboard is a flat list instead of a dict
-    keyed by ``(regfile, reg)``.  The current model's charge packets
-    come from :func:`charge_packets`, once per batch of schedules.
+    keyed by ``(regfile, reg)``.  Each field gathers one column of the
+    genes' scheduler rows, packing the genes that have no record for
+    this instruction set; that costs a few microseconds once the genes
+    are packed, so the statics are built per schedule rather than kept
+    on the program, which then holds no more than its genome.  The
+    current model's charge packets come from :func:`charge_packets`,
+    once per batch of schedules.
     """
 
     __slots__ = (
@@ -148,38 +295,22 @@ class ProgramStatics:
     )
 
     def __init__(self, program: "LoopProgram"):
-        offsets: Dict[RegisterFile, int] = {}
-        total = 0
-        for rf in RegisterFile:
-            offsets[rf] = total
-            total += program.isa.registers.get(rf, 0)
-        self.num_registers = total
-
-        units, latency, recip, sources, dest = [], [], [], [], []
-        touches_memory, address = [], []
-        for instr in program.body:
-            spec = instr.spec
-            base = offsets[spec.regfile]
-            units.append(spec.unit)
-            latency.append(spec.latency)
-            recip.append(spec.recip_throughput)
-            # The first register file packs at offset 0, where the
-            # instruction's own source tuple already holds the indices.
-            sources.append(
-                tuple([base + s for s in instr.sources])
-                if base
-                else instr.sources
-            )
-            dest.append(base + instr.dest if spec.has_dest else -1)
-            touches_memory.append(spec.touches_memory)
-            address.append(instr.address if spec.touches_memory else -1)
-        self.units = tuple(units)
-        self.latency = latency
-        self.recip = recip
-        self.sources = tuple(sources)
-        self.dest = dest
-        self.touches_memory = tuple(touches_memory)
-        self.address = address
+        layout = _layout_of(program.isa)
+        self.num_registers = layout.num_registers
+        (
+            self.sources,
+            latency,
+            recip,
+            self.touches_memory,
+            address,
+            dest,
+            self.units,
+            *_,
+        ) = zip(*_gene_records(program.body, layout))
+        self.latency = list(latency)
+        self.recip = list(recip)
+        self.dest = list(dest)
+        self.address = list(address)
 
 
 def charge_packets(

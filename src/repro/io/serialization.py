@@ -87,33 +87,55 @@ def program_from_dict(data: dict) -> LoopProgram:
         raise SerializationError(
             f"unknown base ISA {base_name!r}"
         ) from None
-    registers = {
-        RegisterFile(key): int(count)
-        for key, count in data.get("registers", {}).items()
-    } or dict(base.registers)
+    try:
+        registers = {
+            RegisterFile(key): int(count)
+            for key, count in data.get("registers", {}).items()
+        } or dict(base.registers)
+        memory_slots = int(data.get("memory_slots", base.memory_slots))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"bad register counts or memory slots: {exc}"
+        ) from exc
     isa = InstructionSet(
         name=data.get("isa_name", base.name),
         specs=base.specs,
         registers=registers,
-        memory_slots=int(data.get("memory_slots", base.memory_slots)),
+        memory_slots=memory_slots,
     )
+    if not isinstance(body_data, list):
+        raise SerializationError("body must be a list of instructions")
     body = []
-    for entry in body_data:
+    for index, entry in enumerate(body_data):
         try:
-            spec = isa.spec(entry["mnemonic"])
-        except KeyError as exc:
-            raise SerializationError(str(exc)) from exc
-        body.append(
-            Instruction(
-                spec=spec,
-                dest=entry.get("dest"),
-                sources=tuple(entry.get("sources", ())),
-                address=entry.get("address"),
+            spec = isa.spec(entry.get("mnemonic"))
+            dest = entry.get("dest")
+            sources = tuple(entry.get("sources", ()))
+            address = entry.get("address")
+            if not all(
+                isinstance(v, int)
+                for v in (*sources, dest, address)
+                if v is not None
+            ):
+                raise TypeError("register and slot numbers must be integers")
+            body.append(
+                Instruction(
+                    spec=spec, dest=dest, sources=sources, address=address
+                )
             )
+        except KeyError as exc:
+            raise SerializationError(
+                f"body entry {index}: {exc.args[0]}"
+            ) from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SerializationError(f"body entry {index}: {exc}") from exc
+    try:
+        return LoopProgram(
+            isa=isa, body=tuple(body), name=data.get("name", "loaded")
         )
-    return LoopProgram(
-        isa=isa, body=tuple(body), name=data.get("name", "loaded")
-    )
+    except ValueError as exc:
+        # The message names the entry: "instruction <index> (...)".
+        raise SerializationError(f"invalid program body: {exc}") from exc
 
 
 def save_program(
@@ -129,7 +151,7 @@ def load_program(path: Union[str, Path]) -> LoopProgram:
     """Read a program back from a JSON file."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SerializationError(f"invalid JSON: {exc}") from exc
     return program_from_dict(data)
 
@@ -153,7 +175,7 @@ def load_population(path: Union[str, Path]):
     """Load a previously saved population."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SerializationError(f"invalid JSON: {exc}") from exc
     if data.get("format_version") != FORMAT_VERSION:
         raise SerializationError("unsupported population format")
@@ -210,12 +232,16 @@ def load_virus_archive(meta_path: Union[str, Path]):
     meta_path = Path(meta_path)
     try:
         metadata = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SerializationError(f"invalid JSON: {exc}") from exc
     try:
         program_file = metadata["program_file"]
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"missing field: {exc}") from exc
+    if not isinstance(program_file, str):
+        raise SerializationError(
+            f"program_file must be a file name, not {program_file!r}"
+        )
     program = load_program(meta_path.parent / program_file)
     return program, metadata
 

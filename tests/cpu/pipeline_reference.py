@@ -4,6 +4,9 @@
 packed program arrays and stops once the machine state repeats; it
 must return exactly the array this reference gives by simulating every
 iteration through a unit pool and a scoreboard.
+``Pipeline.steady_schedule`` reads the simulation without building
+that array; it must extract exactly the schedule
+:func:`steady_schedule_reference` reads from the reference's array.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -11,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cpu.isa import ExecutionUnit, Instruction, RegisterFile
-from repro.cpu.pipeline import Pipeline
+from repro.cpu.pipeline import Pipeline, Schedule
 from repro.cpu.program import LoopProgram
 
 
@@ -191,3 +194,55 @@ def _simulate(
             if not cfg.out_of_order:
                 last_issue = t
     return issue
+
+
+def _super_period_reference(
+    starts: np.ndarray, iterations: int
+) -> Tuple[int, int]:
+    """(iterations, cycles) of the smallest repeating super-period of
+    the iteration lengths between the row starts, searched with numpy
+    over the full array."""
+    deltas = np.diff(starts)
+    period = 1
+    for candidate in range(1, iterations // 2 + 1):
+        if deltas.size >= 2 * candidate and np.array_equal(
+            deltas[-candidate:], deltas[-2 * candidate:-candidate]
+        ):
+            period = candidate
+            break
+    return period, int(starts[-1] - starts[-1 - period])
+
+
+def steady_schedule_reference(
+    pipeline: Pipeline,
+    program: LoopProgram,
+    iterations: int = 16,
+    issue: Optional[np.ndarray] = None,
+) -> Schedule:
+    """The steady schedule read from the full ``(iterations, n)`` issue
+    array, with numpy, as ``Pipeline.steady_schedule`` read
+    ``Pipeline.execute`` before it read the simulation directly: row
+    starts from body instruction 0, each row's latest issue cycle when
+    those give no positive period, and the ``period`` rows before the
+    last as offsets from the first of them.  ``issue`` defaults to the
+    every-iteration scheduler's array."""
+    if issue is None:
+        issue = execute_reference(pipeline, program, iterations)
+    starts = issue[:, 0]
+    period, cycles = _super_period_reference(starts, iterations)
+    if cycles <= 0:
+        starts = issue.max(axis=1)
+        period, cycles = _super_period_reference(starts, iterations)
+    if cycles <= 0:
+        raise RuntimeError("degenerate schedule: loop has zero period")
+    base = starts[-1 - period]
+    offsets = (issue[-1 - period:-1] - base).reshape(-1).astype(np.int64)
+    if period == 1:
+        steady_program = program
+    else:
+        steady_program = LoopProgram(
+            isa=program.isa, body=program.body * period, name=program.name
+        )
+    return Schedule(
+        program=steady_program, issue_offsets=offsets, cycles=cycles
+    )

@@ -11,6 +11,7 @@ from repro.cpu.pipeline import (
     PipelineConfig,
 )
 from repro.cpu.program import program_from_mnemonics
+from tests.cpu.pipeline_reference import steady_schedule_reference
 
 
 def make_loop(*mnemonics, isa=ARM_ISA):
@@ -158,23 +159,35 @@ class TestSteadyState:
         The search used to try only super-periods {1, 2, 3, 4, 6}, so a
         pattern of iteration lengths repeating every 5 iterations
         collapsed to a wrong 1-iteration period.  Synthesize such a
-        schedule by stubbing ``execute``.
+        schedule by stubbing ``simulate``, which ``steady_schedule``
+        reads: every row simulated, none repeating.
         """
         pattern = [3, 1, 1, 1, 2]  # iteration lengths, super-period 5
         program = make_loop("add")
 
         class FivePeriodic(InOrderPipeline):
-            def execute(self, prog, iterations, cache=None,
-                        memory_rng=None):
+            def simulate(self, prog, iterations=16, cache=None,
+                         memory_rng=None):
                 starts = np.cumsum(
                     [0] + [pattern[i % 5] for i in range(iterations - 1)]
                 )
-                return starts.reshape(-1, 1).astype(np.int64)
+                return starts.tolist(), None
 
-        schedule = FivePeriodic().steady_schedule(program, iterations=16)
+        pipeline = FivePeriodic()
+        schedule = pipeline.steady_schedule(program, iterations=16)
         # One electrical period covers the 5-iteration pattern.
         assert schedule.cycles == sum(pattern)
         assert len(schedule.program.body) == 5 * len(program.body)
+        # The numpy reading of the same rows agrees.
+        issue, _ = pipeline.simulate(program, 16)
+        expected = steady_schedule_reference(
+            pipeline, program, 16, issue=np.array(issue).reshape(-1, 1)
+        )
+        assert schedule.cycles == expected.cycles
+        assert (
+            schedule.issue_offsets.tobytes()
+            == expected.issue_offsets.tobytes()
+        )
 
     def test_first_instruction_running_ahead_keeps_the_period(self):
         """Regression: an independent first instruction that runs ahead

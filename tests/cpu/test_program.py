@@ -1,10 +1,12 @@
 """Unit tests for loop programs."""
 
+import hashlib
 import json
 import os
 import pickle
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.cpu.isa import (
     InstructionSet,
     RegisterFile,
 )
+from repro.cpu.pipeline import InOrderPipeline
 from repro.cpu.program import (
     Genome,
     LoopProgram,
@@ -27,7 +30,10 @@ from repro.cpu.program import (
     random_program,
 )
 from repro.cpu.x86 import X86_ISA
+from repro.ga.operators import mutate, one_point_crossover
+from repro.platforms import registry
 from repro.platforms.gpu import GPU_ISA
+from tests.cpu.pipeline_reference import execute_reference
 from tests.cpu.statics_reference import program_statics_reference
 
 
@@ -277,3 +283,218 @@ class TestProgramStatics:
         # Every register file the ISA has, and memory operands, occur.
         assert regfiles == set(isa.registers)
         assert memory_ops > 0
+
+
+def with_resources(name, registers, memory_slots=64):
+    """``ARM_ISA``'s specs with other register counts or slots."""
+    return InstructionSet(
+        name=name,
+        specs=ARM_ISA.specs,
+        registers=registers,
+        memory_slots=memory_slots,
+    )
+
+
+def assert_packs_like_reference(program):
+    statics = ProgramStatics(program)
+    for name, value in program_statics_reference(program).items():
+        assert same_container(getattr(statics, name), value), name
+
+
+def plain_genome(program):
+    return tuple(
+        (i.mnemonic, i.dest, i.sources, i.address) for i in program.body
+    )
+
+
+#: Unpickles programs read from stdin, schedules each on a72 and prints
+#: a digest of every schedule's offsets and cycles.
+_UNPICKLE_AND_SCHEDULE = (
+    "import hashlib, pickle, sys; "
+    "from repro.platforms import registry; "
+    "pipeline = registry.make_cluster('a72').pipeline; "
+    "digest = hashlib.sha256(); "
+    "[digest.update(s.issue_offsets.tobytes() + str(s.cycles).encode()) "
+    " for s in (pipeline.steady_schedule(p) "
+    "           for p in pickle.loads(sys.stdin.buffer.read()))]; "
+    "print(digest.hexdigest())"
+)
+
+
+class TestGeneCache:
+    """Each gene is checked, keyed and packed once per register layout,
+    and programs built from checked genes reuse that work."""
+
+    def test_a_checked_gene_is_refused_by_a_smaller_instruction_set(self):
+        add = Instruction(spec=ARM_ISA.spec("add"), dest=9, sources=(1, 2))
+        ldr = Instruction(
+            spec=ARM_ISA.spec("ldr"), dest=0, sources=(), address=40
+        )
+        program = LoopProgram(isa=ARM_ISA, body=(add, ldr))
+        program.genome()
+        InOrderPipeline().steady_schedule(program)
+        fp_vec = {RegisterFile.FP: 16, RegisterFile.VEC: 16}
+        fewer_registers = with_resources(
+            "fewer-registers", {RegisterFile.INT: 8, **fp_vec}
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"^instruction 0 \(add\) uses register 9 outside 0\.\.7$",
+        ):
+            LoopProgram(isa=fewer_registers, body=(add, ldr))
+        fewer_slots = with_resources(
+            "fewer-slots", dict(ARM_ISA.registers), memory_slots=32
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"^instruction 1 \(ldr\) uses memory slot 40 outside "
+            r"0\.\.31$",
+        ):
+            LoopProgram(isa=fewer_slots, body=(add, ldr))
+        with pytest.raises(
+            ValueError,
+            match=r"^instruction 0 \(add\) uses the 'int' register file, "
+            r"which no-int does not declare$",
+        ):
+            LoopProgram(isa=with_resources("no-int", fp_vec), body=(add,))
+        # The refusals leave the genes' records for the first set.
+        again = LoopProgram(isa=ARM_ISA, body=(add, ldr))
+        assert_packs_like_reference(again)
+        assert again.genome() == program.genome()
+
+    def test_a_missing_register_file_is_named(self):
+        vmul = Instruction(spec=ARM_ISA.spec("vmul"), dest=1, sources=(2, 3))
+        no_vec = with_resources(
+            "no-vec-regs", {RegisterFile.INT: 16, RegisterFile.FP: 16}
+        )
+        with pytest.raises(ValueError, match="'vec' register file"):
+            LoopProgram(isa=no_vec, body=(vmul,))
+
+    def test_the_same_genes_pack_per_instruction_set(self):
+        """``no-vec`` packs FP registers at offset 5 and ``ARM_ISA`` at
+        16: programs sharing genes pack them for their own set, in any
+        order."""
+        no_vec = PACKING_ISAS[-1]
+        pipeline = InOrderPipeline()
+        body = random_program(no_vec, 60, np.random.default_rng(8)).body
+        assert {i.spec.regfile for i in body} == set(no_vec.registers)
+        for isa in (no_vec, ARM_ISA, ARM_ISA, no_vec, ARM_ISA):
+            program = LoopProgram(isa=isa, body=body)
+            assert_packs_like_reference(program)
+            assert np.array_equal(
+                pipeline.execute(program, 16),
+                execute_reference(pipeline, program, 16),
+            )
+        assert (
+            ProgramStatics(LoopProgram(isa=no_vec, body=body)).sources
+            != ProgramStatics(LoopProgram(isa=ARM_ISA, body=body)).sources
+        )
+
+    @pytest.mark.parametrize("isa", PACKING_ISAS, ids=lambda isa: isa.name)
+    def test_bred_children_pack_and_key_like_the_reference(self, isa):
+        """Children of keyed and of scheduled parents, and their own
+        children, read in either order (genome first or statics
+        first)."""
+        rng = np.random.default_rng(21)
+        pipeline = InOrderPipeline()
+        generation = [random_program(isa, 40, rng) for _ in range(8)]
+        for _ in range(3):
+            for k, program in enumerate(generation):
+                if k % 2:
+                    program.genome()
+                if k % 3:
+                    pipeline.steady_schedule(program)
+            children = []
+            for a, b in zip(generation[::2], generation[1::2]):
+                c, d = one_point_crossover(a, b, rng)
+                children += [c, d, mutate(c, rng, 0.2), mutate(d, rng, 0.2)]
+            for k, child in enumerate(children):
+                if k % 2:
+                    assert_packs_like_reference(child)
+                assert child.genome() == plain_genome(child)
+                assert type(child.genome()) is Genome
+                assert_packs_like_reference(child)
+                assert all(
+                    entry is gene._gene.entry
+                    for entry, gene in zip(child.genome(), child.body)
+                )
+            generation = children[::2]
+
+    def test_threads_sharing_genes_get_their_own_layout(self):
+        """Threads keying and packing shared genes under two instruction
+        sets, with a short switch interval: a crossed or lost write may
+        cost a re-pack, never a wrong row or key (the service runs
+        chains on a worker thread)."""
+        no_vec = PACKING_ISAS[-1]
+        body = random_program(no_vec, 60, np.random.default_rng(4)).body
+        plain = tuple(
+            (i.mnemonic, i.dest, i.sources, i.address) for i in body
+        )
+        expected = {
+            isa.name: program_statics_reference(
+                LoopProgram(isa=isa, body=body)
+            )
+            for isa in (no_vec, ARM_ISA)
+        }
+        errors = []
+
+        def work(isa):
+            try:
+                for _ in range(100):
+                    program = LoopProgram(isa=isa, body=body)
+                    assert program.genome() == plain
+                    statics = ProgramStatics(program)
+                    for name, value in expected[isa.name].items():
+                        assert same_container(getattr(statics, name), value)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(isa,))
+            for isa in (no_vec, ARM_ISA) * 3
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_caches_never_pickle(self):
+        """A 32-genome a72 shard, as the GA ships to a worker, pickles
+        to the same bytes fresh, keyed and scheduled, smaller than the
+        68,527 bytes its keyed form took when programs pickled their
+        genome; unpickled in another process, it schedules to the same
+        bits."""
+        cluster = registry.make_cluster("a72")
+        rng = np.random.default_rng(3)
+        shard = [random_program(cluster.spec.isa, 50, rng) for _ in range(32)]
+        fresh = pickle.dumps(shard)
+        for program in shard:
+            program.genome()
+        assert pickle.dumps(shard) == fresh
+        digest = hashlib.sha256()
+        for program in shard:
+            schedule = cluster.pipeline.steady_schedule(program)
+            digest.update(
+                schedule.issue_offsets.tobytes()
+                + str(schedule.cycles).encode()
+            )
+        assert pickle.dumps(shard) == fresh
+        assert len(fresh) < 68_527
+        for name in (b"Genome", b"_GeneRecord", b"_Layout", b"_gene"):
+            assert name not in fresh
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", _UNPICKLE_AND_SCHEDULE],
+            input=fresh,
+            capture_output=True,
+            check=True,
+            env=dict(os.environ, PYTHONHASHSEED="7", PYTHONPATH=src),
+        ).stdout.decode().strip()
+        assert out == digest.hexdigest()

@@ -87,11 +87,71 @@ class TestErrors:
         with pytest.raises(SerializationError, match="missing"):
             program_from_dict({"body": []})
 
+    @pytest.mark.parametrize(
+        "registers, message",
+        [
+            ({"int": 16}, "instruction 0 (vmul) uses the 'vec' register "
+             "file, which armv8 does not declare"),
+            ({"int": 2, "fp": 16, "vec": 16},
+             "instruction 1 (add) uses register 2 outside 0..1"),
+            ({"int": "many"}, "bad register counts"),
+            ({"int": 16, "simd": 8}, "bad register counts"),
+        ],
+        ids=["missing-file", "outside-file", "bad-count", "unknown-file"],
+    )
+    def test_bad_registers_raise_one_error(self, registers, message):
+        """Construction errors leave as ``SerializationError``, so the
+        CLI reports them in one line instead of a traceback."""
+        data = program_to_dict(
+            program_from_mnemonics(ARM_ISA, ["vmul", "add"])
+        )
+        data["registers"] = registers
+        with pytest.raises(SerializationError) as info:
+            program_from_dict(data)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sources", [1], "body entry 1: add: expected 2 sources"),
+            ("dest", "r1", "body entry 1: register and slot numbers"),
+            ("dest", None, "body entry 1: add: missing dest"),
+            ("mnemonic", None, "body entry 1: armv8: unknown mnemonic"),
+        ],
+    )
+    def test_bad_body_entry_is_named(self, field, value, message):
+        data = program_to_dict(
+            program_from_mnemonics(ARM_ISA, ["vmul", "add"])
+        )
+        data["body"][1][field] = value
+        with pytest.raises(SerializationError, match=message):
+            program_from_dict(data)
+
+    def test_non_object_body_entry_is_named(self):
+        data = program_to_dict(program_from_mnemonics(ARM_ISA, ["add"]))
+        data["body"].append(5)
+        with pytest.raises(SerializationError, match="body entry 1: "):
+            program_from_dict(data)
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(SerializationError, match="invalid JSON"):
             load_program(path)
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(SerializationError, match="invalid JSON"):
+            load_program(path)
+        with pytest.raises(SerializationError, match="invalid JSON"):
+            load_virus_archive(path)
+
+    def test_archive_program_file_must_be_a_name(self, tmp_path):
+        meta = tmp_path / "virus.meta.json"
+        meta.write_text(json.dumps({"program_file": ["virus.json"]}))
+        with pytest.raises(SerializationError, match="file name"):
+            load_virus_archive(meta)
 
 
 class TestVirusArchive:

@@ -16,6 +16,7 @@ from repro.platforms import registry
 from tests.cpu.pipeline_reference import (
     execute_reference,
     first_repeat_reference,
+    steady_schedule_reference,
 )
 
 program_seeds = st.integers(min_value=0, max_value=10_000)
@@ -85,6 +86,60 @@ def test_early_exit_matches_full_simulation_deep(
     core, seed, length, iterations
 ):
     assert_exit_is_exact(core, seed, length, iterations)
+
+
+def assert_steady_schedule_is_exact(core, seed, length, iterations):
+    """The schedule read from the simulation is the one numpy read
+    from the full array: offsets bit for bit, cycles and the steady
+    body."""
+    pipeline, isa = core
+    program = random_program(isa, length, np.random.default_rng(seed))
+    try:
+        expected = steady_schedule_reference(pipeline, program, iterations)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="degenerate"):
+            pipeline.steady_schedule(program, iterations)
+        return
+    schedule = pipeline.steady_schedule(program, iterations)
+    offsets = schedule.issue_offsets
+    assert offsets.dtype == expected.issue_offsets.dtype
+    assert offsets.shape == expected.issue_offsets.shape
+    assert offsets.tobytes() == expected.issue_offsets.tobytes()
+    assert type(schedule.cycles) is int
+    assert schedule.cycles == expected.cycles
+    steady = schedule.program
+    assert len(steady.body) == len(expected.program.body)
+    assert all(a is b for a, b in zip(steady.body, expected.program.body))
+    assert (steady is program) == (expected.program is program)
+    assert steady.isa is program.isa and steady.name == program.name
+
+
+@settings(max_examples=50, deadline=None)
+@given(**exit_cases)
+def test_steady_schedule_matches_numpy_reference(
+    core, seed, length, iterations
+):
+    assert_steady_schedule_is_exact(core, seed, length, iterations)
+
+
+def test_steady_schedule_fallback_matches_numpy_reference():
+    """amd's ``add_rr, mulss, divss``: the first instruction runs ahead
+    of ``divss`` and repeats its issue cycle, so both read each row's
+    latest issue cycle."""
+    pipeline, isa = platform_core("amd")
+    program = random_program(isa, 3, np.random.default_rng(4735))
+    starts = execute_reference(pipeline, program, 16)[:, 0]
+    assert np.diff(starts[-3:]).min() <= 0
+    assert_steady_schedule_is_exact((pipeline, isa), 4735, 3, 16)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(**exit_cases)
+def test_steady_schedule_matches_numpy_reference_deep(
+    core, seed, length, iterations
+):
+    assert_steady_schedule_is_exact(core, seed, length, iterations)
 
 
 @pytest.mark.parametrize("platform", PLATFORMS)

@@ -33,10 +33,16 @@ PLATFORMS = ("a72", "a53", "amd")
 
 class ReferencePipeline(Pipeline):
     """The production steady-state extraction over the every-iteration
-    reference scheduler."""
+    reference scheduler: ``steady_schedule`` reads ``simulate``, so
+    that is where the reference goes in, as a run that simulated every
+    row."""
 
-    def execute(self, program, iterations=16, cache=None, memory_rng=None):
-        return execute_reference(self, program, iterations)
+    simulations = 0
+
+    def simulate(self, program, iterations=16, cache=None, memory_rng=None):
+        self.simulations += 1
+        issue = execute_reference(self, program, iterations)
+        return issue.reshape(-1).tolist(), None
 
 
 @lru_cache(maxsize=None)
@@ -47,7 +53,10 @@ def platform(key):
 
 def reference_execution(cluster, reference, program, active, offsets):
     """(load_current, schedule) of one item, from the references."""
+    simulations = reference.simulations
     schedule = reference.steady_schedule(program, 16)
+    # The schedule came from the reference scheduler.
+    assert reference.simulations == simulations + 1
     trace = trace_one_schedule(cluster.spec.current_model, schedule)
     combined = np.zeros_like(trace)
     for off in offsets if offsets is not None else [0] * active:

@@ -487,14 +487,45 @@ class TestBadNumbers:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: bad --step {float(step)}: step_v ")
 
-    @pytest.mark.parametrize("meta_text", [None, "{}"],
-                             ids=["missing", "no-program-file"])
-    def test_vmin_bad_virus_archive(self, capsys, tmp_path, meta_text):
+    @pytest.mark.parametrize(
+        "meta_text, registers, message",
+        [
+            (None, None, ""),
+            ("{}", None, ""),
+            # The program's vmul needs the vec file the archive drops.
+            (None, {"int": 16}, "instruction 0 (vmul) uses the 'vec' "
+             "register file, which armv8 does not declare"),
+            (None, {"int": 2, "fp": 16, "vec": 16},
+             "instruction 1 (add) uses register 2 outside 0..1"),
+            ('{"program_file": 5}', None, "must be a file name, not 5"),
+            (b"\xff\xfe", None, "invalid start byte"),
+        ],
+        ids=["missing", "no-program-file", "no-vec-file",
+             "register-outside-file", "program-file-not-a-name",
+             "undecodable"],
+    )
+    def test_vmin_bad_virus_archive(
+        self, capsys, tmp_path, meta_text, registers, message
+    ):
         meta = tmp_path / "virus.meta.json"
-        if meta_text is not None:
+        if isinstance(meta_text, bytes):
+            meta.write_bytes(meta_text)
+        elif meta_text is not None:
             meta.write_text(meta_text)
+        if registers is not None:
+            from repro.cpu.arm import ARM_ISA
+            from repro.cpu.program import program_from_mnemonics
+            from repro.io.serialization import program_to_dict
+
+            data = program_to_dict(
+                program_from_mnemonics(ARM_ISA, ["vmul", "add"])
+            )
+            data["registers"] = registers
+            (tmp_path / "virus.json").write_text(json.dumps(data))
+            meta.write_text(json.dumps({"program_file": "virus.json"}))
         assert main(BAD_NUMBER_BASES["vmin"] + ["--virus", str(meta)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         (line,) = err.splitlines()
         assert line.startswith(f"error: bad --virus {meta}: ")
+        assert line.endswith(message)
